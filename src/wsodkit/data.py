@@ -10,6 +10,7 @@ time from a depth-map sidecar file.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +45,7 @@ class Box:
 
     def __post_init__(self) -> None:
         vals = (self.x1, self.y1, self.x2, self.y2)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ValidationError(f"box has non-finite coordinates: {vals}")
         if min(vals) < 0.0:
             raise ValidationError(f"box has negative coordinates: {vals}")

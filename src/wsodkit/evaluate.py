@@ -5,13 +5,19 @@ confidence-ordered matching: each detection takes the unmatched ground
 truth it overlaps most, counting as a true positive only at or above the
 IoU threshold, and the precision/recall curve is integrated under its
 monotone envelope at every recall change (an 11-point variant is
-available). CorLoc asks, per class, on what fraction of the images
-containing the class the single most confident detection hits.
+available). The matcher works per image, as the COCO API's
+``evaluateImg`` does: one IoU block between the image's detections, in
+score order, and its truths, then greedy claims on that block in array
+rounds, each resolving every detection up to the next claim. Misses get
+one more block against the image's ignored truths. CorLoc asks, per
+class, on what fraction of the images containing the class the single
+most confident detection hits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -93,12 +99,18 @@ def load_detections(path: str | Path) -> list[Detection]:
                 raise ParseError(f"{path}: line {lineno}: {e}") from e
             try:
                 box = Box(*[float(v) for v in obj["box"]])
+                score = float(obj["score"])
+                # json.loads accepts the NaN and Infinity literals.
+                if not math.isfinite(score):
+                    raise ValidationError(
+                        f"{path}: line {lineno}: non-finite score {score}"
+                    )
                 dets.append(
                     Detection(
                         image_id=str(obj["image_id"]),
                         class_id=int(obj["class_id"]),
                         box=box,
-                        score=float(obj["score"]),
+                        score=score,
                     )
                 )
             except (TypeError, KeyError, ValueError) as e:
@@ -118,6 +130,29 @@ class APResult:
     precision: np.ndarray
 
 
+def _greedy_hits(ious: np.ndarray, iou_thresh: float) -> np.ndarray:
+    """Greedy matching on one image's (D, G) IoU block, rows in score order.
+
+    Each row takes the unused truth it overlaps most (first on ties) and
+    hits when that overlap reaches the threshold. Rows between two claims
+    see the same used set, so each round resolves every row up to the next
+    claim at once: at most G + 1 rounds instead of one step per row.
+    """
+    hits = np.zeros(len(ious), dtype=bool)
+    used = np.zeros(ious.shape[1], dtype=bool)
+    start = 0
+    while start < len(ious):
+        block = np.where(used, -1.0, ious[start:])
+        claim = np.flatnonzero(block.max(axis=1) >= iou_thresh)
+        if not claim.size:
+            break
+        row = start + int(claim[0])
+        hits[row] = True
+        used[int(np.argmax(block[claim[0]]))] = True
+        start = row + 1
+    return hits
+
+
 def _match(
     dets: Sequence[Detection],
     gts_by_image: Mapping[str, np.ndarray],
@@ -128,38 +163,37 @@ def _match(
 
     Returns per-detection tp and fp indicator arrays aligned with the
     sorted order, dropping detections absorbed by ignored ground truth.
+    Images are independent, so each gets one IoU block against its truths
+    and, for its misses, one against its ignored boxes.
     """
+    if not dets:
+        return np.zeros(0), np.zeros(0)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    matched: dict[str, np.ndarray] = {}
-    tp_flags: list[float] = []
-    fp_flags: list[float] = []
-    for di in order:
-        det = dets[int(di)]
-        box = det.box.as_array()[None, :]
-        gts = gts_by_image.get(det.image_id)
-        hit = False
+    boxes = np.array([d.box.as_list() for d in dets], dtype=np.float64)[order]
+    image_ids: dict[str, int] = {}
+    image_of = np.array(
+        [image_ids.setdefault(d.image_id, len(image_ids)) for d in dets]
+    )[order]
+    # Group k holds the sorted positions, ascending, of the k-th image in
+    # image_ids.
+    by_image = np.argsort(image_of, kind="stable")
+    groups = np.split(by_image, np.flatnonzero(np.diff(image_of[by_image])) + 1)
+    hit = np.zeros(len(dets), dtype=bool)
+    absorbed = np.zeros(len(dets), dtype=bool)
+    for iid, pos in zip(image_ids, groups):
+        gts = gts_by_image.get(iid)
         if gts is not None and len(gts):
-            used = matched.setdefault(det.image_id, np.zeros(len(gts), dtype=bool))
-            ious = kernels.iou_matrix(box, gts)[0]
-            ious = np.where(used, -1.0, ious)
-            j = int(np.argmax(ious))
-            if ious[j] >= iou_thresh:
-                used[j] = True
-                hit = True
-        if hit:
-            tp_flags.append(1.0)
-            fp_flags.append(0.0)
-            continue
-        if ignore_by_image is not None:
-            ign = ignore_by_image.get(det.image_id)
-            if ign is not None and len(ign):
-                ious = kernels.iou_matrix(box, ign)[0]
-                if ious.max() >= iou_thresh:
-                    continue  # absorbed by out-of-bucket ground truth
-        tp_flags.append(0.0)
-        fp_flags.append(1.0)
-    return np.asarray(tp_flags), np.asarray(fp_flags)
+            ious = kernels.iou_matrix(boxes[pos], gts)
+            hit[pos] = _greedy_hits(ious, iou_thresh)
+        ign = None if ignore_by_image is None else ignore_by_image.get(iid)
+        miss = pos[~hit[pos]]
+        if ign is not None and len(ign) and len(miss):
+            ious = kernels.iou_matrix(boxes[miss], ign)
+            # Absorbed by out-of-bucket ground truth.
+            absorbed[miss] = ious.max(axis=1) >= iou_thresh
+    keep = ~absorbed
+    return hit[keep].astype(np.float64), (~hit[keep]).astype(np.float64)
 
 
 def _ap_from_flags(
@@ -383,36 +417,32 @@ def evaluate(
         for t in thresholds
     }
 
-    def bucket_of(area: float) -> str:
-        if area < area_small_max:
-            return "small"
-        if area < area_medium_max:
-            return "medium"
-        return "large"
-
-    area_ap: dict[str, dict[float, float]] = {b: {} for b in AREA_BUCKETS}
-    for bucket in AREA_BUCKETS:
-        for t in thresholds:
-            per_class = []
-            for cid in class_ids:
-                eligible: dict[str, np.ndarray] = {}
-                ignored: dict[str, np.ndarray] = {}
-                n_eligible = 0
-                for iid, boxes in gts[cid].items():
-                    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-                    inb = np.array([bucket_of(a) == bucket for a in areas])
-                    eligible[iid] = boxes[inb]
-                    ignored[iid] = boxes[~inb]
-                    n_eligible += int(inb.sum())
-                if n_eligible == 0:
-                    continue
+    # Split each class's truth into area buckets once, for every threshold.
+    per_bucket: dict[str, dict[float, list[float]]] = {
+        b: {t: [] for t in thresholds} for b in AREA_BUCKETS
+    }
+    for cid in class_ids:
+        split: dict[str, tuple[dict, dict]] = {b: ({}, {}) for b in AREA_BUCKETS}
+        for iid, boxes in gts[cid].items():
+            areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+            small = areas < area_small_max
+            medium = ~small & (areas < area_medium_max)
+            for bucket, inb in zip(AREA_BUCKETS, (small, medium, ~small & ~medium)):
+                eligible, ignored = split[bucket]
+                eligible[iid] = boxes[inb]
+                ignored[iid] = boxes[~inb]
+        for bucket, (eligible, ignored) in split.items():
+            if not any(len(g) for g in eligible.values()):
+                continue
+            for t, per_class in per_bucket[bucket].items():
                 res = average_precision(
                     kept_by_class[cid], eligible, t, eleven_point, ignored
                 )
                 per_class.append(res.ap)
-            area_ap[bucket][t] = (
-                float(np.mean(per_class)) if per_class else float("nan")
-            )
+    area_ap = {
+        b: {t: float(np.mean(v)) if v else float("nan") for t, v in per_t.items()}
+        for b, per_t in per_bucket.items()
+    }
     area_avg = {
         b: float(np.mean([area_ap[b][t] for t in thresholds]))
         for b in AREA_BUCKETS

@@ -490,15 +490,12 @@ def infer(
             rec, model.rgb_head, model.depth_head, mode, sigma_on_sum
         )
         conf = pack.combined
+        # Boxes are frozen, so every class group shares one per proposal.
+        boxes = [Box(*row) for row in rec.proposals.tolist()]
         for cid in range(model.dims.num_classes):
             group = [
-                Detection(
-                    image_id=rec.image_id,
-                    class_id=cid,
-                    box=Box(*rec.proposals[i].tolist()),
-                    score=float(conf[i, cid]),
-                )
-                for i in range(rec.num_proposals)
+                Detection(rec.image_id, cid, box, score)
+                for box, score in zip(boxes, conf[:, cid].tolist())
             ]
             for det in nms_detections(group, nms_thresh):
                 if det.score > min_score:

@@ -7,8 +7,9 @@ tautology.
 
 import numpy as np
 
+from wsodkit import fusion
 from wsodkit.data import Box
-from wsodkit.evaluate import iou
+from wsodkit.evaluate import Detection, iou, nms_detections
 
 EPS = 1e-7
 
@@ -103,8 +104,13 @@ def bare_mil_run(config, records, labels, num_classes):
     }, trace
 
 
-def greedy_match(dets, gts_by_image, thresh):
-    """Literal greedy matcher: stable descending score, best unused truth."""
+def greedy_match(dets, gts_by_image, thresh, ignore_by_image=None):
+    """Literal greedy matcher: stable descending score, best unused truth.
+
+    With ``ignore_by_image``, a detection that hits no truth but overlaps
+    one of its image's ignored boxes at or above ``thresh`` is skipped: it
+    counts as neither a true nor a false positive.
+    """
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     used = {iid: [False] * len(g) for iid, g in gts_by_image.items()}
     tp, fp = [], []
@@ -123,16 +129,19 @@ def greedy_match(dets, gts_by_image, thresh):
             used[d.image_id][best_j] = True
             tp.append(1.0)
             fp.append(0.0)
-        else:
-            tp.append(0.0)
-            fp.append(1.0)
+            continue
+        ign = (ignore_by_image or {}).get(d.image_id, [])
+        if any(iou(d.box, Box(*b)) >= thresh for b in ign):
+            continue
+        tp.append(0.0)
+        fp.append(1.0)
     return tp, fp
 
 
-def all_point_ap(dets, gts_by_image, thresh):
+def all_point_ap(dets, gts_by_image, thresh, ignore_by_image=None):
     """Textbook all-point-interpolated AP on top of the literal matcher."""
     n_gt = sum(len(g) for g in gts_by_image.values())
-    tp, fp = greedy_match(dets, gts_by_image, thresh)
+    tp, fp = greedy_match(dets, gts_by_image, thresh, ignore_by_image)
     if not tp:
         return 0.0
     ctp = np.cumsum(tp)
@@ -159,3 +168,31 @@ def top1_corloc(dets, gts_by_image, thresh):
         if any(iou(top.box, Box(*g)) >= thresh for g in gts_by_image[iid]):
             hits += 1
     return hits / len(images)
+
+
+def infer_candidates(model, records, mode, min_score, nms_thresh, sigma_on_sum=True):
+    """Literal inference: R·C fresh detections per image, then class-wise NMS.
+
+    Every (proposal, class) pair gets its own validated ``Box`` and
+    ``Detection``; survivors of per-class NMS scoring strictly above
+    ``min_score`` are emitted in record, class, NMS order.
+    """
+    out = []
+    for rec in records:
+        pack = fusion.forward(
+            rec, model.rgb_head, model.depth_head, mode, sigma_on_sum
+        )
+        for cid in range(model.dims.num_classes):
+            group = [
+                Detection(
+                    image_id=rec.image_id,
+                    class_id=cid,
+                    box=Box(*rec.proposals[i].tolist()),
+                    score=float(pack.combined[i, cid]),
+                )
+                for i in range(rec.num_proposals)
+            ]
+            for det in nms_detections(group, nms_thresh):
+                if det.score > min_score:
+                    out.append(det)
+    return out

@@ -175,3 +175,23 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "estimate-priors"])
+def test_non_finite_score_exit_3(tmp_path, capsys, command):
+    data, vocab = gen_small(capsys, tmp_path)
+    image_id = json.loads(data.read_text(encoding="utf-8").splitlines()[0])["image_id"]
+    dets = tmp_path / "dets.jsonl"
+    lines = [
+        {"image_id": image_id, "box": [0, 0, 10, 10], "class_id": 0, "score": 0.9},
+        {"image_id": image_id, "box": [5, 5, 20, 20], "class_id": 0, "score": float("nan")},
+    ]
+    # json.dumps writes the NaN literal, which json.loads reads back.
+    dets.write_text("".join(json.dumps(o) + "\n" for o in lines), encoding="utf-8")
+    flag = "--detections" if command == "evaluate" else "--predictions"
+    extra = [] if command == "evaluate" else ["--out", str(tmp_path / "p.json")]
+    code, _, err = run(
+        capsys, command,
+        "--data", str(data), "--vocab", str(vocab), flag, str(dets), *extra,
+    )
+    assert code == 3 and "line 2: non-finite score" in err

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from wsodkit import kernels
 from wsodkit.data import Box
 from wsodkit.errors import ParseError, ValidationError
 from wsodkit.evaluate import (
@@ -23,7 +24,7 @@ from wsodkit.evaluate import (
 )
 
 from conftest import make_record, random_boxes
-from reference import all_point_ap, top1_corloc
+from reference import all_point_ap, greedy_match, top1_corloc
 
 
 def det(iid, box, score, cid=0):
@@ -47,6 +48,41 @@ def random_scenario(seed, num_images=4, max_dets=6, max_gts=3):
                 box = random_boxes(r, 1)[0]
             dets.append(det(iid, box, float(r.uniform()), 0))
     return dets, gts_by_image
+
+
+def ignore_scenario(seed):
+    """Images covering every branch of the ignore-aware matcher.
+
+    Scores come from three values, so ties are common; truth images carry
+    3-5 boxes; one image's truth is all ignored; two images have
+    detections but no truth (an empty array and no entry at all).
+    """
+    r = np.random.default_rng(seed)
+    kinds = ("eligible", "split", "split", "all_ignored", "empty", "absent")
+    gts, ignored, dets = {}, {}, []
+    for i, kind in enumerate(kinds):
+        iid = f"i{i}"
+        truth = random_boxes(r, int(r.integers(3, 6)))
+        inb = {
+            "eligible": np.ones(len(truth), dtype=bool),
+            "split": r.uniform(size=len(truth)) < 0.5,
+            "all_ignored": np.zeros(len(truth), dtype=bool),
+        }.get(kind)
+        if inb is not None:
+            gts[iid], ignored[iid] = truth[inb], truth[~inb]
+        elif kind == "empty":
+            gts[iid], ignored[iid] = np.zeros((0, 4)), np.zeros((0, 4))
+        for _ in range(int(r.integers(1, 10))):
+            if r.uniform() < 0.7:
+                base = truth[int(r.integers(len(truth)))]
+                jit = np.clip(base + r.normal(0, 2.0, size=4), 0.0, None)
+                jit[2] = max(jit[2], jit[0] + 1.0)
+                jit[3] = max(jit[3], jit[1] + 1.0)
+                box = jit
+            else:
+                box = random_boxes(r, 1)[0]
+            dets.append(det(iid, box, float(r.choice([0.2, 0.5, 0.8]))))
+    return dets, gts, ignored
 
 
 class TestIou:
@@ -146,6 +182,92 @@ class TestAveragePrecision:
         assert all(a >= b for a, b in zip(tps, tps[1:]))
 
 
+class TestIgnoreAwareMatching:
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("use_ignore", [False, True])
+    def test_matches_oracle(self, seed, use_ignore):
+        dets, gts, ignored = ignore_scenario(seed)
+        ign = ignored if use_ignore else None
+        for thresh in (0.3, 0.5, 0.75):
+            got = average_precision(dets, gts, thresh, ignore_by_image=ign)
+            tp, fp = greedy_match(dets, gts, thresh, ign)
+            assert (got.tp, got.fp) == (sum(tp), sum(fp))
+            assert got.ap == pytest.approx(
+                all_point_ap(dets, gts, thresh, ign), abs=1e-12
+            )
+
+    def test_scenarios_reach_the_ignore_path(self):
+        absorbed = 0
+        for seed in range(16):
+            dets, gts, ignored = ignore_scenario(seed)
+            tp, _ = greedy_match(dets, gts, 0.5)
+            tp_i, _ = greedy_match(dets, gts, 0.5, ignored)
+            assert sum(tp_i) == sum(tp)  # ignoring never removes a hit
+            absorbed += len(tp) - len(tp_i)
+        assert absorbed > 0
+
+    def test_all_ignored_image_absorbs_its_detections(self):
+        gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]]), "b": np.zeros((0, 4))}
+        ignore = {"b": np.array([[0.0, 0.0, 10.0, 10.0]] * 3)}
+        dets = [
+            det("b", [0, 0, 10, 10], 0.9),
+            det("b", [0, 0, 10, 10], 0.9),
+            det("a", [0, 0, 10, 10], 0.8),
+            det("b", [60, 60, 70, 70], 0.7),  # overlaps nothing: still an FP
+        ]
+        res = average_precision(dets, gts, 0.5, ignore_by_image=ignore)
+        assert (res.tp, res.fp) == (1, 1)
+
+    def test_threshold_is_inclusive_for_truth_and_ignored(self):
+        # Each detection overlaps its box at IoU exactly 100 / 200 = 0.5.
+        gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
+        ignore = {"a": np.array([[50.0, 50.0, 60.0, 60.0]])}
+        dets = [
+            det("a", [0, 0, 20, 10], 0.9),
+            det("a", [50, 50, 70, 60], 0.8),
+        ]
+        res = average_precision(dets, gts, 0.5, ignore_by_image=ignore)
+        assert (res.tp, res.fp) == (1, 0)
+        assert greedy_match(dets, gts, 0.5, ignore) == ([1.0], [0.0])
+
+
+class TestMatcherCallCount:
+    """One IoU block per image, however many detections it holds."""
+
+    def count_iou_calls(self, monkeypatch, dets_per_image):
+        rng = np.random.default_rng(3)
+        records = [
+            make_record(rng, f"i{k}", num_proposals=6, with_gt=True)
+            for k in range(3)
+        ]
+        dets = []
+        for rec in records:
+            for box, cid in rec.gt_boxes:
+                dets.append(Detection(rec.image_id, cid, box, 0.9))
+                for j, b in enumerate(random_boxes(rng, dets_per_image - 1)):
+                    dets.append(
+                        Detection(rec.image_id, cid, Box(*b.tolist()), 0.5 - 0.01 * j)
+                    )
+        real = kernels.iou_matrix
+        calls = []
+
+        def counting(a, b):
+            calls.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(kernels, "iou_matrix", counting)
+        evaluate(dets, records, nms_thresh=1.0)  # NMS keeps every detection
+        monkeypatch.undo()
+        return len(calls), sum(calls)
+
+    def test_calls_do_not_grow_with_detections(self, monkeypatch):
+        counts = [self.count_iou_calls(monkeypatch, k) for k in (2, 6, 12)]
+        calls = [c for c, _ in counts]
+        rows = [r for _, r in counts]
+        assert calls[0] == calls[1] == calls[2]
+        assert rows[0] < rows[1] < rows[2]  # the work itself still scales
+
+
 class TestCorloc:
     def test_half_hit(self):
         gts = {
@@ -232,6 +354,15 @@ class TestDetectionIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_detections(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"nan"'])
+    def test_non_finite_score_rejected(self, tmp_path, literal):
+        p = tmp_path / "bad.jsonl"
+        good = '{"image_id": "a", "box": [0, 0, 1, 1], "class_id": 0, "score": 0.5}'
+        bad = good.replace("0.5", literal)
+        p.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 2: non-finite score"):
+            load_detections(p)
 
 
 class TestEvaluate:

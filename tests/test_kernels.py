@@ -249,9 +249,14 @@ def test_backend_constant():
 
 
 def test_pure_python_env_override():
+    import os
     import subprocess
     import sys
 
+    env = {"WSODKIT_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"}
+    # The package may be importable only through PYTHONPATH (a source tree).
+    if "PYTHONPATH" in os.environ:
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     out = subprocess.run(
         [
             sys.executable,
@@ -260,7 +265,7 @@ def test_pure_python_env_override():
         ],
         capture_output=True,
         text=True,
-        env={"WSODKIT_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"},
+        env=env,
     )
     assert out.stdout.strip() == "python"
 

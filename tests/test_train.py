@@ -26,7 +26,7 @@ from wsodkit.train import (
 )
 
 from conftest import make_record
-from reference import bare_mil_run
+from reference import bare_mil_run, infer_candidates
 
 
 def tiny_config(**kw):
@@ -394,6 +394,19 @@ class TestInfer:
         rgb = infer(model, records, mode=FusionMode.RGB_ONLY, min_score=0.0)
         fused = infer(model, records, mode=FusionMode.FUSED, min_score=0.0)
         assert rgb == fused
+
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_matches_literal_oracle_mixed_r(self, trained, rng, mode):
+        model, records = trained
+        feat_dim = records[0].rgb_features.shape[1]
+        mixed = records[:3] + [
+            make_record(rng, f"m{k}", num_proposals=r, feat_dim=feat_dim, size=64.0)
+            for k, r in enumerate((1, 2, 11, 30))
+        ]
+        for min_score, nms_thresh in ((0.0, 0.5), (0.05, 0.3), (0.0, 1.0)):
+            got = infer(model, mixed, mode, min_score, nms_thresh)
+            want = infer_candidates(model, mixed, mode, min_score, nms_thresh)
+            assert got == want
 
     def test_feat_dim_mismatch_rejected(self, trained, rng):
         model, _ = trained
