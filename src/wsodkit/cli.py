@@ -74,15 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count-word", type=int, default=2)
 
     p = sub.add_parser("train", help="train a detector")
-    _add_config_args(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--priors", default=None)
-    p.add_argument("--eval-data", default=None)
-    p.add_argument("--depth-maps", default=None)
+    _add_training_args(p)
     p.add_argument("--checkpoint-out", default=None)
     p.add_argument("--report-out", default=None)
-    p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("infer", help="run a trained detector over a dataset")
     p.add_argument("--checkpoint", required=True)
@@ -106,18 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eleven-point", action="store_true")
 
     p = sub.add_parser("ablation", help="train the component ladder and tabulate")
-    _add_config_args(p)
+    _add_training_args(p)
+    p.add_argument("--out", default=None, help="table JSON to write")
+    return parser
+
+
+def _add_training_args(p: argparse.ArgumentParser) -> None:
+    """Inputs and config options shared by train and ablation."""
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--priors", default=None)
     p.add_argument("--eval-data", default=None)
     p.add_argument("--depth-maps", default=None)
-    p.add_argument("--out", default=None, help="table JSON to write")
     p.add_argument("--quiet", action="store_true")
-    return parser
-
-
-def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument(
         "--set",
@@ -129,15 +124,12 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_data(args, data_attr: str = "data"):
+def _load_data(args):
+    """Vocabulary, records of ``--data`` and the optional depth-map sidecar."""
     vocab = ClassVocabulary.from_file(args.vocab)
-    depth_maps = (
-        load_depth_maps(args.depth_maps)
-        if getattr(args, "depth_maps", None)
-        else None
-    )
-    records = load_dataset(getattr(args, data_attr), vocab, depth_maps)
-    return vocab, records, depth_maps
+    sidecar = getattr(args, "depth_maps", None)
+    depth_maps = load_depth_maps(sidecar) if sidecar else None
+    return vocab, load_dataset(args.data, vocab, depth_maps), depth_maps
 
 
 def _cmd_gen_data(args) -> int:
@@ -152,7 +144,9 @@ def _cmd_gen_data(args) -> int:
         label_noise=args.label_noise,
         confuser_rate=args.confuser_rate,
     )
-    seed = RunConfig(seed=args.seed).resolved_seed()
+    seed_config = RunConfig(seed=args.seed)
+    seed_config.validate()
+    seed = seed_config.resolved_seed()
     records, vocab = synth.generate_synthetic(config, seed)
     vocab.save(args.vocab_out)
     save_dataset(records, args.out)
@@ -196,13 +190,23 @@ def _cmd_estimate_priors(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _load_training(args):
+    """Config, vocabulary, records, priors and eval records for train/ablation.
+
+    Eval records are read with the same depth-map sidecar as the training
+    records, so they get their proposal depths from it too.
+    """
     config = RunConfig.from_sources(args.config, args.overrides)
-    vocab, records, _ = _load_data(args)
+    vocab, records, depth_maps = _load_data(args)
     priors = FrozenPriors.load(args.priors) if args.priors else None
     eval_records = None
     if args.eval_data:
-        eval_records = load_dataset(args.eval_data, vocab)
+        eval_records = load_dataset(args.eval_data, vocab, depth_maps)
+    return config, vocab, records, priors, eval_records
+
+
+def _cmd_train(args) -> int:
+    config, vocab, records, priors, eval_records = _load_training(args)
     log = None if args.quiet else print
     model, report = train(
         config, records, vocab, priors=priors, eval_records=eval_records, log=log
@@ -252,12 +256,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
-    config = RunConfig.from_sources(args.config, args.overrides)
-    vocab, records, _ = _load_data(args)
-    priors = FrozenPriors.load(args.priors) if args.priors else None
-    eval_records = None
-    if args.eval_data:
-        eval_records = load_dataset(args.eval_data, vocab)
+    config, vocab, records, priors, eval_records = _load_training(args)
     log = None if args.quiet else print
     result = run_ablation(
         config, records, vocab, priors=priors, eval_records=eval_records, log=log

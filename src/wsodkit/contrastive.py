@@ -53,28 +53,6 @@ class ProjectionParams:
         np.clip(self.rho.value, RHO_MIN, RHO_MAX, out=self.rho.value)
 
 
-@dataclass
-class EmbeddingBatch:
-    """Paired unit-norm embeddings, one row per image in the batch."""
-
-    rgb: np.ndarray
-    depth: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.rgb.shape != self.depth.shape or self.rgb.ndim != 2:
-            raise ShapeError(
-                f"embedding shapes must match: {self.rgb.shape} vs {self.depth.shape}"
-            )
-        for name, m in (("rgb", self.rgb), ("depth", self.depth)):
-            norms = np.linalg.norm(m, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-9):
-                raise WsodkitError(f"{name} embeddings are not unit-norm")
-
-    @property
-    def size(self) -> int:
-        return self.rgb.shape[0]
-
-
 def pool_features(features: np.ndarray) -> np.ndarray:
     """Image-level feature: mean over the proposal rows."""
     if features.ndim != 2 or features.shape[0] < 1:
@@ -82,52 +60,12 @@ def pool_features(features: np.ndarray) -> np.ndarray:
     return features.mean(axis=0)
 
 
-def project(pooled: np.ndarray, proj: ProjectionParams) -> np.ndarray:
-    """Project pooled features and L2-normalize each row."""
-    z = numkit.affine(np.atleast_2d(pooled), proj.w.value, proj.b.value)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if (norms < NORM_EPS).any():
-        raise WsodkitError("projected feature has near-zero norm")
-    return z / norms
+def _direction(s: np.ndarray, include_positive: bool) -> tuple[float, np.ndarray]:
+    """Loss of one direction and its gradient with respect to ``s``.
 
-
-def similarity(a: np.ndarray, b: np.ndarray, rho: float) -> float:
-    """Temperature-scaled dot product of two embedding vectors."""
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError("similarity expects two vectors of equal length")
-    return float(np.dot(a, b) / rho)
-
-
-def _direction_loss(s: np.ndarray, include_positive: bool) -> float:
-    # Rows of s: one anchor each; the diagonal holds the positive pair.
-    m = s.max(axis=1, keepdims=True)
-    e = np.exp(s - m)
-    z = e.sum(axis=1)
-    if include_positive:
-        z = z + np.exp(np.diag(s) - m[:, 0])
-    log_denom = m[:, 0] + np.log(z)
-    return float((log_denom - np.diag(s)).mean())
-
-
-def nce_loss(
-    batch: EmbeddingBatch, rho: float, include_positive: bool = False
-) -> float:
-    """Symmetric contrastive loss over a batch of paired embeddings.
-
-    For each pair the positive similarity is contrasted against that
-    anchor's similarities to the other modality's batch entries; both
-    directions are averaged. With a single pair and the standard
-    denominator the loss is exactly zero. ``include_positive`` switches to
-    the variant whose denominator counts the positive pair twice.
+    Rows of ``s`` are anchors and the diagonal holds the positive pairs;
+    the loss is ``mean_i [log denom_i - s_ii]``.
     """
-    s = (batch.rgb @ batch.depth.T) / rho
-    return 0.5 * (
-        _direction_loss(s, include_positive) + _direction_loss(s.T, include_positive)
-    )
-
-
-def _direction_grad(s: np.ndarray, include_positive: bool) -> np.ndarray:
-    # d(mean_i [log denom_i - s_ii]) / dS, rows as anchors.
     n = s.shape[0]
     m = s.max(axis=1, keepdims=True)
     e = np.exp(s - m)
@@ -135,12 +73,13 @@ def _direction_grad(s: np.ndarray, include_positive: bool) -> np.ndarray:
     if include_positive:
         diag_e = np.exp(np.diag(s) - m[:, 0])
         z = z + diag_e[:, None]
-        g = e / z
+    loss = float((m[:, 0] + np.log(z[:, 0]) - np.diag(s)).mean())
+    g = e / z
+    if include_positive:
         g[np.arange(n), np.arange(n)] += diag_e / z[:, 0] - 1.0
     else:
-        g = e / z
         g[np.arange(n), np.arange(n)] -= 1.0
-    return g / n
+    return loss, g / n
 
 
 def nce_chain(
@@ -153,6 +92,11 @@ def nce_chain(
     """Forward and backward through projection, normalization, and the loss.
 
     ``pooled_rgb`` and ``pooled_depth`` are (B, d) image-level features.
+    Each pair's positive similarity is contrasted against that anchor's
+    similarities to the other modality's batch entries, and both directions
+    are averaged; with a single pair and the standard denominator the loss
+    is exactly zero. ``include_positive`` switches to the variant whose
+    denominator counts the positive pair twice.
     With ``grad_scale`` nonzero, gradients of ``grad_scale * loss`` are
     accumulated into the projection parameters (weights, bias, temperature).
     """
@@ -169,15 +113,12 @@ def nce_chain(
     e_d = z_d / n_d
     dot = e_r @ e_d.T
     s = dot / rho
-    loss = 0.5 * (
-        _direction_loss(s, include_positive) + _direction_loss(s.T, include_positive)
-    )
+    loss_r, g_r = _direction(s, include_positive)
+    loss_d, g_d = _direction(s.T, include_positive)
+    loss = 0.5 * (loss_r + loss_d)
 
     if grad_scale != 0.0:
-        g_s = 0.5 * (
-            _direction_grad(s, include_positive)
-            + _direction_grad(s.T, include_positive).T
-        )
+        g_s = 0.5 * (g_r + g_d.T)
         g_dot = g_s / rho
         g_rho = -float((g_s * s).sum()) / rho
         g_er = g_dot @ e_d

@@ -39,7 +39,3 @@ class ShapeError(WsodkitError):
 
 class OptimizerError(WsodkitError):
     """Optimizer invariant broken, e.g. a non-finite gradient."""
-
-
-class GradCheckError(WsodkitError):
-    """Gradient check could not be evaluated at the requested point."""

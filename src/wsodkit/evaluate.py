@@ -26,13 +26,25 @@ import numpy as np
 
 from wsodkit import kernels
 from wsodkit.data import Box, ImageRecord
-from wsodkit.errors import ParseError, ValidationError
+from wsodkit.errors import ConfigError, ParseError, ValidationError
 
 DEFAULT_NMS_THRESH = 0.5
 IOU_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 AREA_SMALL_MAX = 32.0 * 32.0
 AREA_MEDIUM_MAX = 96.0 * 96.0
 AREA_BUCKETS = ("small", "medium", "large")
+
+
+def check_fraction(name: str, value: float, upper_open: bool = False) -> None:
+    """Reject a threshold outside [0, 1] ([0, 1) with ``upper_open``).
+
+    NaN and infinities fall outside both, so a bad command-line value ends
+    in a ConfigError instead of silently changing what is kept.
+    """
+    inside = 0.0 <= value < 1.0 if upper_open else 0.0 <= value <= 1.0
+    if not inside:
+        bound = "1)" if upper_open else "1]"
+        raise ConfigError(f"{name} must lie in [0, {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,20 +55,6 @@ class Detection:
     class_id: int
     box: Box
     score: float
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = max(ix2 - ix1, 0.0)
-    ih = max(iy2 - iy1, 0.0)
-    inter = iw * ih
-    if inter <= 0.0:
-        return 0.0
-    return inter / (a.area() + b.area() - inter)
 
 
 def nms_detections(dets: Sequence[Detection], thresh: float) -> list[Detection]:
@@ -372,6 +370,7 @@ def evaluate(
     ``area_small_max`` and ``area_medium_max``; detections over an
     out-of-bucket object are discarded rather than penalized.
     """
+    check_fraction("nms_thresh", nms_thresh)
     if not any(rec.gt_boxes for rec in records):
         raise ValidationError("evaluation requires ground-truth boxes")
     known = {rec.image_id for rec in records}

@@ -1,20 +1,19 @@
 """Late fusion of the RGB and depth scoring streams.
 
 Each modality owns a full MIL head; fusion adds their raw detection and
-classification scores elementwise before normalization. Training with
-fusion enabled feeds the fused scores; inference defaults to the RGB
-stream alone, with fused and depth-only modes available for ablations.
+classification scores elementwise before normalization. ``forward`` maps a
+mode onto the streams that ``milhead.forward`` sums, RGB before depth.
+Training with fusion enabled feeds the fused scores; inference defaults to
+the RGB stream alone, with fused and depth-only modes available for
+ablations.
 """
 
 from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from wsodkit import milhead
 from wsodkit.data import ImageRecord
-from wsodkit.errors import ShapeError
 from wsodkit.milhead import HeadParams, ScorePack
 
 
@@ -31,21 +30,6 @@ class FusionMode(enum.Enum):
         raise ValueError(f"unknown inference mode {text!r}")
 
 
-def fuse(
-    rgb_scores: tuple[np.ndarray, np.ndarray],
-    depth_scores: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise sum of (det, cls) score pairs from the two streams."""
-    v_det, v_cls = rgb_scores
-    d_det, d_cls = depth_scores
-    if v_det.shape != d_det.shape or v_cls.shape != d_cls.shape:
-        raise ShapeError(
-            f"stream score shapes differ: {v_det.shape}/{d_det.shape}, "
-            f"{v_cls.shape}/{d_cls.shape}"
-        )
-    return v_det + d_det, v_cls + d_cls
-
-
 def forward(
     record: ImageRecord,
     rgb_head: HeadParams,
@@ -54,13 +38,12 @@ def forward(
     sigma_on_sum: bool = True,
 ) -> ScorePack:
     """Score one record under the requested mode."""
+    rgb = (record.rgb_features, rgb_head)
+    depth = (record.depth_features, depth_head)
     if mode is FusionMode.RGB_ONLY:
-        det, cls = milhead.score(record.rgb_features, rgb_head)
+        streams = [rgb]
     elif mode is FusionMode.DEPTH_ONLY:
-        det, cls = milhead.score(record.depth_features, depth_head)
+        streams = [depth]
     else:
-        det, cls = fuse(
-            milhead.score(record.rgb_features, rgb_head),
-            milhead.score(record.depth_features, depth_head),
-        )
-    return milhead.probabilities(det, cls, sigma_on_sum)
+        streams = [rgb, depth]
+    return milhead.forward(streams, sigma_on_sum)

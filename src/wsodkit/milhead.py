@@ -6,11 +6,16 @@ normalized per proposal across classes. Their elementwise product gives
 per-proposal class evidence; summing it per class and squashing through a
 sigmoid yields the image-level class probability that the weak image labels
 supervise with binary cross-entropy.
+
+``forward`` is the one scoring path: ``mil_chain`` adds the loss and its
+backward for training, and ``fusion.forward`` serves inference and mining
+diagnostics by choosing which streams to feed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -62,8 +67,10 @@ class ScorePack:
 
     ``det_prob`` columns each sum to 1 (softmax over proposals per class),
     ``cls_prob`` rows each sum to 1 (softmax over classes per proposal),
-    ``combined`` is their product, and ``image_prob[c]`` squashes the
-    column sum of ``combined``.
+    ``combined`` is their product, ``attended`` is ``combined`` times the
+    optional attention multipliers (``combined`` itself without them),
+    ``total`` is the column sum of ``attended``, and ``image_prob[c]``
+    squashes ``total[c]``.
     """
 
     det_scores: np.ndarray
@@ -71,6 +78,8 @@ class ScorePack:
     det_prob: np.ndarray
     cls_prob: np.ndarray
     combined: np.ndarray
+    attended: np.ndarray
+    total: np.ndarray
     image_prob: np.ndarray
 
 
@@ -81,37 +90,44 @@ def score(features: np.ndarray, head: HeadParams) -> tuple[np.ndarray, np.ndarra
     return det, cls
 
 
-def image_prediction(combined: np.ndarray, sigma_on_sum: bool = True) -> np.ndarray:
-    """Per-class image probability from combined proposal evidence.
-
-    With ``sigma_on_sum`` the per-class sum is squashed through a sigmoid,
-    so each entry lies in [0.5, sigmoid(1)]; without it the raw sum is used
-    (clamped away from 0 and 1 before any log downstream).
-    """
-    total = combined.sum(axis=0)
-    if sigma_on_sum:
-        return numkit.sigmoid(total)
-    return numkit.clamp_unit(total)
-
-
-def probabilities(
-    det_scores: np.ndarray, cls_scores: np.ndarray, sigma_on_sum: bool = True
+def forward(
+    streams: Sequence[tuple[np.ndarray, HeadParams]],
+    sigma_on_sum: bool = True,
+    attention: np.ndarray | None = None,
 ) -> ScorePack:
-    """Normalize raw scores into a full ScorePack."""
-    if det_scores.shape != cls_scores.shape:
-        raise ShapeError(
-            f"det/cls score shapes differ: {det_scores.shape} vs {cls_scores.shape}"
-        )
-    det_prob = numkit.softmax_cols(det_scores)
-    cls_prob = numkit.softmax_rows(cls_scores)
+    """Score one image: raw scores of every stream through image probabilities.
+
+    Raw scores are summed over the ``(features, head)`` streams in the
+    order given (late fusion passes RGB, then depth). ``attention`` is an
+    optional (R, C) multiplier applied to the combined evidence only on the
+    path into the image prediction, so ``combined`` stays raw for mining.
+    With ``sigma_on_sum`` each per-class sum is squashed through a sigmoid,
+    so without attention every entry lies in [0.5, sigmoid(1)]; otherwise
+    the sum is clamped into [LOG_EPS, 1 - LOG_EPS].
+    """
+    (features, head), *rest = streams
+    det, cls = score(features, head)
+    for features, head in rest:
+        s_det, s_cls = score(features, head)
+        det, cls = det + s_det, cls + s_cls
+    det_prob = numkit.softmax_cols(det)
+    cls_prob = numkit.softmax_rows(cls)
     combined = det_prob * cls_prob
+    attended = combined if attention is None else combined * attention
+    total = attended.sum(axis=0)
+    if sigma_on_sum:
+        image_prob = numkit.sigmoid(total)
+    else:
+        image_prob = numkit.clamp_unit(total)
     return ScorePack(
-        det_scores=det_scores,
-        cls_scores=cls_scores,
+        det_scores=det,
+        cls_scores=cls,
         det_prob=det_prob,
         cls_prob=cls_prob,
         combined=combined,
-        image_prob=image_prediction(combined, sigma_on_sum),
+        attended=attended,
+        total=total,
+        image_prob=image_prob,
     )
 
 
@@ -120,16 +136,6 @@ def label_vector(labels: set[int], num_classes: int) -> np.ndarray:
     for c in labels:
         y[c] = 1.0
     return y
-
-
-def mil_loss(image_prob: np.ndarray, labels: set[int]) -> float:
-    """Binary cross-entropy between image probabilities and image labels.
-
-    Sums over classes; probabilities are clamped before the logs.
-    """
-    y = label_vector(labels, image_prob.shape[0])
-    p = numkit.clamp_unit(image_prob)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum())
 
 
 def mil_chain(
@@ -141,51 +147,26 @@ def mil_chain(
     attention: np.ndarray | None = None,
     sigma_on_sum: bool = True,
     grad_scale: float = 0.0,
-) -> tuple[float, ScorePack, np.ndarray]:
-    """Full MIL forward pass with optional fused depth stream and attention.
+) -> tuple[float, ScorePack]:
+    """MIL loss of one image: ``forward``, binary cross-entropy, backward.
 
-    When ``depth_features``/``depth_head`` are given, raw scores are the
-    elementwise sum of both streams. ``attention`` is an optional (R, C)
-    multiplier applied to the combined evidence only on the path into the
-    image prediction; the returned pack and pre-attention ``combined`` are
-    untouched so downstream mining sees raw evidence.
-
-    With ``grad_scale`` nonzero, gradients of ``grad_scale * loss`` are
-    accumulated into the head parameters.
-
-    Returns (loss, pack, attended_combined).
+    When ``depth_features``/``depth_head`` are given, the depth stream is
+    fused after the RGB one. The loss sums, over classes, the binary
+    cross-entropy between the image probabilities (clamped before the logs)
+    and the image labels. With ``grad_scale`` nonzero, gradients of
+    ``grad_scale * loss`` are accumulated into the head parameters.
+    Returns the loss and the forward's ``ScorePack``.
     """
-    fused = depth_features is not None
-    if fused and depth_head is None:
-        raise ShapeError("depth features given without a depth head")
-    v_det, v_cls = score(rgb_features, rgb_head)
-    if fused:
-        d_det, d_cls = score(depth_features, depth_head)
-        f_det, f_cls = v_det + d_det, v_cls + d_cls
-    else:
-        f_det, f_cls = v_det, v_cls
-
-    det_prob = numkit.softmax_cols(f_det)
-    cls_prob = numkit.softmax_rows(f_cls)
-    combined = det_prob * cls_prob
-    attended = combined if attention is None else combined * attention
-    total = attended.sum(axis=0)
-    if sigma_on_sum:
-        image_prob = numkit.sigmoid(total)
-    else:
-        image_prob = numkit.clamp_unit(total)
+    streams = [(rgb_features, rgb_head)]
+    if depth_features is not None:
+        if depth_head is None:
+            raise ShapeError("depth features given without a depth head")
+        streams.append((depth_features, depth_head))
+    pack = forward(streams, sigma_on_sum, attention)
+    image_prob = pack.image_prob
     y = label_vector(labels, image_prob.shape[0])
     p = numkit.clamp_unit(image_prob)
     loss = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum())
-
-    pack = ScorePack(
-        det_scores=f_det,
-        cls_scores=f_cls,
-        det_prob=det_prob,
-        cls_prob=cls_prob,
-        combined=combined,
-        image_prob=image_prob,
-    )
 
     if grad_scale != 0.0:
         # d loss / d image_prob through the clamped logs.
@@ -195,31 +176,22 @@ def mil_chain(
         if sigma_on_sum:
             d_total = d_prob * image_prob * (1.0 - image_prob)
         else:
+            total = pack.total
             inside = (total > numkit.LOG_EPS) & (total < 1.0 - numkit.LOG_EPS)
             d_total = np.where(inside, d_prob, 0.0)
-        d_attended = np.broadcast_to(d_total, attended.shape)
+        d_attended = np.broadcast_to(d_total, pack.attended.shape)
         d_combined = d_attended if attention is None else d_attended * attention
-        d_det_prob = d_combined * cls_prob
-        d_cls_prob = d_combined * det_prob
-        d_f_det = numkit.softmax_cols_backward(det_prob, d_det_prob)
-        d_f_cls = numkit.softmax_rows_backward(cls_prob, d_cls_prob)
+        d_det_prob = d_combined * pack.cls_prob
+        d_cls_prob = d_combined * pack.det_prob
+        d_det = numkit.softmax_cols_backward(pack.det_prob, d_det_prob)
+        d_cls = numkit.softmax_rows_backward(pack.cls_prob, d_cls_prob)
         s = grad_scale
-        _, dw, db = numkit.affine_backward(rgb_features, rgb_head.w_det.value, d_f_det)
-        rgb_head.w_det.grad += s * dw
-        rgb_head.b_det.grad += s * db
-        _, dw, db = numkit.affine_backward(rgb_features, rgb_head.w_cls.value, d_f_cls)
-        rgb_head.w_cls.grad += s * dw
-        rgb_head.b_cls.grad += s * db
-        if fused:
-            _, dw, db = numkit.affine_backward(
-                depth_features, depth_head.w_det.value, d_f_det
-            )
-            depth_head.w_det.grad += s * dw
-            depth_head.b_det.grad += s * db
-            _, dw, db = numkit.affine_backward(
-                depth_features, depth_head.w_cls.value, d_f_cls
-            )
-            depth_head.w_cls.grad += s * dw
-            depth_head.b_cls.grad += s * db
+        for features, head in streams:
+            _, dw, db = numkit.affine_backward(features, head.w_det.value, d_det)
+            head.w_det.grad += s * dw
+            head.b_det.grad += s * db
+            _, dw, db = numkit.affine_backward(features, head.w_cls.value, d_cls)
+            head.w_cls.grad += s * dw
+            head.b_cls.grad += s * db
 
-    return loss, pack, attended
+    return loss, pack

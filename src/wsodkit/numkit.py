@@ -1,4 +1,4 @@
-"""Dense float64 building blocks: affine maps, softmaxes, SGD, grad checking.
+"""Dense float64 building blocks: affine maps, softmaxes, SGD, checkpoints.
 
 Every differentiable operation is an explicit forward/backward pair; callers
 compose them in a fixed order and accumulate into ``Param.grad``. There is no
@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from wsodkit.errors import (
-    CheckpointError,
-    GradCheckError,
-    OptimizerError,
-    ShapeError,
-)
+from wsodkit.errors import CheckpointError, OptimizerError, ShapeError
 
 # Probabilities are clamped to [LOG_EPS, 1 - LOG_EPS] before any log.
 LOG_EPS = 1e-7
@@ -140,45 +135,6 @@ class SGD:
             v -= self.lr * p.grad
             p.value += v
             p.grad[...] = 0.0
-
-
-def grad_check(
-    f: Callable[[], float], params: Sequence[Param], eps: float = 1e-5
-) -> float:
-    """Compare analytic gradients against central differences.
-
-    ``f`` must zero the grads of ``params``, run forward + backward, and
-    return the scalar loss. Returns the worst relative error
-    ``|a - n| / max(1, |a|, |n|)`` over every coordinate. Leaves parameter
-    values untouched; grads are left at whatever the last call produced.
-    """
-    if eps <= 0.0:
-        raise GradCheckError(f"eps must be positive, got {eps}")
-    loss = float(f())
-    if not np.isfinite(loss):
-        raise GradCheckError("loss is non-finite at the evaluation point")
-    analytic = [p.grad.copy() for p in params]
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat_v = p.value.reshape(-1)
-        flat_a = a.reshape(-1)
-        for i in range(flat_v.size):
-            orig = flat_v[i]
-            flat_v[i] = orig + eps
-            lp = float(f())
-            flat_v[i] = orig - eps
-            lm = float(f())
-            flat_v[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise GradCheckError(
-                    f"loss became non-finite while perturbing {p.name!r}"
-                )
-            num = (lp - lm) / (2.0 * eps)
-            ana = flat_a[i]
-            rel = abs(ana - num) / max(1.0, abs(ana), abs(num))
-            if rel > worst:
-                worst = rel
-    return worst
 
 
 def _format_float(v: float) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from wsodkit.data import ClassVocabulary, ImageRecord, proposal_depth, tokenize
 from wsodkit.errors import DataError, ParseError, ValidationError
-from wsodkit.evaluate import Detection
+from wsodkit.evaluate import Detection, check_fraction
 
 DEFAULT_SCORE_THRESHOLD = 0.5
 DEFAULT_MIN_COUNT_WORD = 2
@@ -31,34 +31,46 @@ BOX_MATCH_ATOL = 1e-6
 
 @dataclass
 class RunningMoments:
-    """Streaming count/sum/sum-of-squares accumulator."""
+    """Streaming count, mean and sum of squared deviations ``m2``.
+
+    ``add`` is Welford's update and ``merge`` the Chan-Golub-LeVeque
+    pairwise combine, so no sum of squares is ever differenced: ``m2``
+    never goes negative and stays exactly 0 on a constant stream.
+    """
 
     count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
+    mu: float = 0.0
+    m2: float = 0.0
 
     def add(self, x: float) -> None:
         if not math.isfinite(x):
             raise ValidationError(f"cannot accumulate non-finite value {x}")
         self.count += 1
-        self.total += x
-        self.total_sq += x * x
+        delta = x - self.mu
+        self.mu += delta / self.count
+        self.m2 += delta * (x - self.mu)
 
     def merge(self, other: "RunningMoments") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
+        if other.count == 0:
+            return
+        if self.count == 0:
+            self.count, self.mu, self.m2 = other.count, other.mu, other.m2
+            return
+        n = self.count + other.count
+        delta = other.mu - self.mu
+        self.mu += delta * other.count / n
+        self.m2 += other.m2 + delta * delta * self.count * other.count / n
+        self.count = n
 
     def mean(self) -> float:
         if self.count == 0:
             raise ValidationError("mean of an empty accumulator")
-        return self.total / self.count
+        return self.mu
 
     def std(self) -> float:
-        """Population standard deviation; tiny negative variance clamps to 0."""
-        m = self.mean()
-        var = self.total_sq / self.count - m * m
-        return math.sqrt(max(var, 0.0))
+        """Population standard deviation."""
+        self.mean()  # raises on an empty accumulator
+        return math.sqrt(self.m2 / self.count)
 
 
 @dataclass(frozen=True)
@@ -101,9 +113,6 @@ class DepthMask:
 
     def column(self, class_id: int) -> np.ndarray:
         return self.values[:, class_id]
-
-    def all_ones(self) -> bool:
-        return bool((self.values == 1).all())
 
 
 class PriorStats:
@@ -264,11 +273,8 @@ def depth_mask(
 
 def _moments_from_entry(entry: dict) -> RunningMoments:
     count = int(entry["count"])
-    mean = float(entry["mean"])
     std = float(entry["std"])
-    return RunningMoments(
-        count=count, total=mean * count, total_sq=(std * std + mean * mean) * count
-    )
+    return RunningMoments(count=count, mu=float(entry["mean"]), m2=std * std * count)
 
 
 def _resolve_depth(pred: Detection, record: ImageRecord) -> float | None:
@@ -370,6 +376,7 @@ def estimate_priors(
     fractions replay the accepted observations against the frozen
     class-level ranges.
     """
+    check_fraction("score_threshold", score_threshold)
     by_id = {rec.image_id: rec for rec in records}
     stats = PriorStats(min_count_word=min_count_word)
     accepted: list[tuple[int, float]] = []

@@ -62,9 +62,6 @@ class PseudoBoxes:
 
     by_class: dict[int, list[tuple[int, float]]]
 
-    def is_empty(self) -> bool:
-        return not any(self.by_class.values())
-
     def flat(self) -> list[tuple[int, int, float]]:
         """(class_id, proposal_index, score) triples in deterministic order."""
         out = []
@@ -184,19 +181,6 @@ def refinement_chain(
         branch.w.grad += dw
         branch.b.grad += db
     return loss, q
-
-
-def depth_attention(
-    combined: np.ndarray,
-    mask: DepthMask,
-    multiplier: float = ATTENTION_MULTIPLIER,
-) -> np.ndarray:
-    """Halve combined evidence wherever the depth mask rejects the class.
-
-    Only classes with a derived range are touched; columns of undefined
-    classes pass through unchanged (their mask columns are all ones).
-    """
-    return combined * attention_multipliers(mask, multiplier)
 
 
 def attention_multipliers(

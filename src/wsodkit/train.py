@@ -28,6 +28,7 @@ from wsodkit.evaluate import (
     DEFAULT_NMS_THRESH,
     Detection,
     EvalReport,
+    check_fraction,
     evaluate,
     format_table,
     nms_detections,
@@ -104,6 +105,8 @@ class RunConfig:
     eleven_point_ap: bool = False
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
@@ -124,11 +127,10 @@ class RunConfig:
             "refine_score_ratio",
             "attention_multiplier",
             "nms_thresh",
+            "score_threshold",
         ):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if not 0.0 <= self.min_score < 1.0:
-            raise ConfigError("min_score must lie in [0, 1)")
+            check_fraction(name, getattr(self, name))
+        check_fraction("min_score", self.min_score, upper_open=True)
         if self.rho_init <= 0 or self.init_scale <= 0:
             raise ConfigError("rho_init and init_scale must be positive")
         if self.min_count_word < 1:
@@ -143,14 +145,21 @@ class RunConfig:
             )
 
     def resolved_seed(self) -> int:
-        """Config seed, overridden by the WSOD_SEED environment variable."""
+        """Config seed, overridden by the WSOD_SEED environment variable.
+
+        The override must be a non-negative integer, as numpy's generators
+        require; ``validate`` holds the config seed to the same rule.
+        """
         raw = os.environ.get(SEED_ENV_VAR)
         if raw is None or raw == "":
             return self.seed
         try:
-            return int(raw)
+            seed = int(raw)
         except ValueError as e:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from e
+        if seed < 0:
+            raise ConfigError(f"{SEED_ENV_VAR} must be >= 0, got {raw!r}")
+        return seed
 
     def with_updates(self, **kwargs) -> "RunConfig":
         cfg = dataclasses.replace(self, **kwargs)
@@ -378,7 +387,7 @@ def train(
                     attention = refine.attention_multipliers(
                         mask, config.attention_multiplier
                     )
-                loss, pack, _ = milhead.mil_chain(
+                loss, pack = milhead.mil_chain(
                     rec.rgb_features,
                     model.rgb_head,
                     rec_labels,
@@ -482,6 +491,8 @@ def infer(
     proposal; boxes are the proposals themselves. Only detections scoring
     strictly above ``min_score`` are emitted.
     """
+    check_fraction("nms_thresh", nms_thresh)
+    check_fraction("min_score", min_score)
     feat_dim = check_features(records)
     model.check_against(feat_dim, model.dims.num_classes)
     out: list[Detection] = []

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from wsodkit.data import Box, ClassVocabulary, ImageRecord
+from wsodkit.milhead import HeadParams
+from wsodkit.numkit import Param
 
 
 def random_boxes(rng: np.random.Generator, n: int, size: float = 100.0) -> np.ndarray:
@@ -48,6 +50,20 @@ def make_record(
         labels=labels,
         gt_boxes=gt,
     )
+
+
+def score_stream(det: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, HeadParams]:
+    """A (features, head) stream whose raw scores are exactly ``det``/``cls``.
+
+    Identity features times the score matrices plus a zero bias reproduces
+    them bit for bit, so tests can drive the MIL forward from raw scores.
+    """
+    zero = np.zeros(det.shape[1])
+    head = HeadParams(
+        Param("det.w", det), Param("det.b", zero),
+        Param("cls.w", cls), Param("cls.b", zero),
+    )
+    return np.eye(det.shape[0]), head
 
 
 @pytest.fixture

@@ -1,15 +1,21 @@
-"""Straight-line reference implementations used as test oracles.
+"""Straight-line reference implementations and test-only helpers.
 
 Everything here is deliberately written flat, without the package's own
 layers (Param, SGD, mil_chain), so agreement is evidence rather than
-tautology.
+tautology. The package ships one forward path per component; the
+standalone pieces only tests call live here instead: the contrastive loss
+of a projected batch, box-pair IoU and the finite-difference gradient
+check.
 """
+
+import math
 
 import numpy as np
 
 from wsodkit import fusion
 from wsodkit.data import Box
-from wsodkit.evaluate import Detection, iou, nms_detections
+from wsodkit.errors import WsodkitError
+from wsodkit.evaluate import Detection, nms_detections
 
 EPS = 1e-7
 
@@ -196,3 +202,89 @@ def infer_candidates(model, records, mode, min_score, nms_thresh, sigma_on_sum=T
                 if det.score > min_score:
                     out.append(det)
     return out
+
+
+class GradCheckError(WsodkitError):
+    """Gradient check could not be evaluated at the requested point."""
+
+
+def grad_check(f, params, eps=1e-5):
+    """Compare analytic gradients against central differences.
+
+    ``f`` must run forward + backward and return the scalar loss; the grads
+    of ``params`` are zeroed before every call. Returns the worst relative
+    error ``|a - n| / max(1, |a|, |n|)`` over every coordinate. Leaves
+    parameter values untouched; grads are left at whatever the last call
+    produced.
+    """
+    if eps <= 0.0:
+        raise GradCheckError(f"eps must be positive, got {eps}")
+
+    def f_zeroed():
+        for p in params:
+            p.zero_grad()
+        return f()
+
+    loss = float(f_zeroed())
+    if not np.isfinite(loss):
+        raise GradCheckError("loss is non-finite at the evaluation point")
+    analytic = [p.grad.copy() for p in params]
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        flat_v = p.value.reshape(-1)
+        flat_a = a.reshape(-1)
+        for i in range(flat_v.size):
+            orig = flat_v[i]
+            flat_v[i] = orig + eps
+            lp = float(f_zeroed())
+            flat_v[i] = orig - eps
+            lm = float(f_zeroed())
+            flat_v[i] = orig
+            if not (np.isfinite(lp) and np.isfinite(lm)):
+                raise GradCheckError(
+                    f"loss became non-finite while perturbing {p.name!r}"
+                )
+            num = (lp - lm) / (2.0 * eps)
+            ana = flat_a[i]
+            rel = abs(ana - num) / max(1.0, abs(ana), abs(num))
+            if rel > worst:
+                worst = rel
+    return worst
+
+
+def nce_loss(pooled_rgb, pooled_depth, proj, include_positive=False):
+    """Symmetric contrastive loss of a projected batch, one anchor at a time.
+
+    Both modalities go through ``x @ w + b`` and row normalization, and
+    ``s = rgb @ depth.T / rho``. Each anchor's loss is
+    ``log(denominator) - s_ii``, where the denominator sums ``exp`` of the
+    anchor's row of ``s`` (plus the positive once more with
+    ``include_positive``); both directions are averaged.
+    """
+
+    def embed(x):
+        z = x @ proj.w.value + proj.b.value
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    s = (embed(pooled_rgb) @ embed(pooled_depth).T) / float(proj.rho.value[0])
+    directions = []
+    for mat in (s, s.T):
+        per_anchor = []
+        for i in range(mat.shape[0]):
+            m = mat[i].max()
+            z = np.exp(mat[i] - m).sum()
+            if include_positive:
+                z += math.exp(mat[i, i] - m)
+            per_anchor.append(m + math.log(z) - mat[i, i])
+        directions.append(sum(per_anchor) / len(per_anchor))
+    return 0.5 * (directions[0] + directions[1])
+
+
+def iou(a, b):
+    """Intersection-over-union of two boxes; 0 when disjoint."""
+    iw = max(min(a.x2, b.x2) - max(a.x1, b.x1), 0.0)
+    ih = max(min(a.y2, b.y2) - max(a.y1, b.y1), 0.0)
+    inter = iw * ih
+    if inter <= 0.0:
+        return 0.0
+    return inter / (a.area() + b.area() - inter)

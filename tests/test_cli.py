@@ -195,3 +195,83 @@ def test_non_finite_score_exit_3(tmp_path, capsys, command):
         "--data", str(data), "--vocab", str(vocab), flag, str(dets), *extra,
     )
     assert code == 3 and "line 2: non-finite score" in err
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["train", "--set", "seed=-3"], None, "seed must be >= 0"),
+        (["train"], "-1", "WSOD_SEED must be >= 0"),
+        (["gen-data", "--seed", "-1"], None, "seed must be >= 0"),
+    ],
+    ids=["config-seed", "env-seed", "gen-data-seed"],
+)
+def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch, argv, env, message):
+    data, vocab = gen_small(capsys, tmp_path)
+    if env is not None:
+        monkeypatch.setenv("WSOD_SEED", env)
+    paths = {
+        "gen-data": ["--out", str(tmp_path / "g.jsonl"), "--vocab-out", str(vocab)],
+        "train": ["--data", str(data), "--vocab", str(vocab), "--quiet"],
+    }[argv[0]]
+    code, _, err = run(capsys, argv[0], *paths, *argv[1:])
+    assert code == 2 and message in err
+
+
+@pytest.mark.parametrize(
+    "command,option,field",
+    [
+        ("infer", ["--nms-thresh", "nan"], "nms_thresh"),
+        ("infer", ["--min-score", "nan"], "min_score"),
+        ("infer", ["--nms-thresh", "1.5"], "nms_thresh"),
+        ("evaluate", ["--nms-thresh", "nan"], "nms_thresh"),
+        ("estimate-priors", ["--score-threshold", "nan"], "score_threshold"),
+        ("estimate-priors", ["--score-threshold", "-0.1"], "score_threshold"),
+        ("train", ["--set", "priors.score_threshold=nan"], "score_threshold"),
+    ],
+)
+def test_bad_threshold_exit_2(tmp_path, capsys, command, option, field):
+    data, vocab = gen_small(capsys, tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    dets = tmp_path / "dets.jsonl"
+    code, _, _ = run(
+        capsys, "train", "--data", str(data), "--vocab", str(vocab),
+        "--set", "epochs=0", "--checkpoint-out", str(ckpt), "--quiet",
+    )
+    assert code == 0
+    common = ["--data", str(data), "--vocab", str(vocab)]
+    code, _, _ = run(
+        capsys, "infer", "--checkpoint", str(ckpt), *common, "--out", str(dets)
+    )
+    assert code == 0
+    extra = {
+        "infer": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "x.jsonl")],
+        "evaluate": ["--detections", str(dets)],
+        "estimate-priors": ["--predictions", str(dets), "--out", str(dets) + ".p"],
+        "train": ["--quiet"],
+    }[command]
+    code, _, err = run(capsys, command, *common, *extra, *option)
+    assert code == 2 and f"{field} must lie in [0, 1" in err
+
+
+def test_eval_data_uses_depth_map_sidecar(tmp_path, capsys):
+    data, vocab = gen_small(capsys, tmp_path)
+    no_depths = tmp_path / "nd.jsonl"
+    sidecar = tmp_path / "dm.jsonl"
+    with open(no_depths, "w") as nd, open(sidecar, "w") as dm:
+        for line in data.read_text(encoding="utf-8").splitlines():
+            obj = json.loads(line)
+            del obj["proposal_depths"]
+            nd.write(json.dumps(obj) + "\n")
+            values = [[0.5] * obj["width"]] * obj["height"]
+            dm.write(json.dumps({
+                "image_id": obj["image_id"], "width": obj["width"],
+                "height": obj["height"], "values": values,
+            }) + "\n")
+    code, _, err = run(
+        capsys, "train",
+        "--data", str(no_depths), "--vocab", str(vocab),
+        "--depth-maps", str(sidecar), "--eval-data", str(no_depths),
+        "--set", "epochs=1", "--quiet",
+    )
+    assert code == 0, err

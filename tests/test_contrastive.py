@@ -1,4 +1,4 @@
-"""Contrastive projection and symmetric NCE loss oracles."""
+"""Contrastive projection and symmetric NCE loss, checked through ``nce_chain``."""
 
 import math
 
@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsodkit import contrastive, numkit
 from wsodkit.contrastive import (
     RHO_MAX,
     RHO_MIN,
-    EmbeddingBatch,
     ProjectionParams,
     nce_chain,
-    nce_loss,
     pool_features,
-    project,
-    similarity,
 )
 from wsodkit.errors import ShapeError, WsodkitError
+from wsodkit.numkit import Param
+
+from reference import grad_check, nce_loss
 
 
 def unit_rows(rng, n, d):
@@ -29,6 +27,24 @@ def unit_rows(rng, n, d):
 
 def make_proj(rng, feat_dim=4, proj_dim=3, scale=0.5, rho_init=0.1):
     return ProjectionParams.create(rng, feat_dim, proj_dim, scale, rho_init)
+
+
+def identity_chain(rgb, depth, rho, include_positive=False):
+    """``nce_chain`` loss through an identity projection with zero bias.
+
+    The projection then only normalizes the rows, so for unit rows this is
+    the loss of the given embeddings.
+    """
+    d = rgb.shape[-1]
+    proj = ProjectionParams(
+        Param("w", np.eye(d)), Param("b", np.zeros(d)), Param("rho", np.array([rho]))
+    )
+    return nce_chain(rgb, depth, proj, include_positive=include_positive)
+
+
+# Rows +v and -v for v = (0.6, 0.8): positives at 1/rho, cross pairs at
+# -1/rho, so at rho = 0.5 each anchor costs log(1 + e^-4).
+V = np.array([[0.6, 0.8], [-0.6, -0.8]])
 
 
 class TestPoolProject:
@@ -42,67 +58,70 @@ class TestPoolProject:
         with pytest.raises(ShapeError):
             pool_features(np.ones(4))
 
-    def test_project_three_four_five(self, rng):
-        proj = make_proj(rng, feat_dim=2, proj_dim=2)
-        proj.w.value[:] = np.eye(2)
-        proj.b.value[:] = 0.0
-        z = project(np.array([3.0, 4.0]), proj)
-        assert np.allclose(z, [[0.6, 0.8]], atol=1e-12)
+    def test_project_three_four_five(self):
+        got = identity_chain(5.0 * V, 5.0 * V, 0.5)
+        assert got == pytest.approx(identity_chain(V, V, 0.5), abs=1e-12)
+        assert got == pytest.approx(math.log1p(math.exp(-4.0)), abs=1e-12)
 
     def test_project_rows_unit_norm(self, rng):
+        # Zero bias: rescaling a pooled row rescales its projection, which
+        # the row normalization removes again.
         proj = make_proj(rng, feat_dim=5, proj_dim=3)
-        z = project(rng.standard_normal((4, 5)), proj)
-        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
+        r, d = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+        scale = rng.uniform(0.1, 10.0, (4, 1))
+        got = nce_chain(r * scale, d / scale, proj)
+        assert got == pytest.approx(nce_chain(r, d, proj), abs=1e-12)
 
     def test_project_zero_norm_rejected(self, rng):
         proj = make_proj(rng, feat_dim=2, proj_dim=2)
         proj.w.value[:] = 0.0
         proj.b.value[:] = 0.0
         with pytest.raises(WsodkitError):
-            project(np.array([1.0, 1.0]), proj)
+            nce_chain(np.ones((2, 2)), np.ones((2, 2)), proj)
 
 
 class TestSimilarity:
     def test_unit_dot_over_rho(self):
-        v = np.array([0.6, 0.8])
-        assert similarity(v, v, 0.5) == pytest.approx(2.0, abs=1e-12)
+        got = identity_chain(V, V.copy(), 0.5)
+        assert got == pytest.approx(math.log1p(math.exp(-4.0)), abs=1e-12)
 
     def test_orthogonal_is_zero(self):
-        assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1) == 0.0
+        # Orthogonal positives score 0 against cross pairs at 1/rho = 10.
+        got = identity_chain(np.eye(2), np.eye(2)[::-1].copy(), 0.1)
+        assert got == pytest.approx(math.log1p(math.exp(10.0)), abs=1e-12)
 
     def test_vector_shape_enforced(self):
         with pytest.raises(ShapeError):
-            similarity(np.ones((2, 2)), np.ones((2, 2)), 1.0)
+            identity_chain(np.ones(2), np.ones(2), 1.0)
 
 
 class TestNceLoss:
     def test_single_pair_standard_zero(self):
-        batch = EmbeddingBatch(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-        assert nce_loss(batch, rho=0.1) == pytest.approx(0.0, abs=1e-12)
+        one = np.array([[1.0, 0.0]])
+        assert identity_chain(one, one.copy(), 0.1) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_pair_include_positive_log2(self):
-        batch = EmbeddingBatch(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-        got = nce_loss(batch, rho=0.1, include_positive=True)
+        one = np.array([[1.0, 0.0]])
+        got = identity_chain(one, one.copy(), 0.1, include_positive=True)
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_all_equal_embeddings_log2(self):
         e = np.array([[1.0, 0.0], [1.0, 0.0]])
-        batch = EmbeddingBatch(e, e.copy())
-        assert nce_loss(batch, rho=0.3) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert identity_chain(e, e.copy(), 0.3) == pytest.approx(
+            math.log(2.0), abs=1e-12
+        )
 
     def test_identity_similarity_oracle(self):
         # Positive pairs at similarity 1/rho with rho=1, cross pairs at 0:
         # each anchor contributes log(1 + e^-1).
-        e = np.eye(2)
-        batch = EmbeddingBatch(e, e.copy())
-        got = nce_loss(batch, rho=1.0)
+        got = identity_chain(np.eye(2), np.eye(2), 1.0)
         assert got == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-12)
         assert got == pytest.approx(0.31326168751822286, abs=1e-12)
 
     def test_literal_two_direction_oracle(self, rng):
-        b = EmbeddingBatch(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4))
+        rgb, depth = unit_rows(rng, 3, 4), unit_rows(rng, 3, 4)
         rho = 0.25
-        s = (b.rgb @ b.depth.T) / rho
+        s = (rgb @ depth.T) / rho
         per_anchor = []
         for mat in (s, s.T):
             for i in range(3):
@@ -110,46 +129,52 @@ class TestNceLoss:
                     math.log(np.exp(mat[i]).sum()) - mat[i, i]
                 )
         oracle = 0.5 * (np.mean(per_anchor[:3]) + np.mean(per_anchor[3:]))
-        assert nce_loss(b, rho) == pytest.approx(oracle, abs=1e-10)
+        assert identity_chain(rgb, depth, rho) == pytest.approx(oracle, abs=1e-10)
 
     def test_swap_symmetry(self, rng):
-        b = EmbeddingBatch(unit_rows(rng, 4, 3), unit_rows(rng, 4, 3))
-        swapped = EmbeddingBatch(b.depth, b.rgb)
-        assert nce_loss(b, 0.2) == pytest.approx(nce_loss(swapped, 0.2), abs=1e-12)
+        rgb, depth = unit_rows(rng, 4, 3), unit_rows(rng, 4, 3)
+        assert identity_chain(rgb, depth, 0.2) == pytest.approx(
+            identity_chain(depth, rgb, 0.2), abs=1e-12
+        )
 
     def test_include_positive_dominates(self, rng):
-        b = EmbeddingBatch(unit_rows(rng, 3, 5), unit_rows(rng, 3, 5))
-        assert nce_loss(b, 0.5, include_positive=True) >= nce_loss(b, 0.5)
+        rgb, depth = unit_rows(rng, 3, 5), unit_rows(rng, 3, 5)
+        assert identity_chain(
+            rgb, depth, 0.5, include_positive=True
+        ) >= identity_chain(rgb, depth, 0.5)
 
     def test_non_unit_rows_rejected(self):
+        # A zero row has no unit direction to compare.
         with pytest.raises(WsodkitError):
-            EmbeddingBatch(np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]))
+            identity_chain(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            EmbeddingBatch(np.eye(2), np.eye(3))
+            identity_chain(np.eye(2), np.eye(3), 1.0)
 
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_standard_loss_nonnegative(self, n, seed):
         r = np.random.default_rng(seed)
-        b = EmbeddingBatch(unit_rows(r, n, 4), unit_rows(r, n, 4))
-        assert nce_loss(b, 0.1) >= -1e-12
+        rgb, depth = unit_rows(r, n, 4), unit_rows(r, n, 4)
+        assert identity_chain(rgb, depth, 0.1) >= -1e-12
         # Doubling the positive term in the denominator floors the loss
         # at log 2.
-        assert nce_loss(b, 0.1, include_positive=True) >= math.log(2.0) - 1e-12
+        assert identity_chain(
+            rgb, depth, 0.1, include_positive=True
+        ) >= math.log(2.0) - 1e-12
 
 
 class TestNceChain:
     def test_matches_loss_on_projected_batch(self, rng):
-        proj = make_proj(rng, feat_dim=6, proj_dim=4)
-        pooled_r = rng.standard_normal((3, 6))
-        pooled_d = rng.standard_normal((3, 6))
-        got = nce_chain(pooled_r, pooled_d, proj)
-        batch = EmbeddingBatch(project(pooled_r, proj), project(pooled_d, proj))
-        assert got == pytest.approx(
-            nce_loss(batch, float(proj.rho.value[0])), abs=1e-12
-        )
+        for batch_size in (1, 3):
+            for include_positive in (False, True):
+                proj = make_proj(rng, feat_dim=6, proj_dim=4)
+                pooled_r = rng.standard_normal((batch_size, 6))
+                pooled_d = rng.standard_normal((batch_size, 6))
+                got = nce_chain(pooled_r, pooled_d, proj, include_positive)
+                want = nce_loss(pooled_r, pooled_d, proj, include_positive)
+                assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("include_positive", [False, True])
     @pytest.mark.parametrize("batch_size", [1, 2, 4])
@@ -159,14 +184,12 @@ class TestNceChain:
         pooled_d = rng.standard_normal((batch_size, 5))
 
         def f():
-            for p in proj.params():
-                p.zero_grad()
             return nce_chain(
                 pooled_r, pooled_d, proj,
                 include_positive=include_positive, grad_scale=1.0,
             )
 
-        assert numkit.grad_check(f, proj.params()) < 1e-6
+        assert grad_check(f, proj.params()) < 1e-6
 
     def test_grad_scale_zero_accumulates_nothing(self, rng):
         proj = make_proj(rng)

@@ -8,7 +8,7 @@ import pytest
 
 from wsodkit import kernels
 from wsodkit.data import Box
-from wsodkit.errors import ParseError, ValidationError
+from wsodkit.errors import ConfigError, ParseError, ValidationError
 from wsodkit.evaluate import (
     IOU_GRID,
     Detection,
@@ -17,7 +17,6 @@ from wsodkit.evaluate import (
     corloc,
     evaluate,
     format_table,
-    iou,
     load_detections,
     nms_detections,
     save_detections,
@@ -87,11 +86,15 @@ def ignore_scenario(seed):
 
 class TestIou:
     def test_hand_values(self):
-        a = Box(0, 0, 10, 10)
-        assert iou(a, a) == 1.0
-        assert iou(a, Box(20, 20, 30, 30)) == 0.0
-        assert iou(a, Box(5, 5, 15, 15)) == pytest.approx(25.0 / 175.0, abs=1e-12)
-        assert iou(a, Box(10, 0, 20, 10)) == 0.0
+        a = np.array([[0.0, 0.0, 10.0, 10.0]])
+        b = np.array(
+            [[0, 0, 10, 10], [20, 20, 30, 30], [5, 5, 15, 15], [10, 0, 20, 10]], float
+        )
+        got = kernels.iou_matrix(a, b)[0]
+        assert got[0] == 1.0
+        assert got[1] == 0.0
+        assert got[2] == pytest.approx(25.0 / 175.0, abs=1e-12)
+        assert got[3] == 0.0
 
 
 class TestAveragePrecision:
@@ -378,6 +381,12 @@ class TestEvaluate:
                     Detection(rec.image_id, cid, box, 0.9 - 0.1 * cid)
                 )
         return records, dets
+
+    @pytest.mark.parametrize("thresh", [float("nan"), -0.1, 1.5])
+    def test_bad_nms_thresh_rejected(self, rng, thresh):
+        records, dets = self.build(rng)
+        with pytest.raises(ConfigError, match="nms_thresh"):
+            evaluate(dets, records, nms_thresh=thresh)
 
     def test_perfect_detections_score_one(self, rng):
         records, dets = self.build(rng)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from wsodkit import fusion, milhead
-from wsodkit.errors import ShapeError
 from wsodkit.fusion import FusionMode
 from wsodkit.milhead import HeadParams
 
-from conftest import make_record
+from conftest import make_record, score_stream
 
 
 @pytest.fixture
@@ -22,23 +21,16 @@ class TestFuse:
     def test_elementwise_sum(self, rng):
         a = (rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
         b = (rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
-        det, cls = fusion.fuse(a, b)
-        assert np.array_equal(det, a[0] + b[0])
-        assert np.array_equal(cls, a[1] + b[1])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            fusion.fuse(
-                (np.ones((2, 2)), np.ones((2, 2))),
-                (np.ones((3, 2)), np.ones((3, 2))),
-            )
+        pack = milhead.forward([score_stream(*a), score_stream(*b)])
+        assert np.array_equal(pack.det_scores, a[0] + b[0])
+        assert np.array_equal(pack.cls_scores, a[1] + b[1])
 
     def test_zero_stream_is_identity(self, rng):
         a = (rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
         z = (np.zeros((4, 3)), np.zeros((4, 3)))
-        det, cls = fusion.fuse(a, z)
-        assert np.array_equal(det, a[0])
-        assert np.array_equal(cls, a[1])
+        pack = milhead.forward([score_stream(*a), score_stream(*z)])
+        assert np.array_equal(pack.det_scores, a[0])
+        assert np.array_equal(pack.cls_scores, a[1])
 
 
 class TestModeParse:
@@ -63,16 +55,18 @@ class TestForward:
         rgb_head, depth_head = heads
         rec = make_record(rng, "a", num_proposals=5, feat_dim=8)
         pack = fusion.forward(rec, rgb_head, depth_head, FusionMode.RGB_ONLY)
-        det, cls = milhead.score(rec.rgb_features, rgb_head)
-        ref = milhead.probabilities(det, cls)
+        ref = milhead.forward(
+            [score_stream(*milhead.score(rec.rgb_features, rgb_head))]
+        )
         assert np.array_equal(pack.combined, ref.combined)
 
     def test_depth_mode_ignores_rgb_head(self, rng, heads):
         rgb_head, depth_head = heads
         rec = make_record(rng, "a", num_proposals=5, feat_dim=8)
         pack = fusion.forward(rec, rgb_head, depth_head, FusionMode.DEPTH_ONLY)
-        det, cls = milhead.score(rec.depth_features, depth_head)
-        ref = milhead.probabilities(det, cls)
+        ref = milhead.forward(
+            [score_stream(*milhead.score(rec.depth_features, depth_head))]
+        )
         assert np.array_equal(pack.combined, ref.combined)
 
     def test_fused_sums_raw_scores(self, rng, heads):
@@ -81,7 +75,7 @@ class TestForward:
         pack = fusion.forward(rec, rgb_head, depth_head, FusionMode.FUSED)
         v = milhead.score(rec.rgb_features, rgb_head)
         d = milhead.score(rec.depth_features, depth_head)
-        ref = milhead.probabilities(v[0] + d[0], v[1] + d[1])
+        ref = milhead.forward([score_stream(v[0] + d[0], v[1] + d[1])])
         assert np.allclose(pack.combined, ref.combined, atol=1e-15)
         assert np.allclose(pack.image_prob, ref.image_prob, atol=1e-15)
 
@@ -115,9 +109,9 @@ class TestForward:
         # Score-level addition makes the two orderings identical.
         rgb_head, depth_head = heads
         rec = make_record(rng, "a", feat_dim=8)
-        v = milhead.score(rec.rgb_features, rgb_head)
-        d = milhead.score(rec.depth_features, depth_head)
-        ab = fusion.fuse(v, d)
-        ba = fusion.fuse(d, v)
-        assert np.array_equal(ab[0], ba[0])
-        assert np.array_equal(ab[1], ba[1])
+        v = (rec.rgb_features, rgb_head)
+        d = (rec.depth_features, depth_head)
+        ab = milhead.forward([v, d])
+        ba = milhead.forward([d, v])
+        assert np.array_equal(ab.det_scores, ba.det_scores)
+        assert np.array_equal(ab.cls_scores, ba.cls_scores)

@@ -1,13 +1,16 @@
-"""MIL detection head: probability chain oracles, loss values, gradients."""
+"""MIL detection head: forward-pass oracles, loss values, gradients."""
 
 import math
 
 import numpy as np
 import pytest
 
-from wsodkit import milhead, numkit
+from wsodkit import milhead
 from wsodkit.errors import ShapeError
-from wsodkit.milhead import HeadParams, label_vector, mil_chain, mil_loss
+from wsodkit.milhead import HeadParams, label_vector, mil_chain
+
+from conftest import score_stream
+from reference import grad_check
 
 
 def sigma(x: float) -> float:
@@ -16,6 +19,11 @@ def sigma(x: float) -> float:
 
 def make_head(rng, feat_dim=4, num_classes=3, scale=0.5, prefix="rgb"):
     return HeadParams.create(prefix, rng, feat_dim, num_classes, scale)
+
+
+def from_scores(det, cls, **kw):
+    """Forward pass of a single stream emitting the given raw scores."""
+    return milhead.forward([score_stream(det, cls)], **kw)
 
 
 class TestScore:
@@ -48,25 +56,23 @@ class TestScore:
 
 class TestProbabilities:
     def test_all_zero_scores_symmetric(self):
-        pack = milhead.probabilities(np.zeros((2, 2)), np.zeros((2, 2)))
+        pack = from_scores(np.zeros((2, 2)), np.zeros((2, 2)))
         assert np.allclose(pack.det_prob, 0.5, atol=1e-15)
         assert np.allclose(pack.cls_prob, 0.5, atol=1e-15)
         assert np.allclose(pack.combined, 0.25, atol=1e-15)
 
     def test_single_proposal_det_prob_one(self, rng):
-        pack = milhead.probabilities(
-            rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
-        )
+        pack = from_scores(rng.standard_normal((1, 3)), rng.standard_normal((1, 3)))
         assert np.allclose(pack.det_prob, 1.0, atol=1e-15)
 
     def test_combined_column_oracle(self):
         det = np.array([[math.log(3.0), 0.0], [0.0, 0.0]])
         cls = np.zeros((2, 2))
-        pack = milhead.probabilities(det, cls)
+        pack = from_scores(det, cls)
         assert np.allclose(pack.combined[:, 0], [0.375, 0.125], atol=1e-12)
 
     def test_det_prob_columns_cls_prob_rows(self, rng):
-        pack = milhead.probabilities(
+        pack = from_scores(
             rng.standard_normal((4, 3)) * 3, rng.standard_normal((4, 3)) * 3
         )
         assert np.allclose(pack.det_prob.sum(axis=0), 1.0, atol=1e-12)
@@ -78,57 +84,92 @@ class TestProbabilities:
     def test_det_column_shift_invariance(self, rng):
         det = rng.standard_normal((5, 3))
         cls = rng.standard_normal((5, 3))
-        a = milhead.probabilities(det, cls)
-        b = milhead.probabilities(det + np.array([10.0, -4.0, 0.25]), cls)
+        a = from_scores(det, cls)
+        b = from_scores(det + np.array([10.0, -4.0, 0.25]), cls)
         assert np.allclose(a.det_prob, b.det_prob, atol=1e-12)
 
 
+def single_class(column, **kw):
+    # With one class the row softmax is 1, so a log-score column yields
+    # exactly that (normalized) column of combined evidence.
+    col = np.log(np.array(column, dtype=np.float64))[:, None]
+    return from_scores(col, np.zeros_like(col), **kw)
+
+
 class TestImagePrediction:
-    def test_zero_column(self):
-        p = milhead.image_prediction(np.zeros((3, 2)))
-        assert np.allclose(p, 0.5, atol=1e-15)
+    def test_zero_column(self, rng):
+        # Attention that rejects everything leaves a zero column sum.
+        pack = from_scores(
+            rng.standard_normal((3, 2)),
+            rng.standard_normal((3, 2)),
+            attention=np.zeros((3, 2)),
+        )
+        assert not pack.attended.any()
+        assert np.allclose(pack.image_prob, 0.5, atol=1e-15)
 
     def test_column_summing_to_one(self):
-        comb = np.array([[0.6], [0.4]])
-        p = milhead.image_prediction(comb)
+        pack = single_class([0.6, 0.4])
+        assert np.allclose(pack.combined[:, 0], [0.6, 0.4], atol=1e-15)
+        p = pack.image_prob
         assert p[0] == pytest.approx(sigma(1.0), abs=1e-12)
         assert p[0] == pytest.approx(0.7310585786300049, abs=1e-12)
 
     def test_point_three(self):
-        comb = np.array([[0.1], [0.2]])
-        p = milhead.image_prediction(comb)
+        keep_two = np.array([[1.0], [1.0], [0.0]])
+        pack = single_class([0.1, 0.2, 0.7], attention=keep_two)
+        assert pack.total[0] == pytest.approx(0.3, abs=1e-15)
+        p = pack.image_prob
         assert p[0] == pytest.approx(sigma(0.3), abs=1e-12)
         assert p[0] == pytest.approx(0.5744425168116589, abs=1e-12)
 
     def test_sigma_off_returns_clamped_sum(self):
-        comb = np.array([[0.6], [0.5]])
-        p = milhead.image_prediction(comb, sigma_on_sum=False)
+        pack = single_class(
+            [0.6, 0.5], attention=np.full((2, 1), 1.1), sigma_on_sum=False
+        )
+        assert pack.total[0] == pytest.approx(1.1, abs=1e-15)
+        p = pack.image_prob
         assert p[0] == pytest.approx(1.0 - 1e-7, abs=1e-15)
-        q = milhead.image_prediction(np.array([[0.25], [0.25]]), sigma_on_sum=False)
-        assert q[0] == pytest.approx(0.5, abs=1e-15)
+        q = from_scores(np.zeros((2, 2)), np.zeros((2, 2)), sigma_on_sum=False)
+        assert np.allclose(q.combined, 0.25, atol=1e-15)
+        assert q.image_prob[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_range_invariant(self, rng):
-        pack = milhead.probabilities(
+        pack = from_scores(
             rng.standard_normal((6, 4)) * 5, rng.standard_normal((6, 4)) * 5
         )
-        p = milhead.image_prediction(pack.combined)
+        p = pack.image_prob
+        sums = pack.combined.sum(axis=0)
+        assert np.allclose(p, 1.0 / (1.0 + np.exp(-sums)), atol=1e-15)
         assert (p >= 0.5 - 1e-12).all()
         assert (p <= sigma(1.0) + 1e-12).all()
 
 
+def loss_at(probs, labels):
+    """``mil_chain``'s loss when its image probabilities are exactly ``probs``.
+
+    One proposal with zero scores gives combined evidence 1/C per class;
+    attention rescales it to ``probs``, which ``sigma_on_sum=False`` passes
+    through unsquashed.
+    """
+    probs = np.array(probs)
+    c = probs.size
+    x, head = score_stream(np.zeros((1, c)), np.zeros((1, c)))
+    loss, pack = mil_chain(
+        x, head, labels, attention=c * probs[None, :], sigma_on_sum=False
+    )
+    assert np.allclose(pack.image_prob, probs, atol=1e-15)
+    return loss
+
+
 class TestMilLoss:
     def test_positive_at_half(self):
-        assert mil_loss(np.array([0.5]), {0}) == pytest.approx(
-            math.log(2.0), abs=1e-12
-        )
+        assert loss_at([0.5], {0}) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_negative_at_half(self):
-        assert mil_loss(np.array([0.5]), set()) == pytest.approx(
-            math.log(2.0), abs=1e-12
-        )
+        assert loss_at([0.5], set()) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_two_class_oracle(self):
-        got = mil_loss(np.array([0.7, 0.6]), {0})
+        got = loss_at([0.7, 0.6], {0})
         assert got == pytest.approx(-math.log(0.7) - math.log(0.4), abs=1e-12)
         assert got == pytest.approx(1.272965676382441, abs=1e-9)
 
@@ -136,11 +177,10 @@ class TestMilLoss:
         # Image probabilities never drop below 0.5, so each absent class
         # costs at least log 2.
         for _ in range(10):
-            pack = milhead.probabilities(
+            stream = score_stream(
                 rng.standard_normal((4, 3)) * 4, rng.standard_normal((4, 3)) * 4
             )
-            p = milhead.image_prediction(pack.combined)
-            loss_all_neg = mil_loss(p, set())
+            loss_all_neg, _ = mil_chain(*stream, set())
             assert loss_all_neg >= 3 * math.log(2.0) - 1e-9
 
     def test_label_vector(self):
@@ -151,25 +191,28 @@ class TestMilChain:
     def test_loss_matches_manual_pipeline(self, rng):
         head = make_head(rng, feat_dim=6, num_classes=3)
         x = rng.standard_normal((5, 6))
-        loss, pack, attended = mil_chain(x, head, {0, 2})
-        det, cls = milhead.score(x, head)
-        ref = milhead.probabilities(det, cls)
-        p = milhead.image_prediction(ref.combined)
-        assert loss == pytest.approx(mil_loss(p, {0, 2}), abs=1e-12)
-        assert np.allclose(pack.combined, ref.combined, atol=1e-15)
-        assert attended is pack.combined
+        loss, pack = mil_chain(x, head, {0, 2})
+        det = x @ head.w_det.value + head.b_det.value
+        cls = x @ head.w_cls.value + head.b_cls.value
+        ed = np.exp(det - det.max(axis=0, keepdims=True))
+        ec = np.exp(cls - cls.max(axis=1, keepdims=True))
+        combined = ed / ed.sum(axis=0) * (ec / ec.sum(axis=1, keepdims=True))
+        p = 1.0 / (1.0 + np.exp(-combined.sum(axis=0)))
+        y = np.array([1.0, 0.0, 1.0])
+        bce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum()
+        assert loss == pytest.approx(bce, abs=1e-12)
+        assert np.allclose(pack.combined, combined, atol=1e-15)
+        assert pack.attended is pack.combined
 
     def test_rgb_gradients_finite_difference(self, rng):
         head = make_head(rng, feat_dim=4, num_classes=3)
         x = rng.standard_normal((5, 4))
 
         def f():
-            for p in head.params():
-                p.zero_grad()
-            loss, _, _ = mil_chain(x, head, {1}, grad_scale=1.0)
+            loss, _ = mil_chain(x, head, {1}, grad_scale=1.0)
             return loss
 
-        assert numkit.grad_check(f, head.params()) < 1e-6
+        assert grad_check(f, head.params()) < 1e-6
 
     def test_fused_gradients_finite_difference(self, rng):
         rgb_head = make_head(rng, feat_dim=4, num_classes=3)
@@ -179,9 +222,7 @@ class TestMilChain:
         params = rgb_head.params() + depth_head.params()
 
         def f():
-            for p in params:
-                p.zero_grad()
-            loss, _, _ = mil_chain(
+            loss, _ = mil_chain(
                 xv,
                 rgb_head,
                 {0, 2},
@@ -191,7 +232,7 @@ class TestMilChain:
             )
             return loss
 
-        assert numkit.grad_check(f, params) < 1e-6
+        assert grad_check(f, params) < 1e-6
 
     def test_attention_gradients_finite_difference(self, rng):
         head = make_head(rng, feat_dim=4, num_classes=2)
@@ -199,24 +240,20 @@ class TestMilChain:
         att = np.where(rng.uniform(size=(4, 2)) < 0.5, 0.5, 1.0)
 
         def f():
-            for p in head.params():
-                p.zero_grad()
-            loss, _, _ = mil_chain(x, head, {0}, attention=att, grad_scale=1.0)
+            loss, _ = mil_chain(x, head, {0}, attention=att, grad_scale=1.0)
             return loss
 
-        assert numkit.grad_check(f, head.params()) < 1e-6
+        assert grad_check(f, head.params()) < 1e-6
 
     def test_sigma_off_gradients(self, rng):
         head = make_head(rng, feat_dim=3, num_classes=2)
         x = rng.standard_normal((3, 3))
 
         def f():
-            for p in head.params():
-                p.zero_grad()
-            loss, _, _ = mil_chain(x, head, {1}, sigma_on_sum=False, grad_scale=1.0)
+            loss, _ = mil_chain(x, head, {1}, sigma_on_sum=False, grad_scale=1.0)
             return loss
 
-        assert numkit.grad_check(f, head.params()) < 1e-6
+        assert grad_check(f, head.params()) < 1e-6
 
     def test_attention_feeds_image_prob_only(self, rng):
         # The attended matrix changes the image-level prediction, while the
@@ -224,8 +261,9 @@ class TestMilChain:
         head = make_head(rng, feat_dim=4, num_classes=2)
         x = rng.standard_normal((4, 4))
         att = np.full((4, 2), 0.5)
-        loss_att, pack_att, attended = mil_chain(x, head, {0}, attention=att)
-        loss_plain, pack_plain, _ = mil_chain(x, head, {0})
+        loss_att, pack_att = mil_chain(x, head, {0}, attention=att)
+        loss_plain, pack_plain = mil_chain(x, head, {0})
+        attended = pack_att.attended
         assert np.allclose(pack_att.combined, pack_plain.combined, atol=1e-15)
         assert np.allclose(attended, pack_plain.combined * 0.5, atol=1e-15)
         assert loss_att != pytest.approx(loss_plain, abs=1e-12)

@@ -26,7 +26,7 @@ from wsodkit.train import (
 )
 
 from conftest import make_record
-from reference import bare_mil_run, infer_candidates
+from reference import bare_mil_run, infer_candidates, iou
 
 
 def tiny_config(**kw):
@@ -71,6 +71,11 @@ class TestRunConfig:
             dict(refine_branches=4),
             dict(refine_iou_thresh=1.5),
             dict(min_score=1.0),
+            dict(min_score=float("nan")),
+            dict(nms_thresh=float("nan")),
+            dict(score_threshold=float("nan")),
+            dict(score_threshold=-0.1),
+            dict(seed=-3),
             dict(rho_init=0.0),
             dict(init_scale=-1.0),
             dict(min_count_word=0),
@@ -145,6 +150,9 @@ class TestRunConfig:
         assert cfg.resolved_seed() == 41
         monkeypatch.setenv("WSOD_SEED", "x")
         with pytest.raises(ConfigError):
+            cfg.resolved_seed()
+        monkeypatch.setenv("WSOD_SEED", "-1")
+        with pytest.raises(ConfigError, match="WSOD_SEED"):
             cfg.resolved_seed()
 
     def test_with_updates_validates(self):
@@ -362,6 +370,20 @@ class TestInfer:
         model, records = trained
         assert infer(model, records, min_score=1.0) == []
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(min_score=float("nan")),
+            dict(min_score=-0.5),
+            dict(nms_thresh=float("nan")),
+            dict(nms_thresh=float("inf")),
+        ],
+    )
+    def test_bad_thresholds_rejected(self, trained, kw):
+        model, records = trained
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            infer(model, records, **kw)
+
     def test_scores_strictly_above_floor(self, trained):
         model, records = trained
         everything = infer(model, records, min_score=0.0)
@@ -371,8 +393,6 @@ class TestInfer:
         assert 0 < len(kept) < len(everything)
 
     def test_kept_boxes_nms_separated(self, trained):
-        from wsodkit.evaluate import iou
-
         model, records = trained
         dets = infer(model, records, min_score=0.0, nms_thresh=0.5)
         by_group = {}
