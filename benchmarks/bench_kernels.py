@@ -1,8 +1,9 @@
 """Timing comparison between the compiled kernels and the numpy fallback.
 
-Run as ``python benchmarks/bench_kernels.py``. Each kernel is timed on a
-few sizes with both backends on identical inputs, and the outputs are
-cross-checked before any number is reported.
+Run as ``python benchmarks/bench_kernels.py``. ``iou_matrix`` and ``nms``
+are timed on a few sizes with both backends on identical inputs, and the
+outputs are cross-checked before any number is reported. ``box_mean_pool``
+has a single implementation, so there is nothing to compare it against.
 """
 
 from __future__ import annotations
@@ -72,30 +73,11 @@ def bench_nms(rng) -> list[tuple[str, float, float]]:
     return rows
 
 
-def bench_pool(rng) -> list[tuple[str, float, float]]:
-    rows = []
-    for size, n in ((64, 128), (128, 512), (256, 1024)):
-        grid = rng.uniform(0, 1, (size, size))
-        boxes = _boxes(rng, n, float(size))
-        ref = _py.box_mean_pool(grid, boxes)
-        if _ext is not None:
-            got = _ext.box_mean_pool(grid, boxes)
-            assert np.allclose(got, ref, atol=1e-9, equal_nan=True)
-        rows.append(
-            (
-                f"box_mean_pool {size}px x{n}",
-                _time(_py.box_mean_pool, grid, boxes),
-                _time(_ext.box_mean_pool, grid, boxes) if _ext else float("nan"),
-            )
-        )
-    return rows
-
-
 def main() -> None:
     rng = np.random.default_rng(7)
     if _ext is None:
         print("compiled backend unavailable; timing the numpy fallback only\n")
-    rows = bench_iou(rng) + bench_nms(rng) + bench_pool(rng)
+    rows = bench_iou(rng) + bench_nms(rng)
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'numpy':>10}  {'compiled':>10}  {'speedup':>8}")
     for name, t_py, t_ext in rows:

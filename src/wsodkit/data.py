@@ -197,28 +197,18 @@ class DepthMap:
             raise ValidationError("depth map values must lie in [0, 1]")
 
 
-def proposal_depth(depth_map: DepthMap, box: Box) -> float:
-    """Mean depth over the pixel centers the box covers.
+def proposal_depths(depth_map: DepthMap, boxes: np.ndarray) -> np.ndarray:
+    """Mean depth over the pixel centers each of (R, 4) boxes covers.
 
-    Pixel (i, j) has center (j + 0.5, i + 0.5). Raises when the box,
+    Pixel (i, j) has center (j + 0.5, i + 0.5). Raises when a box,
     intersected with the image, covers no pixel center.
     """
-    out = kernels.box_mean_pool(depth_map.values, box.as_array()[None, :])
-    if np.isnan(out[0]):
-        raise DegenerateRegionError(
-            f"box {box.as_list()} covers no pixel centers of a "
-            f"{depth_map.width}x{depth_map.height} depth map"
-        )
-    return float(out[0])
-
-
-def proposal_depths(depth_map: DepthMap, boxes: np.ndarray) -> np.ndarray:
-    """Vectorized proposal_depth over an (R, 4) box array."""
     out = kernels.box_mean_pool(depth_map.values, boxes)
     bad = np.nonzero(np.isnan(out))[0]
     if bad.size:
         raise DegenerateRegionError(
-            f"box {boxes[bad[0]].tolist()} covers no pixel centers"
+            f"box {boxes[bad[0]].tolist()} covers no pixel centers of a "
+            f"{depth_map.width}x{depth_map.height} depth map"
         )
     return out
 

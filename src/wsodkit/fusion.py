@@ -35,7 +35,6 @@ def forward(
     rgb_head: HeadParams,
     depth_head: HeadParams,
     mode: FusionMode = FusionMode.RGB_ONLY,
-    sigma_on_sum: bool = True,
 ) -> ScorePack:
     """Score one record under the requested mode."""
     rgb = (record.rgb_features, rgb_head)
@@ -46,4 +45,4 @@ def forward(
         streams = [depth]
     else:
         streams = [rgb, depth]
-    return milhead.forward(streams, sigma_on_sum)
+    return milhead.forward(streams)

@@ -1,25 +1,23 @@
-"""Box-geometry kernels with a compiled fast path.
+"""Box-geometry kernels.
 
-The Cython extension is preferred when it was built; otherwise the numpy
-fallback is used. Set ``WSODKIT_PURE_PYTHON=1`` to force the fallback, e.g.
-to compare the two backends (see benchmarks/bench_kernels.py).
+``iou_matrix`` and ``nms`` come from the compiled Cython extension when it
+was built and from the NumPy module ``_py`` otherwise; both give identical
+results. ``box_mean_pool`` has one implementation, the NumPy summed-area
+table in ``_py``, on either backend, so pooled depths do not depend on
+which one loaded.
 """
-
-import os
 
 from wsodkit.kernels import _py
 
-_impl = _py
-if os.environ.get("WSODKIT_PURE_PYTHON", "") in ("", "0"):
-    try:
-        from wsodkit.kernels import _ext as _impl
-    except ImportError:
-        pass
+try:
+    from wsodkit.kernels import _ext as _impl
+except ImportError:
+    _impl = _py
 
 BACKEND = "cython" if _impl is not _py else "python"
 
 iou_matrix = _impl.iou_matrix
 nms = _impl.nms
-box_mean_pool = _impl.box_mean_pool
+box_mean_pool = _py.box_mean_pool
 
 __all__ = ["BACKEND", "iou_matrix", "nms", "box_mean_pool"]

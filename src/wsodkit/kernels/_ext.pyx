@@ -1,7 +1,8 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled box-geometry kernels: pairwise IoU, greedy NMS, box mean pooling.
+"""Compiled box-geometry kernels: pairwise IoU and greedy NMS.
 
-Must stay semantically identical to wsodkit.kernels._py.
+Must stay semantically identical to wsodkit.kernels._py, which also holds
+the one box_mean_pool that serves both backends.
 """
 
 import numpy as np
@@ -9,8 +10,6 @@ import numpy as np
 cimport numpy as cnp
 
 cnp.import_array()
-
-from libc.math cimport ceil
 
 
 cdef cnp.ndarray[cnp.float64_t, ndim=2] _as_boxes(object a):
@@ -95,45 +94,3 @@ def nms(object boxes, object scores, double thresh):
                     suppressed[j] = 1
     return keep[:nkeep].copy()
 
-
-def box_mean_pool(object grid, object boxes):
-    """Mean grid value over pixel centers inside each box; NaN when empty.
-
-    Pixel (i, j) has center (j + 0.5, i + 0.5); covered when
-    x1 <= cx < x2 and y1 <= cy < y2, intersected with the grid.
-    """
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] g = np.ascontiguousarray(
-        grid, dtype=np.float64
-    )
-    if g.ndim != 2:
-        raise ValueError("grid must be 2-D")
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] b = _as_boxes(boxes)
-    cdef Py_ssize_t h = g.shape[0], w = g.shape[1], n = b.shape[0]
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] out = np.empty(n, dtype=np.float64)
-    cdef Py_ssize_t k, i, j, i0, i1, j0, j1
-    cdef double acc
-    cdef long cnt
-    for k in range(n):
-        j0 = <Py_ssize_t>ceil(b[k, 0] - 0.5)
-        j1 = <Py_ssize_t>ceil(b[k, 2] - 0.5)
-        i0 = <Py_ssize_t>ceil(b[k, 1] - 0.5)
-        i1 = <Py_ssize_t>ceil(b[k, 3] - 0.5)
-        if j0 < 0:
-            j0 = 0
-        if i0 < 0:
-            i0 = 0
-        if j1 > w:
-            j1 = w
-        if i1 > h:
-            i1 = h
-        if j0 >= j1 or i0 >= i1:
-            out[k] = <double>np.nan
-        else:
-            acc = 0.0
-            cnt = 0
-            for i in range(i0, i1):
-                for j in range(j0, j1):
-                    acc += g[i, j]
-                    cnt += 1
-            out[k] = acc / cnt
-    return out

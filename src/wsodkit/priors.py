@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from wsodkit.data import ClassVocabulary, ImageRecord, proposal_depth, tokenize
-from wsodkit.errors import DataError, ParseError, ValidationError
+from wsodkit.data import ClassVocabulary, ImageRecord, proposal_depths, tokenize
+from wsodkit.errors import ConfigError, DataError, ParseError, ValidationError
 from wsodkit.evaluate import Detection, check_fraction
 
 DEFAULT_SCORE_THRESHOLD = 0.5
@@ -120,7 +120,7 @@ class PriorStats:
 
     def __init__(self, min_count_word: int = DEFAULT_MIN_COUNT_WORD) -> None:
         if min_count_word < 1:
-            raise ValidationError("min_count_word must be >= 1")
+            raise ConfigError("min_count_word must be >= 1")
         self.min_count_word = int(min_count_word)
         self.by_class: dict[int, RunningMoments] = {}
         self.by_class_word: dict[tuple[int, str], RunningMoments] = {}
@@ -287,7 +287,7 @@ def _resolve_depth(pred: Detection, record: ImageRecord) -> float | None:
     if diffs[hit] <= BOX_MATCH_ATOL:
         return float(record.proposal_depths[hit])
     if record.depth_map is not None:
-        return proposal_depth(record.depth_map, pred.box)
+        return float(proposal_depths(record.depth_map, box[None, :])[0])
     return None
 
 

@@ -68,6 +68,9 @@ class SyntheticConfig:
             raise ConfigError(
                 "max_objects must be in 1..min(num_classes, proposals_per_image)"
             )
+        for name in ("noise", "class_signal", "background_scale", "confuser_strength"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.noise < 0 or self.class_signal <= 0 or self.background_scale < 0:
             raise ConfigError("signal/noise scales must be non-negative")
         for p in (self.confuser_rate, self.distractor_outside_p, self.label_noise):

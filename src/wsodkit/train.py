@@ -53,8 +53,6 @@ CONFIG_ALIASES = {
     "nce.batch": "nce_batch",
     "nce.include_positive_in_sum": "nce_include_positive_in_sum",
     "mil.sigma_on_sum": "sigma_on_sum",
-    "priors.score_threshold": "score_threshold",
-    "priors.min_count_word": "min_count_word",
     "priors.use_captions": "caption_priors",
 }
 
@@ -97,8 +95,6 @@ class RunConfig:
     nce_include_positive_in_sum: bool = False
     label_source: str = "stored"  # stored | gt | captions
     caption_priors: bool = True
-    score_threshold: float = 0.5
-    min_count_word: int = 2
     nms_thresh: float = DEFAULT_NMS_THRESH
     min_score: float = 0.05
     inference_mode: str = "rgb"
@@ -114,8 +110,9 @@ class RunConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
         for name in ("lambda_mil", "lambda_nce", "lambda_ref"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not np.isfinite(value) or value < 0:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if self.nce_batch < 1:
             raise ConfigError("nce_batch must be >= 1")
         if self.proj_dim < 1:
@@ -127,14 +124,13 @@ class RunConfig:
             "refine_score_ratio",
             "attention_multiplier",
             "nms_thresh",
-            "score_threshold",
         ):
             check_fraction(name, getattr(self, name))
         check_fraction("min_score", self.min_score, upper_open=True)
-        if self.rho_init <= 0 or self.init_scale <= 0:
-            raise ConfigError("rho_init and init_scale must be positive")
-        if self.min_count_word < 1:
-            raise ConfigError("min_count_word must be >= 1")
+        for name in ("rho_init", "init_scale"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or value <= 0:
+                raise ConfigError(f"{name} must be finite and positive")
         if self.label_source not in ("stored", "gt", "captions"):
             raise ConfigError(
                 f"label_source must be stored|gt|captions, got {self.label_source!r}"
@@ -465,7 +461,6 @@ def train(
             mode=FusionMode.parse(config.inference_mode),
             min_score=config.min_score,
             nms_thresh=config.nms_thresh,
-            sigma_on_sum=config.sigma_on_sum,
         )
         report.eval_report = evaluate(
             dets,
@@ -483,7 +478,6 @@ def infer(
     mode: FusionMode = FusionMode.RGB_ONLY,
     min_score: float = 0.05,
     nms_thresh: float = DEFAULT_NMS_THRESH,
-    sigma_on_sum: bool = True,
 ) -> list[Detection]:
     """Score records and emit per-class, per-image NMS survivors.
 
@@ -497,9 +491,7 @@ def infer(
     model.check_against(feat_dim, model.dims.num_classes)
     out: list[Detection] = []
     for rec in records:
-        pack = fusion.forward(
-            rec, model.rgb_head, model.depth_head, mode, sigma_on_sum
-        )
+        pack = fusion.forward(rec, model.rgb_head, model.depth_head, mode)
         conf = pack.combined
         # Boxes are frozen, so every class group shares one per proposal.
         boxes = [Box(*row) for row in rec.proposals.tolist()]
@@ -557,7 +549,6 @@ def mining_precision(
             model.rgb_head,
             model.depth_head,
             FusionMode.FUSED if config.fusion else FusionMode.RGB_ONLY,
-            config.sigma_on_sum,
         )
         mask = masks[idx] if (masks is not None and config.depth_oicr) else None
         pseudo = refine.mine(

@@ -176,7 +176,7 @@ def top1_corloc(dets, gts_by_image, thresh):
     return hits / len(images)
 
 
-def infer_candidates(model, records, mode, min_score, nms_thresh, sigma_on_sum=True):
+def infer_candidates(model, records, mode, min_score, nms_thresh):
     """Literal inference: R·C fresh detections per image, then class-wise NMS.
 
     Every (proposal, class) pair gets its own validated ``Box`` and
@@ -185,9 +185,7 @@ def infer_candidates(model, records, mode, min_score, nms_thresh, sigma_on_sum=T
     """
     out = []
     for rec in records:
-        pack = fusion.forward(
-            rec, model.rgb_head, model.depth_head, mode, sigma_on_sum
-        )
+        pack = fusion.forward(rec, model.rgb_head, model.depth_head, mode)
         for cid in range(model.dims.num_classes):
             group = [
                 Detection(

@@ -126,12 +126,14 @@ def test_gen_data_env_seed(tmp_path, capsys, monkeypatch):
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     data, vocab = gen_small(capsys, tmp_path)
-    code, _, err = run(
-        capsys, "train",
-        "--data", str(data), "--vocab", str(vocab),
-        "--set", "does_not_exist=1",
-    )
-    assert code == 2 and "error:" in err
+    # The priors keys are not config: estimate-priors takes them as flags.
+    for key in ("does_not_exist", "priors.score_threshold", "priors.min_count_word"):
+        code, _, err = run(
+            capsys, "train",
+            "--data", str(data), "--vocab", str(vocab),
+            "--set", f"{key}=1",
+        )
+        assert code == 2 and f"unknown config key {key!r}" in err
 
 
 def test_missing_dataset_exit_3(tmp_path, capsys):
@@ -227,7 +229,7 @@ def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch, argv, env, message)
         ("evaluate", ["--nms-thresh", "nan"], "nms_thresh"),
         ("estimate-priors", ["--score-threshold", "nan"], "score_threshold"),
         ("estimate-priors", ["--score-threshold", "-0.1"], "score_threshold"),
-        ("train", ["--set", "priors.score_threshold=nan"], "score_threshold"),
+        ("train", ["--set", "nms_thresh=nan"], "nms_thresh"),
     ],
 )
 def test_bad_threshold_exit_2(tmp_path, capsys, command, option, field):
@@ -252,6 +254,29 @@ def test_bad_threshold_exit_2(tmp_path, capsys, command, option, field):
     }[command]
     code, _, err = run(capsys, command, *common, *extra, *option)
     assert code == 2 and f"{field} must lie in [0, 1" in err
+
+
+@pytest.mark.parametrize(
+    "command,option,message",
+    [
+        ("gen-data", ["--noise", "nan"], "noise must be finite"),
+        ("gen-data", ["--noise", "inf"], "noise must be finite"),
+        ("estimate-priors", ["--min-count-word", "0"], "min_count_word must be >= 1"),
+    ],
+)
+def test_bad_option_exit_2(tmp_path, capsys, command, option, message):
+    data, vocab = gen_small(capsys, tmp_path)
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text("", encoding="utf-8")
+    paths = {
+        "gen-data": ["--out", str(tmp_path / "g.jsonl"), "--vocab-out", str(vocab)],
+        "estimate-priors": [
+            "--data", str(data), "--vocab", str(vocab),
+            "--predictions", str(dets), "--out", str(tmp_path / "p.json"),
+        ],
+    }[command]
+    code, _, err = run(capsys, command, *paths, *option)
+    assert code == 2 and message in err
 
 
 def test_eval_data_uses_depth_map_sidecar(tmp_path, capsys):

@@ -16,7 +16,7 @@ from wsodkit.data import (
     extract_labels,
     load_dataset,
     load_depth_maps,
-    proposal_depth,
+    proposal_depths,
     record_from_json,
     record_to_json,
     save_dataset,
@@ -144,21 +144,23 @@ class TestDepthMap:
 
     def test_proposal_depth_constant(self):
         dm = DepthMap(4, 4, np.full((4, 4), 0.5))
-        assert proposal_depth(dm, Box(0.2, 0.7, 3.0, 3.1)) == pytest.approx(0.5)
+        got = proposal_depths(dm, np.array([[0.2, 0.7, 3.0, 3.1]]))
+        assert got[0] == pytest.approx(0.5)
 
     def test_proposal_depth_two_pixels(self):
         dm = DepthMap(2, 1, np.array([[0.2, 0.4]]))
-        assert proposal_depth(dm, Box(0.0, 0.0, 2.0, 1.0)) == pytest.approx(0.3)
+        got = proposal_depths(dm, np.array([[0.0, 0.0, 2.0, 1.0]]))
+        assert got[0] == pytest.approx(0.3)
 
     def test_proposal_depth_enumeration(self):
         dm = DepthMap(4, 4, (np.arange(16) / 16.0).reshape(4, 4))
-        got = proposal_depth(dm, Box(0.0, 0.0, 2.0, 2.0))
-        assert got == pytest.approx(0.15625, abs=1e-12)
+        got = proposal_depths(dm, np.array([[0.0, 0.0, 2.0, 2.0]]))
+        assert got[0] == pytest.approx(0.15625, abs=1e-12)
 
     def test_zero_coverage_raises(self):
         dm = DepthMap(4, 4, np.zeros((4, 4)))
         with pytest.raises(DegenerateRegionError):
-            proposal_depth(dm, Box(0.6, 0.6, 0.9, 0.9))
+            proposal_depths(dm, np.array([[0.6, 0.6, 0.9, 0.9]]))
 
 
 class TestRecordValidation:

@@ -97,14 +97,6 @@ class TestForward:
         rgb = fusion.forward(rec, rgb_head, depth_head, FusionMode.RGB_ONLY)
         assert np.array_equal(default.combined, rgb.combined)
 
-    def test_sigma_flag_passthrough(self, rng, heads):
-        rgb_head, depth_head = heads
-        rec = make_record(rng, "a", feat_dim=8)
-        on = fusion.forward(rec, rgb_head, depth_head, sigma_on_sum=True)
-        off = fusion.forward(rec, rgb_head, depth_head, sigma_on_sum=False)
-        assert (on.image_prob >= 0.5 - 1e-12).all()
-        assert not np.array_equal(on.image_prob, off.image_prob)
-
     def test_fusion_commutes(self, rng, heads):
         # Score-level addition makes the two orderings identical.
         rgb_head, depth_head = heads

@@ -155,7 +155,7 @@ class TestPriorStats:
         assert not stats.by_class_word
 
     def test_min_count_validated(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError, match="min_count_word"):
             PriorStats(min_count_word=0)
 
     def test_merge(self):

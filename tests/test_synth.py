@@ -214,6 +214,10 @@ class TestConfigValidation:
             dict(depth_bands=[(0.1, 0.2)]),
             dict(depth_bands=[(0.3, 0.2), (0.4, 0.5), (0.6, 0.7)]),
             dict(depth_bands=[(0.0, 0.5), (0.5, 1.1), (0.6, 0.7)]),
+            dict(noise=float("nan")),
+            dict(class_signal=float("inf")),
+            dict(background_scale=float("nan")),
+            dict(confuser_strength=float("-inf")),
         ],
     )
     def test_bad_config_rejected(self, kw):

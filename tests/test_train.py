@@ -66,6 +66,7 @@ class TestRunConfig:
             dict(momentum=1.0),
             dict(momentum=-0.1),
             dict(lambda_mil=-1.0),
+            dict(lambda_nce=float("nan")),
             dict(nce_batch=0),
             dict(proj_dim=0),
             dict(refine_branches=4),
@@ -73,12 +74,11 @@ class TestRunConfig:
             dict(min_score=1.0),
             dict(min_score=float("nan")),
             dict(nms_thresh=float("nan")),
-            dict(score_threshold=float("nan")),
-            dict(score_threshold=-0.1),
             dict(seed=-3),
             dict(rho_init=0.0),
             dict(init_scale=-1.0),
-            dict(min_count_word=0),
+            dict(rho_init=float("nan")),
+            dict(init_scale=float("inf")),
             dict(label_source="oracle"),
             dict(inference_mode="both"),
         ],
@@ -112,8 +112,6 @@ class TestRunConfig:
             ("nce.batch", "nce_batch", "16", 16),
             ("nce.include_positive_in_sum", "nce_include_positive_in_sum", "yes", True),
             ("mil.sigma_on_sum", "sigma_on_sum", "no", False),
-            ("priors.score_threshold", "score_threshold", "0.7", 0.7),
-            ("priors.min_count_word", "min_count_word", "3", 3),
             ("priors.use_captions", "caption_priors", "0", False),
         ],
     )
