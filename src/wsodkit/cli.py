@@ -177,7 +177,7 @@ def _cmd_extract_labels(args) -> int:
 
 def _cmd_estimate_priors(args) -> int:
     vocab, records, _ = _load_data(args)
-    predictions = load_detections(args.predictions)
+    predictions = load_detections(args.predictions, vocab)
     stats, _, coverage = estimate_priors(
         records,
         predictions,
@@ -241,7 +241,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     vocab, records, _ = _load_data(args)
-    dets = load_detections(args.detections)
+    dets = load_detections(args.detections, vocab)
     report = evaluate(
         dets, records, nms_thresh=args.nms_thresh, eleven_point=args.eleven_point
     )

@@ -19,11 +19,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from wsodkit import kernels
-from wsodkit.errors import (
-    DataError,
-    DegenerateRegionError,
-    ParseError,
-    ValidationError,
+from wsodkit.errors import DataError, DegenerateRegionError, ValidationError
+from wsodkit.jsonio import (
+    as_array,
+    as_float,
+    as_int,
+    as_type,
+    read_json,
+    read_jsonl,
+    require,
 )
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
@@ -79,8 +83,7 @@ class ClassVocabulary:
         for name in names:
             if not isinstance(name, str) or not name:
                 raise ValidationError(f"class name must be a nonempty string: {name!r}")
-            toks = tokenize(name)
-            if len(toks) != 1 or toks[0] != name:
+            if tokenize(name) != [name]:
                 raise ValidationError(
                     f"class name must be a single lowercase token: {name!r}"
                 )
@@ -95,8 +98,7 @@ class ClassVocabulary:
                 raise ValidationError(f"synonyms given for unknown class {name!r}")
             kept = []
             for s in syns:
-                toks = tokenize(s)
-                if len(toks) != 1 or toks[0] != s:
+                if not isinstance(s, str) or tokenize(s) != [s]:
                     raise ValidationError(
                         f"synonym must be a single lowercase token: {s!r}"
                     )
@@ -122,28 +124,23 @@ class ClassVocabulary:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ClassVocabulary":
-        try:
-            entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise DataError(f"cannot read vocabulary {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed vocabulary {path}: {e}") from e
-        if not isinstance(entries, list):
-            raise ValidationError(f"vocabulary {path} must be a JSON array")
+        entries = read_json(path, "vocabulary")
+        as_type(entries, list, f"vocabulary {path} must be a JSON array")
         by_id: dict[int, dict] = {}
         for entry in entries:
-            try:
-                cid = int(entry["id"])
-            except (TypeError, KeyError, ValueError) as e:
-                raise ValidationError(f"vocabulary entry missing id: {entry!r}") from e
+            missing = f"vocabulary entry missing id: {entry!r}"
+            cid = as_int(require(entry, "id", missing), missing)
             if cid in by_id:
                 raise ValidationError(f"duplicate class id {cid} in {path}")
             by_id[cid] = entry
         if sorted(by_id) != list(range(len(by_id))):
             raise ValidationError(f"class ids in {path} must be dense from 0")
         names = [by_id[i].get("name") for i in range(len(by_id))]
+        bad = f"synonyms in {path} must be JSON arrays"
         synonyms = {
-            by_id[i]["name"]: by_id[i].get("synonyms", []) for i in range(len(by_id))
+            name: as_type(by_id[i].get("synonyms", []), list, bad)
+            for i, name in enumerate(names)
+            if isinstance(name, str)
         }
         return cls(names, synonyms)
 
@@ -244,28 +241,8 @@ class ImageRecord:
         rid = self.image_id
         if not isinstance(rid, str) or not rid:
             raise ValidationError(f"image_id must be a nonempty string: {rid!r}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(
-                f"image {rid}: width/height must be positive, "
-                f"got {self.width}x{self.height}"
-            )
-        p = self.proposals
-        if p.ndim != 2 or p.shape[1] != 4 or p.shape[0] < 1:
-            raise ValidationError(f"image {rid}: proposals must have shape (R, 4)")
-        if not np.isfinite(p).all():
-            raise ValidationError(f"image {rid}: proposals contain non-finite values")
-        if (p < 0).any():
-            raise ValidationError(f"image {rid}: proposal coordinates must be >= 0")
-        if (p[:, 2] <= p[:, 0]).any() or (p[:, 3] <= p[:, 1]).any():
-            bad = int(
-                np.nonzero((p[:, 2] <= p[:, 0]) | (p[:, 3] <= p[:, 1]))[0][0]
-            )
-            raise ValidationError(
-                f"image {rid}: degenerate box at proposal {bad}: {p[bad].tolist()}"
-            )
-        if (p[:, 2] > self.width).any() or (p[:, 3] > self.height).any():
-            raise ValidationError(f"image {rid}: proposal exceeds image bounds")
-        r = p.shape[0]
+        _check_geometry(rid, self.width, self.height, self.proposals)
+        r = self.proposals.shape[0]
         for name, feats in (
             ("rgb_features", self.rgb_features),
             ("depth_features", self.depth_features),
@@ -292,17 +269,12 @@ class ImageRecord:
                 f"image {rid}: proposal_depths must be finite and in [0, 1]"
             )
         if num_classes is not None:
-            if self.labels is not None:
-                for cid in self.labels:
+            gt_classes = [cid for _, cid in self.gt_boxes or ()]
+            for what, ids in (("label", self.labels or ()), ("gt class", gt_classes)):
+                for cid in ids:
                     if not 0 <= cid < num_classes:
                         raise ValidationError(
-                            f"image {rid}: label {cid} outside 0..{num_classes - 1}"
-                        )
-            if self.gt_boxes is not None:
-                for _, cid in self.gt_boxes:
-                    if not 0 <= cid < num_classes:
-                        raise ValidationError(
-                            f"image {rid}: gt class {cid} outside 0..{num_classes - 1}"
+                            f"image {rid}: {what} {cid} outside 0..{num_classes - 1}"
                         )
 
     def gt_labels(self) -> set[int]:
@@ -312,11 +284,36 @@ class ImageRecord:
         return {cid for _, cid in self.gt_boxes}
 
 
+def _check_geometry(rid: str, width: int, height: int, p: np.ndarray) -> None:
+    """Positive image size and (R, 4) finite, nondegenerate in-bounds boxes."""
+    if width <= 0 or height <= 0:
+        raise ValidationError(
+            f"image {rid}: width/height must be positive, got {width}x{height}"
+        )
+    if p.ndim != 2 or p.shape[1] != 4 or p.shape[0] < 1:
+        raise ValidationError(f"image {rid}: proposals must have shape (R, 4)")
+    if not np.isfinite(p).all():
+        raise ValidationError(f"image {rid}: proposals contain non-finite values")
+    if (p < 0).any():
+        raise ValidationError(f"image {rid}: proposal coordinates must be >= 0")
+    if (p[:, 2] <= p[:, 0]).any() or (p[:, 3] <= p[:, 1]).any():
+        bad = int(np.nonzero((p[:, 2] <= p[:, 0]) | (p[:, 3] <= p[:, 1]))[0][0])
+        raise ValidationError(
+            f"image {rid}: degenerate box at proposal {bad}: {p[bad].tolist()}"
+        )
+    if (p[:, 2] > width).any() or (p[:, 3] > height).any():
+        raise ValidationError(f"image {rid}: proposal exceeds image bounds")
+
+
+def box_from_json(value, message: str) -> Box:
+    """A Box from a JSON array of four numbers."""
+    if not isinstance(value, list) or len(value) != 4:
+        raise ValidationError(message)
+    return Box(*[as_float(v, message) for v in value])
+
+
 def _floats_2d(raw, rid: str, name: str) -> np.ndarray:
-    try:
-        arr = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"image {rid}: {name} is not numeric") from e
+    arr = as_array(raw, f"image {rid}: {name} is not numeric")
     if arr.ndim == 1 and arr.size == 0:
         arr = arr.reshape(0, 0)
     if arr.ndim != 2:
@@ -326,16 +323,13 @@ def _floats_2d(raw, rid: str, name: str) -> np.ndarray:
 
 def record_from_json(obj: dict, depth_map: DepthMap | None = None) -> ImageRecord:
     """Build and validate an ImageRecord from one parsed JSONL object."""
-    if not isinstance(obj, dict):
-        raise ValidationError("record must be a JSON object")
+    obj = as_type(obj, dict, "record must be a JSON object")
     rid = obj.get("image_id")
     if not isinstance(rid, str) or not rid:
         raise ValidationError(f"image_id must be a nonempty string: {rid!r}")
-    try:
-        width = int(obj["width"])
-        height = int(obj["height"])
-    except (TypeError, KeyError, ValueError) as e:
-        raise ValidationError(f"image {rid}: width/height missing or invalid") from e
+    bad_size = f"image {rid}: width/height missing or invalid"
+    width = as_int(obj.get("width"), bad_size)
+    height = as_int(obj.get("height"), bad_size)
     proposals = _floats_2d(obj.get("proposals"), rid, "proposals")
     rgb = _floats_2d(obj.get("rgb_features"), rid, "rgb_features")
     depth = _floats_2d(obj.get("depth_features"), rid, "depth_features")
@@ -345,33 +339,25 @@ def record_from_json(obj: dict, depth_map: DepthMap | None = None) -> ImageRecor
             raise ValidationError(
                 f"image {rid}: proposal_depths missing and no depth map sidecar"
             )
+        _check_geometry(rid, width, height, proposals)
         pd = proposal_depths(depth_map, proposals)
     else:
-        try:
-            pd = np.array(raw_pd, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"image {rid}: proposal_depths not numeric") from e
-    caption = obj.get("caption")
-    if caption is not None and not isinstance(caption, str):
-        raise ValidationError(f"image {rid}: caption must be a string")
+        pd = as_array(raw_pd, f"image {rid}: proposal_depths not numeric")
+    bad = f"image {rid}: caption must be a string"
+    caption = as_type(obj.get("caption"), (str, type(None)), bad)
     labels = None
-    if "labels" in obj and obj["labels"] is not None:
-        try:
-            labels = {int(x) for x in obj["labels"]}
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"image {rid}: labels must be integers") from e
+    if obj.get("labels") is not None:
+        bad = f"image {rid}: labels must be integers"
+        labels = {as_int(x, bad) for x in as_type(obj["labels"], list, bad)}
     gt_boxes = None
-    if "gt_boxes" in obj and obj["gt_boxes"] is not None:
+    if obj.get("gt_boxes") is not None:
+        bad = f"image {rid}: gt_boxes entries must be [x1,y1,x2,y2,class_id]"
         gt_boxes = []
-        for entry in obj["gt_boxes"]:
-            try:
-                x1, y1, x2, y2, cid = entry
-            except (TypeError, ValueError) as e:
-                raise ValidationError(
-                    f"image {rid}: gt_boxes entries must be [x1,y1,x2,y2,class_id]"
-                ) from e
-            gt_boxes.append((Box(float(x1), float(y1), float(x2), float(y2)), int(cid)))
-    rec = ImageRecord(
+        for entry in as_type(obj["gt_boxes"], list, bad):
+            if not isinstance(entry, list) or len(entry) != 5:
+                raise ValidationError(bad)
+            gt_boxes.append((box_from_json(entry[:4], bad), as_int(entry[4], bad)))
+    return ImageRecord(
         image_id=rid,
         width=width,
         height=height,
@@ -384,7 +370,6 @@ def record_from_json(obj: dict, depth_map: DepthMap | None = None) -> ImageRecor
         gt_boxes=gt_boxes,
         depth_map=depth_map,
     )
-    return rec
 
 
 def record_to_json(rec: ImageRecord) -> dict:
@@ -412,79 +397,48 @@ def record_to_json(rec: ImageRecord) -> dict:
 def load_depth_maps(path: str | Path) -> dict[str, DepthMap]:
     """Load a depth-map sidecar: JSONL of image_id, width, height, values."""
     maps: dict[str, DepthMap] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read depth maps {path}: {e}") from e
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                raise ParseError(f"{path}: line {lineno}: empty line")
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: {e}") from e
-            try:
-                rid = obj["image_id"]
-                width = int(obj["width"])
-                height = int(obj["height"])
-                values = np.array(obj["values"], dtype=np.float64).reshape(
-                    height, width
-                )
-            except (TypeError, KeyError, ValueError) as e:
-                raise ValidationError(
-                    f"{path}: line {lineno}: bad depth map entry"
-                ) from e
-            if rid in maps:
-                raise ValidationError(f"{path}: duplicate depth map for {rid!r}")
-            maps[rid] = DepthMap(width=width, height=height, values=values)
+    for lineno, obj in read_jsonl(path, "depth maps"):
+        bad = f"{path}: line {lineno}: bad depth map entry"
+        rid = as_type(require(obj, "image_id", bad), str, bad)
+        width = as_int(obj.get("width"), bad)
+        height = as_int(obj.get("height"), bad)
+        values = as_array(require(obj, "values", bad), bad)
+        if width <= 0 or height <= 0 or values.size != width * height:
+            raise ValidationError(bad)
+        if rid in maps:
+            raise ValidationError(f"{path}: duplicate depth map for {rid!r}")
+        maps[rid] = DepthMap(width, height, values.reshape(height, width))
     return maps
 
 
 def load_dataset(
     path: str | Path,
     vocab: ClassVocabulary | None = None,
-    depth_maps: Mapping[str, DepthMap] | str | Path | None = None,
+    depth_maps: Mapping[str, DepthMap] | None = None,
 ) -> list[ImageRecord]:
     """Load a JSONL dataset; every line must be one valid record.
 
-    When ``depth_maps`` is given (mapping or sidecar path), records lacking
-    ``proposal_depths`` get them pooled from their depth map; records that
-    already carry depths keep them.
+    When ``depth_maps`` is given, records lacking ``proposal_depths`` get
+    them pooled from their depth map; records that already carry depths
+    keep them.
     """
-    if depth_maps is not None and not isinstance(depth_maps, Mapping):
-        depth_maps = load_depth_maps(depth_maps)
     records: list[ImageRecord] = []
     seen: set[str] = set()
     num_classes = len(vocab) if vocab is not None else None
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read dataset {path}: {e}") from e
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise ParseError(f"{path}: line {lineno}: empty line")
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: {e}") from e
-            dm = None
-            if depth_maps is not None and isinstance(obj, dict):
-                dm = depth_maps.get(obj.get("image_id"))
-            try:
-                rec = record_from_json(obj, depth_map=dm)
-                rec.validate(num_classes)
-            except DataError as e:
-                raise type(e)(f"{path}: line {lineno}: {e}") from e
-            if rec.image_id in seen:
-                raise ValidationError(
-                    f"{path}: line {lineno}: duplicate image_id {rec.image_id!r}"
-                )
-            seen.add(rec.image_id)
-            records.append(rec)
+    for lineno, obj in read_jsonl(path, "dataset"):
+        rid = obj.get("image_id") if isinstance(obj, dict) else None
+        dm = depth_maps.get(rid) if depth_maps and isinstance(rid, str) else None
+        try:
+            rec = record_from_json(obj, depth_map=dm)
+            rec.validate(num_classes)
+        except DataError as e:
+            raise type(e)(f"{path}: line {lineno}: {e}") from e
+        if rec.image_id in seen:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate image_id {rec.image_id!r}"
+            )
+        seen.add(rec.image_id)
+        records.append(rec)
     if not records:
         raise DataError(f"{path}: dataset is empty")
     return records

@@ -25,8 +25,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from wsodkit import kernels
-from wsodkit.data import Box, ImageRecord
+from wsodkit.data import Box, ClassVocabulary, ImageRecord, box_from_json
 from wsodkit.errors import ConfigError, ParseError, ValidationError
+from wsodkit.jsonio import as_float, as_int, as_type, read_jsonl, require
 
 DEFAULT_NMS_THRESH = 0.5
 IOU_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -80,39 +81,25 @@ def save_detections(dets: Iterable[Detection], path: str | Path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def load_detections(path: str | Path) -> list[Detection]:
+def load_detections(
+    path: str | Path, vocab: ClassVocabulary | None = None
+) -> list[Detection]:
+    """Read detections JSONL; class ids must lie in ``vocab`` when given."""
     dets: list[Detection] = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read detections {path}: {e}") from e
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise ParseError(f"{path}: line {lineno}: empty line")
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: {e}") from e
-            try:
-                box = Box(*[float(v) for v in obj["box"]])
-                score = float(obj["score"])
-                # json.loads accepts the NaN and Infinity literals.
-                if not math.isfinite(score):
-                    raise ValidationError(
-                        f"{path}: line {lineno}: non-finite score {score}"
-                    )
-                dets.append(
-                    Detection(
-                        image_id=str(obj["image_id"]),
-                        class_id=int(obj["class_id"]),
-                        box=box,
-                        score=score,
-                    )
-                )
-            except (TypeError, KeyError, ValueError) as e:
-                raise ValidationError(f"{path}: line {lineno}: bad detection") from e
+    for lineno, obj in read_jsonl(path, "detections", ParseError):
+        bad = f"{path}: line {lineno}: bad detection"
+        box = box_from_json(require(obj, "box", bad), bad)
+        score = as_float(obj.get("score"), bad)
+        # json.loads accepts the NaN and Infinity literals.
+        if not math.isfinite(score):
+            raise ValidationError(f"{path}: line {lineno}: non-finite score {score}")
+        image_id = as_type(obj.get("image_id"), str, bad)
+        cid = as_int(obj.get("class_id"), bad)
+        if vocab is not None and not 0 <= cid < len(vocab):
+            raise ValidationError(
+                f"{path}: line {lineno}: class {cid} outside 0..{len(vocab) - 1}"
+            )
+        dets.append(Detection(image_id, cid, box, score))
     return dets
 
 

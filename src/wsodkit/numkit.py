@@ -7,13 +7,14 @@ tape. All arrays are plain numpy float64.
 
 from __future__ import annotations
 
-import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from wsodkit.errors import CheckpointError, OptimizerError, ShapeError
+from wsodkit.jsonio import as_array, as_int, as_type, read_json, require
 
 # Probabilities are clamped to [LOG_EPS, 1 - LOG_EPS] before any log.
 LOG_EPS = 1e-7
@@ -157,24 +158,20 @@ def save_checkpoint(params: Iterable[Param], path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint written by save_checkpoint."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
-    if not isinstance(obj, dict):
-        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+    obj = read_json(path, "checkpoint", CheckpointError, CheckpointError)
+    as_type(obj, dict, f"checkpoint {path} is not a JSON object", CheckpointError)
     out: dict[str, np.ndarray] = {}
     for name, entry in obj.items():
-        try:
-            shape = tuple(int(d) for d in entry["shape"])
-            values = np.array(entry["values"], dtype=np.float64)
-        except (TypeError, KeyError, ValueError) as e:
-            raise CheckpointError(f"bad entry {name!r} in checkpoint {path}") from e
-        if values.size != int(np.prod(shape, dtype=np.int64)):
+        bad = f"bad entry {name!r} in checkpoint {path}"
+        raw_values = require(entry, "values", bad, CheckpointError)
+        dims = as_type(entry.get("shape"), list, bad, CheckpointError)
+        shape = tuple(as_int(d, bad, CheckpointError) for d in dims)
+        values = as_array(raw_values, bad, CheckpointError)
+        if min(shape, default=0) < 0 or values.size != math.prod(shape):
             raise CheckpointError(
                 f"entry {name!r} has {values.size} values for shape {shape}"
             )
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"entry {name!r} has non-finite values")
         out[name] = values.reshape(shape)
     return out

@@ -20,8 +20,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from wsodkit.data import ClassVocabulary, ImageRecord, proposal_depths, tokenize
-from wsodkit.errors import ConfigError, DataError, ParseError, ValidationError
+from wsodkit.errors import ConfigError, DataError, ValidationError
 from wsodkit.evaluate import Detection, check_fraction
+from wsodkit.jsonio import as_finite, as_int, as_type, read_json, require
 
 DEFAULT_SCORE_THRESHOLD = 0.5
 DEFAULT_MIN_COUNT_WORD = 2
@@ -198,29 +199,28 @@ class FrozenPriors:
 
     @classmethod
     def load(cls, path: str | Path) -> "FrozenPriors":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise DataError(f"cannot read priors file {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed priors file {path}: {e}") from e
-        try:
-            min_count = int(obj["min_count"])
-            by_class = {}
-            for cid, entry in obj["by_class"].items():
-                m = _moments_from_entry(entry)
-                r = freeze_range(m, MIN_COUNT_CLASS)
-                if r is not None:
-                    by_class[int(cid)] = r
-            by_class_word = {}
-            for key, entry in obj["by_class_word"].items():
-                cid, _, word = key.partition("|")
-                m = _moments_from_entry(entry)
-                r = freeze_range(m, min_count)
-                if r is not None:
-                    by_class_word[(int(cid), word)] = r
-        except (TypeError, KeyError, ValueError) as e:
-            raise ValidationError(f"bad priors file {path}: {e}") from e
+        obj = read_json(path, "priors file")
+        bad = f"bad priors file {path}"
+        min_count = as_int(require(obj, "min_count", bad), f"{bad}: min_count")
+        by_class, by_class_word = {}, {}
+        sections = (("by_class", MIN_COUNT_CLASS), ("by_class_word", min_count))
+        for section, threshold in sections:
+            entries = as_type(obj.get(section), dict, f"{bad}: {section} not an object")
+            # Every entry is checked, also those below the threshold.
+            for key, entry in entries.items():
+                where = f"{bad}: {section} entry {key!r}"
+                count = as_int(require(entry, "count", where), where)
+                std = as_finite(entry.get("std"), where)
+                mu = as_finite(entry.get("mean"), where)
+                m = RunningMoments(count=count, mu=mu, m2=std * std * count)
+                r = freeze_range(m, threshold)
+                if r is None:
+                    continue
+                if section == "by_class":
+                    by_class[as_int(key, where)] = r
+                else:
+                    cid, _, word = key.partition("|")
+                    by_class_word[(as_int(cid, where), word)] = r
         return cls(by_class, by_class_word)
 
     def image_range(self, class_id: int, caption: str | None) -> DepthRange | None:
@@ -269,12 +269,6 @@ def depth_mask(
         )
         values[:, c] = inside.astype(np.uint8)
     return DepthMask(values=values, defined_classes=defined)
-
-
-def _moments_from_entry(entry: dict) -> RunningMoments:
-    count = int(entry["count"])
-    std = float(entry["std"])
-    return RunningMoments(count=count, mu=float(entry["mean"]), m2=std * std * count)
 
 
 def _resolve_depth(pred: Detection, record: ImageRecord) -> float | None:

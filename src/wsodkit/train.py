@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from wsodkit import contrastive, fusion, milhead, refine
+from wsodkit import contrastive, fusion, kernels, milhead, refine
 from wsodkit.data import ClassVocabulary, ImageRecord, extract_labels
 from wsodkit.errors import ConfigError, DataError
 from wsodkit.evaluate import (
@@ -34,6 +34,7 @@ from wsodkit.evaluate import (
     nms_detections,
 )
 from wsodkit.fusion import FusionMode
+from wsodkit.jsonio import as_float, as_int, as_type, read_json
 from wsodkit.model import ModelDims, ModelParams
 from wsodkit.numkit import SGD
 from wsodkit.priors import FrozenPriors, depth_mask
@@ -149,10 +150,8 @@ class RunConfig:
         raw = os.environ.get(SEED_ENV_VAR)
         if raw is None or raw == "":
             return self.seed
-        try:
-            seed = int(raw)
-        except ValueError as e:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from e
+        message = f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
+        seed = as_int(raw, message, ConfigError)
         if seed < 0:
             raise ConfigError(f"{SEED_ENV_VAR} must be >= 0, got {raw!r}")
         return seed
@@ -172,14 +171,9 @@ class RunConfig:
         """Build from an optional JSON file plus ``key=value`` overrides."""
         cfg = cls()
         if config_path is not None:
-            try:
-                raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except OSError as e:
-                raise ConfigError(f"cannot read config {config_path}: {e}") from e
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"malformed config {config_path}: {e}") from e
-            if not isinstance(raw, dict):
-                raise ConfigError(f"config {config_path} must be a JSON object")
+            raw = read_json(config_path, "config", ConfigError, ConfigError)
+            message = f"config {config_path} must be a JSON object"
+            as_type(raw, dict, message, ConfigError)
             for key, value in raw.items():
                 cfg = cfg._with_key(key, value)
         for item in overrides:
@@ -195,15 +189,12 @@ class RunConfig:
         fields = {f.name: f for f in dataclasses.fields(self)}
         if name not in fields:
             raise ConfigError(f"unknown config key {key!r}")
-        target = fields[name].type
-        try:
-            coerced = _coerce(value, target)
-        except ValueError as e:
-            raise ConfigError(f"bad value for {key!r}: {e}") from e
+        coerced = _coerce(key, value, fields[name].type)
         return dataclasses.replace(self, **{name: coerced})
 
 
-def _coerce(value, target_type: str):
+def _coerce(key: str, value, target_type: str):
+    """``value`` as a config field of type ``target_type``, or a ConfigError."""
     if target_type == "bool":
         if isinstance(value, bool):
             return value
@@ -212,14 +203,12 @@ def _coerce(value, target_type: str):
             return True
         if text in ("0", "false", "off", "no"):
             return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    if target_type == "int":
-        return int(value)
-    if target_type == "float":
-        return float(value)
+        raise ConfigError(f"bad value for {key!r}: expected a boolean, got {value!r}")
     if target_type == "str":
         return str(value)
-    raise ValueError(f"unsupported config field type {target_type}")
+    convert = as_int if target_type == "int" else as_float
+    message = f"bad value for {key!r}: expected {target_type}, got {value!r}"
+    return convert(value, message, ConfigError)
 
 
 @dataclass
@@ -539,8 +528,6 @@ def mining_precision(
     masks = _record_masks(records, priors, num_classes, config)
     total = 0
     hits = 0
-    from wsodkit import kernels
-
     for idx, rec in enumerate(records):
         if not labels[idx] or not rec.gt_boxes:
             continue

@@ -4,9 +4,16 @@ Everything runs in-process through main() so exit codes and stdout are
 observable without spawning subprocesses.
 """
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from wsodkit.cli import main
 
@@ -300,3 +307,219 @@ def test_eval_data_uses_depth_map_sidecar(tmp_path, capsys):
         "--set", "epochs=1", "--quiet",
     )
     assert code == 0, err
+
+
+class _Missing:
+    def __repr__(self):
+        return "MISSING"
+
+
+MISSING = _Missing()
+INF = float("inf")
+# Replacements a fuzzed field may take; MISSING deletes the key.
+REPLACEMENTS = (INF, float("nan"), [""], {"": ""}, "", MISSING)
+# Keys whose deletion still leaves a valid file.
+OPTIONAL_KEYS = {
+    "dataset": {"caption", "labels", "gt_boxes"},
+    "dataset+sidecar": {"caption", "labels", "gt_boxes"},
+    "vocab": {"synonyms"},
+    "config": {"epochs"},
+}
+JSONL_TARGETS = ("dataset", "dataset+sidecar", "sidecar", "detections")
+FUZZ_TARGETS = JSONL_TARGETS + ("vocab", "priors", "checkpoint", "config")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A tiny valid input of every kind the CLI reads, as parsed JSON."""
+    d = tmp_path_factory.mktemp("valid")
+    data, vocab = d / "d.jsonl", d / "v.json"
+    out = io.StringIO()
+
+    def ok(*argv):
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0
+
+    ok(
+        "gen-data", "--out", str(data), "--vocab-out", str(vocab), "--images", "3",
+        "--classes", "2", "--proposals", "4", "--feat-dim", "2",
+        "--image-size", "16", "--seed", "0",
+    )
+    common = ["--data", str(data), "--vocab", str(vocab)]
+    ok("train", *common, "--set", "epochs=0", "--quiet",
+       "--checkpoint-out", str(d / "m.ckpt"))
+    ok("infer", "--checkpoint", str(d / "m.ckpt"), *common,
+       "--out", str(d / "dets.jsonl"), "--min-score", "0.0")
+    ok("estimate-priors", *common, "--predictions", str(d / "dets.jsonl"),
+       "--out", str(d / "p.json"), "--score-threshold", "0.0")
+
+    def read(name):
+        text = (d / name).read_text()
+        if name.endswith(".jsonl"):
+            return [json.loads(line) for line in text.splitlines()]
+        return json.loads(text)
+
+    records = read("d.jsonl")
+    bare = [{k: v for k, v in r.items() if k != "proposal_depths"} for r in records]
+    sidecar = [
+        {"image_id": r["image_id"], "width": r["width"], "height": r["height"],
+         "values": [[0.5] * r["width"]] * r["height"]}
+        for r in records
+    ]
+    return {
+        "dataset": records,
+        "dataset+sidecar": bare,
+        "sidecar": sidecar,
+        "detections": read("dets.jsonl"),
+        "vocab": read("v.json"),
+        "priors": read("p.json"),
+        "checkpoint": read("m.ckpt"),
+        "config": {"epochs": 0},
+    }
+
+
+def _mutate(doc, steps, value):
+    """Replace the field that ``steps`` lead to and return its key path.
+
+    A string step is a key; an integer step picks a child modulo the
+    container's size (keys in sorted order), so any integers name a field.
+    Returns None when there is no field to change.
+    """
+    parent, path = None, ()
+    for step in steps:
+        if isinstance(doc, dict) and doc:
+            key = step if isinstance(step, str) else sorted(doc)[step % len(doc)]
+        elif isinstance(doc, list) and doc:
+            key = step % len(doc)
+        else:
+            break
+        parent, path, doc = doc, path + (key,), doc[key]
+    if parent is None or (value is MISSING and not isinstance(parent, dict)):
+        return None
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return path
+
+
+def _accepted(target, path, value):
+    """Whether a field change still leaves a valid file."""
+    if value is MISSING:
+        # Dropping one moment entry of a priors file is valid too.
+        return path[-1] in OPTIONAL_KEYS.get(target, ()) or (
+            target == "priors" and len(path) == 2
+        )
+    return target.startswith("dataset") and path[-1] == "caption" and value == ""
+
+
+def _cut_offsets(text):
+    # Cuts that leave a partial last line or document, never a whole one.
+    return [k for k in range(1, len(text)) if "\n" not in text[k - 1:k + 1]]
+
+
+def _run_mutated(inputs, directory, target, where, change):
+    docs = copy.deepcopy(inputs)
+    if where == "cut":
+        text = _serialize(target, docs[target])
+        offsets = _cut_offsets(text)
+        text = text[:offsets[change % len(offsets)]]
+    elif where == "byte":
+        # Written back with surrogateescape, this is the byte 0xff: no UTF-8.
+        text = _serialize(target, docs[target])
+        k = change % (len(text) + 1)
+        text = text[:k] + "\udcff" + text[k:]
+    else:
+        path = _mutate(docs[target], where, change)
+        if path is None or _accepted(target, path, change):
+            return None
+        text = _serialize(target, docs[target])
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = directory / name.replace("+", "_")
+        paths[name].write_text(
+            text if name == target else _serialize(name, doc),
+            encoding="utf-8",
+            errors="surrogateescape",
+        )
+    data = paths["dataset+sidecar" if target in ("dataset+sidecar", "sidecar")
+                 else "dataset"]
+    common = ["--data", str(data), "--vocab", str(paths["vocab"])]
+    if target in ("dataset+sidecar", "sidecar"):
+        common += ["--depth-maps", str(paths["sidecar"])]
+    if target == "checkpoint":
+        argv = ["infer", "--checkpoint", str(paths["checkpoint"]), *common,
+                "--out", str(directory / "out.jsonl")]
+    elif target in ("priors", "config"):
+        argv = ["train", *common, "--priors", str(paths["priors"]),
+                "--config", str(paths["config"]), "--quiet"]
+    else:
+        argv = ["estimate-priors", *common,
+                "--predictions", str(paths["detections"]),
+                "--out", str(directory / "out.json"), "--score-threshold", "0.0"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _serialize(target, doc):
+    if target in JSONL_TARGETS:
+        return "".join(json.dumps(obj) + "\n" for obj in doc)
+    return json.dumps(doc)
+
+
+FIELD = st.tuples(
+    st.lists(st.integers(0, 63), min_size=1, max_size=4).map(tuple),
+    st.sampled_from(REPLACEMENTS),
+)
+# A file cut short, or one byte that is not UTF-8 inserted, at an offset.
+SPLICE = st.tuples(st.sampled_from(("cut", "byte")), st.integers(0, 1 << 16))
+
+
+@given(target=st.sampled_from(FUZZ_TARGETS), mutation=st.one_of(FIELD, SPLICE))
+# Inputs that ended in a traceback before every reader was checked.
+@example(target="dataset", mutation=((0, "width"), INF))
+@example(target="dataset", mutation=((0, "labels"), [INF]))
+@example(target="dataset", mutation=((0, "gt_boxes"), 5))
+@example(target="dataset", mutation=((0, "gt_boxes", 0, 4), INF))
+@example(target="dataset+sidecar", mutation=((0, "image_id"), ["img00000"]))
+@example(target="dataset+sidecar", mutation=((0, "proposals"), [[1, 1, 2, 2, 0]] * 4))
+@example(target="sidecar", mutation=((0, "width"), INF))
+@example(target="sidecar", mutation=((0, "image_id"), ["img00000"]))
+@example(target="vocab", mutation=((0, "id"), INF))
+@example(target="vocab", mutation=((0, "synonyms"), 5))
+@example(target="detections", mutation=((0, "class_id"), INF))
+@example(target="priors", mutation=(("by_class",), []))
+@example(target="priors", mutation=(("by_class", "0", "count"), INF))
+@example(target="checkpoint", mutation=(("rgb.det.w", "shape", 0), INF))
+@example(target="config", mutation=(("epochs",), INF))
+@example(target="config", mutation=(("epochs",), [1]))
+@example(target="dataset", mutation=((0, "gt_boxes", 0, 0), [""]))
+@example(target="vocab", mutation=((0, "name"), MISSING))
+@example(target="vocab", mutation=((0, "name"), {"": ""}))
+@example(target="vocab", mutation=((0, "synonyms", 0), INF))
+@example(target="priors", mutation=(("min_count",), INF))
+@example(target="priors", mutation=(("by_class_word",), ""))
+@example(target="dataset", mutation=((0, "width"), 10**400))
+@example(target="priors", mutation=(("by_class", "0", "count"), 10**400))
+@example(target="detections", mutation=((0, "class_id"), 5))
+@example(target="dataset", mutation=("byte", 0))
+@example(target="vocab", mutation=("byte", 0))
+@example(target="config", mutation=("byte", 0))
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_mutated_input_exits_cleanly(valid_inputs, tmp_path, target, mutation):
+    # One field replaced, the file cut short or one bad byte inserted in an
+    # otherwise valid input: the CLI reports it with exit 2 (config) or 3.
+    with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+        outcome = _run_mutated(valid_inputs, Path(directory), target, *mutation)
+    assume(outcome is not None)
+    code, err = outcome
+    assert code == (2 if target == "config" else 3), err
+    assert err.startswith("error: ")

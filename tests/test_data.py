@@ -320,7 +320,7 @@ class TestDepthSidecar:
             )
             + "\n"
         )
-        recs = load_dataset(data_path, depth_maps=dm_path)
+        recs = load_dataset(data_path, depth_maps=load_depth_maps(dm_path))
         assert np.allclose(recs[0].proposal_depths, 0.25)
 
     def test_precomputed_depths_win(self, tmp_path, rng):
