@@ -22,6 +22,7 @@ from wsodkit.data import (
 )
 from wsodkit.errors import ConfigError, DataError, WsodkitError
 from wsodkit.evaluate import (
+    DEFAULT_NMS_THRESH,
     evaluate,
     format_table,
     load_detections,
@@ -29,7 +30,12 @@ from wsodkit.evaluate import (
 )
 from wsodkit.fusion import FusionMode
 from wsodkit.model import ModelParams
-from wsodkit.priors import FrozenPriors, estimate_priors
+from wsodkit.priors import (
+    DEFAULT_MIN_COUNT_WORD,
+    DEFAULT_SCORE_THRESHOLD,
+    FrozenPriors,
+    estimate_priors,
+)
 from wsodkit.train import RunConfig, infer, run_ablation, train
 
 
@@ -70,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True, help="detections JSONL")
     p.add_argument("--out", required=True, help="priors JSON to write")
     p.add_argument("--depth-maps", default=None, help="optional depth-map JSONL")
-    p.add_argument("--score-threshold", type=float, default=0.5)
-    p.add_argument("--min-count-word", type=int, default=2)
+    p.add_argument("--score-threshold", type=float, default=DEFAULT_SCORE_THRESHOLD)
+    p.add_argument("--min-count-word", type=int, default=DEFAULT_MIN_COUNT_WORD)
 
     p = sub.add_parser("train", help="train a detector")
     _add_training_args(p)
@@ -85,18 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="detections JSONL to write")
     p.add_argument(
         "--inference-mode",
-        choices=["rgb", "fused", "depth"],
-        default="rgb",
+        choices=[mode.value for mode in FusionMode],
+        default=RunConfig.inference_mode,
     )
-    p.add_argument("--min-score", type=float, default=0.05)
-    p.add_argument("--nms-thresh", type=float, default=0.5)
+    p.add_argument("--min-score", type=float, default=RunConfig.min_score)
+    p.add_argument("--nms-thresh", type=float, default=DEFAULT_NMS_THRESH)
 
     p = sub.add_parser("evaluate", help="score stored detections against a dataset")
     p.add_argument("--detections", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--report-out", default=None)
-    p.add_argument("--nms-thresh", type=float, default=0.5)
+    p.add_argument("--nms-thresh", type=float, default=DEFAULT_NMS_THRESH)
     p.add_argument("--eleven-point", action="store_true")
 
     p = sub.add_parser("ablation", help="train the component ladder and tabulate")
@@ -230,7 +236,7 @@ def _cmd_infer(args) -> int:
     dets = infer(
         model,
         records,
-        mode=FusionMode.parse(args.inference_mode),
+        mode=FusionMode(args.inference_mode),
         min_score=args.min_score,
         nms_thresh=args.nms_thresh,
     )

@@ -60,25 +60,19 @@ def pool_features(features: np.ndarray) -> np.ndarray:
     return features.mean(axis=0)
 
 
-def _direction(s: np.ndarray, include_positive: bool) -> tuple[float, np.ndarray]:
+def _direction(s: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss of one direction and its gradient with respect to ``s``.
 
     Rows of ``s`` are anchors and the diagonal holds the positive pairs;
-    the loss is ``mean_i [log denom_i - s_ii]``.
+    the loss is ``mean_i [log sum_j exp(s_ij) - s_ii]``.
     """
     n = s.shape[0]
     m = s.max(axis=1, keepdims=True)
     e = np.exp(s - m)
     z = e.sum(axis=1, keepdims=True)
-    if include_positive:
-        diag_e = np.exp(np.diag(s) - m[:, 0])
-        z = z + diag_e[:, None]
     loss = float((m[:, 0] + np.log(z[:, 0]) - np.diag(s)).mean())
     g = e / z
-    if include_positive:
-        g[np.arange(n), np.arange(n)] += diag_e / z[:, 0] - 1.0
-    else:
-        g[np.arange(n), np.arange(n)] -= 1.0
+    g[np.arange(n), np.arange(n)] -= 1.0
     return loss, g / n
 
 
@@ -86,7 +80,6 @@ def nce_chain(
     pooled_rgb: np.ndarray,
     pooled_depth: np.ndarray,
     proj: ProjectionParams,
-    include_positive: bool = False,
     grad_scale: float = 0.0,
 ) -> float:
     """Forward and backward through projection, normalization, and the loss.
@@ -94,9 +87,7 @@ def nce_chain(
     ``pooled_rgb`` and ``pooled_depth`` are (B, d) image-level features.
     Each pair's positive similarity is contrasted against that anchor's
     similarities to the other modality's batch entries, and both directions
-    are averaged; with a single pair and the standard denominator the loss
-    is exactly zero. ``include_positive`` switches to the variant whose
-    denominator counts the positive pair twice.
+    are averaged; with a single pair the loss is exactly zero.
     With ``grad_scale`` nonzero, gradients of ``grad_scale * loss`` are
     accumulated into the projection parameters (weights, bias, temperature).
     """
@@ -113,8 +104,8 @@ def nce_chain(
     e_d = z_d / n_d
     dot = e_r @ e_d.T
     s = dot / rho
-    loss_r, g_r = _direction(s, include_positive)
-    loss_d, g_d = _direction(s.T, include_positive)
+    loss_r, g_r = _direction(s)
+    loss_d, g_d = _direction(s.T)
     loss = 0.5 * (loss_r + loss_d)
 
     if grad_scale != 0.0:

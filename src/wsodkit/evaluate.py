@@ -346,15 +346,13 @@ def evaluate(
     iou_thresholds: Sequence[float] = IOU_GRID,
     nms_thresh: float = DEFAULT_NMS_THRESH,
     eleven_point: bool = False,
-    area_small_max: float = AREA_SMALL_MAX,
-    area_medium_max: float = AREA_MEDIUM_MAX,
 ) -> EvalReport:
     """Score detections against record ground truth.
 
     CorLoc reads the raw detections; AP sees them after per-image,
     per-class NMS. Classes with no ground-truth box anywhere are excluded
     from every mean. Area buckets partition ground truth by box area at
-    ``area_small_max`` and ``area_medium_max``; detections over an
+    ``AREA_SMALL_MAX`` and ``AREA_MEDIUM_MAX``; detections over an
     out-of-bucket object are discarded rather than penalized.
     """
     check_fraction("nms_thresh", nms_thresh)
@@ -411,8 +409,8 @@ def evaluate(
         split: dict[str, tuple[dict, dict]] = {b: ({}, {}) for b in AREA_BUCKETS}
         for iid, boxes in gts[cid].items():
             areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-            small = areas < area_small_max
-            medium = ~small & (areas < area_medium_max)
+            small = areas < AREA_SMALL_MAX
+            medium = ~small & (areas < AREA_MEDIUM_MAX)
             for bucket, inb in zip(AREA_BUCKETS, (small, medium, ~small & ~medium)):
                 eligible, ignored = split[bucket]
                 eligible[iid] = boxes[inb]

@@ -22,13 +22,6 @@ class FusionMode(enum.Enum):
     FUSED = "fused"
     DEPTH_ONLY = "depth"
 
-    @classmethod
-    def parse(cls, text: str) -> "FusionMode":
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise ValueError(f"unknown inference mode {text!r}")
-
 
 def forward(
     record: ImageRecord,

@@ -70,7 +70,15 @@ def require(obj, key: str, message: str, error=ValidationError):
 
 
 def as_int(value, message: str, error=ValidationError) -> int:
-    """``int(value)``, where that converts and lies in a double's range."""
+    """``int(value)``, where that converts and lies in a double's range.
+
+    A boolean or a float with a fractional part is not an integer, so it is
+    refused rather than truncated; an integral float such as ``2.0`` passes.
+    """
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise error(message)
     try:
         out = int(value)
         float(out)  # a larger integer overflows the float arithmetic it meets

@@ -68,9 +68,8 @@ class ScorePack:
     ``det_prob`` columns each sum to 1 (softmax over proposals per class),
     ``cls_prob`` rows each sum to 1 (softmax over classes per proposal),
     ``combined`` is their product, ``attended`` is ``combined`` times the
-    optional attention multipliers (``combined`` itself without them),
-    ``total`` is the column sum of ``attended``, and ``image_prob[c]``
-    squashes ``total[c]``.
+    optional attention multipliers (``combined`` itself without them), and
+    ``image_prob[c]`` squashes the sum of column c of ``attended``.
     """
 
     det_scores: np.ndarray
@@ -79,7 +78,6 @@ class ScorePack:
     cls_prob: np.ndarray
     combined: np.ndarray
     attended: np.ndarray
-    total: np.ndarray
     image_prob: np.ndarray
 
 
@@ -92,7 +90,6 @@ def score(features: np.ndarray, head: HeadParams) -> tuple[np.ndarray, np.ndarra
 
 def forward(
     streams: Sequence[tuple[np.ndarray, HeadParams]],
-    sigma_on_sum: bool = True,
     attention: np.ndarray | None = None,
 ) -> ScorePack:
     """Score one image: raw scores of every stream through image probabilities.
@@ -101,9 +98,8 @@ def forward(
     order given (late fusion passes RGB, then depth). ``attention`` is an
     optional (R, C) multiplier applied to the combined evidence only on the
     path into the image prediction, so ``combined`` stays raw for mining.
-    With ``sigma_on_sum`` each per-class sum is squashed through a sigmoid,
-    so without attention every entry lies in [0.5, sigmoid(1)]; otherwise
-    the sum is clamped into [LOG_EPS, 1 - LOG_EPS].
+    Each per-class sum is squashed through a sigmoid, so without attention
+    every image probability lies in [0.5, sigmoid(1)].
     """
     (features, head), *rest = streams
     det, cls = score(features, head)
@@ -114,11 +110,6 @@ def forward(
     cls_prob = numkit.softmax_rows(cls)
     combined = det_prob * cls_prob
     attended = combined if attention is None else combined * attention
-    total = attended.sum(axis=0)
-    if sigma_on_sum:
-        image_prob = numkit.sigmoid(total)
-    else:
-        image_prob = numkit.clamp_unit(total)
     return ScorePack(
         det_scores=det,
         cls_scores=cls,
@@ -126,8 +117,7 @@ def forward(
         cls_prob=cls_prob,
         combined=combined,
         attended=attended,
-        total=total,
-        image_prob=image_prob,
+        image_prob=numkit.sigmoid(attended.sum(axis=0)),
     )
 
 
@@ -145,7 +135,6 @@ def mil_chain(
     depth_features: np.ndarray | None = None,
     depth_head: HeadParams | None = None,
     attention: np.ndarray | None = None,
-    sigma_on_sum: bool = True,
     grad_scale: float = 0.0,
 ) -> tuple[float, ScorePack]:
     """MIL loss of one image: ``forward``, binary cross-entropy, backward.
@@ -162,7 +151,7 @@ def mil_chain(
         if depth_head is None:
             raise ShapeError("depth features given without a depth head")
         streams.append((depth_features, depth_head))
-    pack = forward(streams, sigma_on_sum, attention)
+    pack = forward(streams, attention)
     image_prob = pack.image_prob
     y = label_vector(labels, image_prob.shape[0])
     p = numkit.clamp_unit(image_prob)
@@ -173,12 +162,7 @@ def mil_chain(
         dlogp = numkit.dlog_clamped(image_prob)
         dlog1m = numkit.dlog_clamped(1.0 - image_prob)
         d_prob = -(y * dlogp - (1.0 - y) * dlog1m)
-        if sigma_on_sum:
-            d_total = d_prob * image_prob * (1.0 - image_prob)
-        else:
-            total = pack.total
-            inside = (total > numkit.LOG_EPS) & (total < 1.0 - numkit.LOG_EPS)
-            d_total = np.where(inside, d_prob, 0.0)
+        d_total = d_prob * image_prob * (1.0 - image_prob)
         d_attended = np.broadcast_to(d_total, pack.attended.shape)
         d_combined = d_attended if attention is None else d_attended * attention
         d_det_prob = d_combined * pack.cls_prob

@@ -142,14 +142,15 @@ class ModelParams:
                     f"expected ({d}, {c + 1})"
                 )
 
-    def check_against(self, feat_dim: int, num_classes: int) -> None:
-        """Fail when a dataset or vocabulary disagrees with the checkpoint."""
+    def check_against(self, feat_dim: int, num_classes: int | None = None) -> None:
+        """Fail when a dataset, or a vocabulary if given, disagrees with the
+        checkpoint."""
         if self.dims.feat_dim != feat_dim:
             raise CheckpointError(
                 f"checkpoint feature dim {self.dims.feat_dim} does not match "
                 f"dataset feature dim {feat_dim}"
             )
-        if self.dims.num_classes != num_classes:
+        if num_classes is not None and self.dims.num_classes != num_classes:
             raise CheckpointError(
                 f"checkpoint has {self.dims.num_classes} classes but the "
                 f"vocabulary has {num_classes}"

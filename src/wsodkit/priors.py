@@ -110,7 +110,6 @@ class DepthMask:
     """
 
     values: np.ndarray
-    defined_classes: set[int]
 
     def column(self, class_id: int) -> np.ndarray:
         return self.values[:, class_id]
@@ -257,18 +256,16 @@ def depth_mask(
     """
     r = record.num_proposals
     values = np.ones((r, num_classes), dtype=np.uint8)
-    defined: set[int] = set()
     caption = record.caption if use_caption else None
     for c in range(num_classes):
         rng = priors.image_range(c, caption)
         if rng is None:
             continue
-        defined.add(c)
         inside = (record.proposal_depths >= rng.lo) & (
             record.proposal_depths <= rng.hi
         )
         values[:, c] = inside.astype(np.uint8)
-    return DepthMask(values=values, defined_classes=defined)
+    return DepthMask(values=values)
 
 
 def _resolve_depth(pred: Detection, record: ImageRecord) -> float | None:
@@ -325,22 +322,6 @@ class CoverageReport:
     rows: list[CoverageRow] = field(default_factory=list)
     accepted: int = 0
     skipped: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "skipped": self.skipped,
-            "classes": [
-                {
-                    "class_id": r.class_id,
-                    "count": r.count,
-                    "mean": r.mean,
-                    "std": r.std,
-                    "inside_fraction": r.inside_fraction,
-                }
-                for r in self.rows
-            ],
-        }
 
     def to_text(self, vocab: ClassVocabulary | None = None) -> str:
         lines = [

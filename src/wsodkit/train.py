@@ -41,6 +41,9 @@ from wsodkit.priors import FrozenPriors, depth_mask
 from wsodkit.data import Box
 
 SEED_ENV_VAR = "WSOD_SEED"
+# Sanity ceilings: larger values only run for ever or exhaust memory.
+MAX_EPOCHS = 10_000
+MAX_PROJ_DIM = 4096
 
 # Dotted config keys accepted in files and --set overrides.
 CONFIG_ALIASES = {
@@ -52,8 +55,6 @@ CONFIG_ALIASES = {
     "attention.multiplier": "attention_multiplier",
     "mining.depth_filter": "depth_oicr",
     "nce.batch": "nce_batch",
-    "nce.include_positive_in_sum": "nce_include_positive_in_sum",
-    "mil.sigma_on_sum": "sigma_on_sum",
     "priors.use_captions": "caption_priors",
 }
 
@@ -92,8 +93,6 @@ class RunConfig:
     refine_iou_thresh: float = 0.5
     refine_score_ratio: float = 0.5
     attention_multiplier: float = 0.5
-    sigma_on_sum: bool = True
-    nce_include_positive_in_sum: bool = False
     label_source: str = "stored"  # stored | gt | captions
     caption_priors: bool = True
     nms_thresh: float = DEFAULT_NMS_THRESH
@@ -104,8 +103,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        if not 0 <= self.epochs <= MAX_EPOCHS:
+            raise ConfigError(f"epochs must be in 0..{MAX_EPOCHS}")
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -116,8 +115,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if self.nce_batch < 1:
             raise ConfigError("nce_batch must be >= 1")
-        if self.proj_dim < 1:
-            raise ConfigError("proj_dim must be >= 1")
+        if not 1 <= self.proj_dim <= MAX_PROJ_DIM:
+            raise ConfigError(f"proj_dim must be in 1..{MAX_PROJ_DIM}")
         if not 0 <= self.refine_branches <= 3:
             raise ConfigError("refine_branches must be in 0..3")
         for name in (
@@ -379,7 +378,6 @@ def train(
                     depth_features=rec.depth_features if config.fusion else None,
                     depth_head=model.depth_head if config.fusion else None,
                     attention=attention,
-                    sigma_on_sum=config.sigma_on_sum,
                     grad_scale=config.lambda_mil / bsz,
                 )
                 mil_sum += loss
@@ -417,7 +415,6 @@ def train(
                     np.stack(pooled_rgb),
                     np.stack(pooled_depth),
                     model.proj,
-                    include_positive=config.nce_include_positive_in_sum,
                     grad_scale=config.lambda_nce,
                 )
                 n_batches += 1
@@ -447,7 +444,7 @@ def train(
         dets = infer(
             model,
             targets,
-            mode=FusionMode.parse(config.inference_mode),
+            mode=FusionMode(config.inference_mode),
             min_score=config.min_score,
             nms_thresh=config.nms_thresh,
         )
@@ -465,7 +462,7 @@ def infer(
     model: ModelParams,
     records: Sequence[ImageRecord],
     mode: FusionMode = FusionMode.RGB_ONLY,
-    min_score: float = 0.05,
+    min_score: float = RunConfig.min_score,
     nms_thresh: float = DEFAULT_NMS_THRESH,
 ) -> list[Detection]:
     """Score records and emit per-class, per-image NMS survivors.
@@ -476,8 +473,7 @@ def infer(
     """
     check_fraction("nms_thresh", nms_thresh)
     check_fraction("min_score", min_score)
-    feat_dim = check_features(records)
-    model.check_against(feat_dim, model.dims.num_classes)
+    model.check_against(check_features(records))
     out: list[Detection] = []
     for rec in records:
         pack = fusion.forward(rec, model.rgb_head, model.depth_head, mode)

@@ -250,14 +250,13 @@ def grad_check(f, params, eps=1e-5):
     return worst
 
 
-def nce_loss(pooled_rgb, pooled_depth, proj, include_positive=False):
+def nce_loss(pooled_rgb, pooled_depth, proj):
     """Symmetric contrastive loss of a projected batch, one anchor at a time.
 
     Both modalities go through ``x @ w + b`` and row normalization, and
     ``s = rgb @ depth.T / rho``. Each anchor's loss is
     ``log(denominator) - s_ii``, where the denominator sums ``exp`` of the
-    anchor's row of ``s`` (plus the positive once more with
-    ``include_positive``); both directions are averaged.
+    anchor's row of ``s``; both directions are averaged.
     """
 
     def embed(x):
@@ -271,8 +270,6 @@ def nce_loss(pooled_rgb, pooled_depth, proj, include_positive=False):
         for i in range(mat.shape[0]):
             m = mat[i].max()
             z = np.exp(mat[i] - m).sum()
-            if include_positive:
-                z += math.exp(mat[i, i] - m)
             per_anchor.append(m + math.log(z) - mat[i, i])
         directions.append(sum(per_anchor) / len(per_anchor))
     return 0.5 * (directions[0] + directions[1])

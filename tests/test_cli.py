@@ -134,7 +134,12 @@ def test_gen_data_env_seed(tmp_path, capsys, monkeypatch):
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     data, vocab = gen_small(capsys, tmp_path)
     # The priors keys are not config: estimate-priors takes them as flags.
-    for key in ("does_not_exist", "priors.score_threshold", "priors.min_count_word"):
+    # The MIL squash and NCE denominator have one form each, so no switch.
+    for key in (
+        "does_not_exist", "priors.score_threshold", "priors.min_count_word",
+        "sigma_on_sum", "mil.sigma_on_sum",
+        "nce_include_positive_in_sum", "nce.include_positive_in_sum",
+    ):
         code, _, err = run(
             capsys, "train",
             "--data", str(data), "--vocab", str(vocab),
@@ -323,7 +328,7 @@ OPTIONAL_KEYS = {
     "dataset": {"caption", "labels", "gt_boxes"},
     "dataset+sidecar": {"caption", "labels", "gt_boxes"},
     "vocab": {"synonyms"},
-    "config": {"epochs"},
+    "config": {"epochs", "proj_dim"},
 }
 JSONL_TARGETS = ("dataset", "dataset+sidecar", "sidecar", "detections")
 FUZZ_TARGETS = JSONL_TARGETS + ("vocab", "priors", "checkpoint", "config")
@@ -374,7 +379,7 @@ def valid_inputs(tmp_path_factory):
         "vocab": read("v.json"),
         "priors": read("p.json"),
         "checkpoint": read("m.ckpt"),
-        "config": {"epochs": 0},
+        "config": {"epochs": 0, "proj_dim": 32},
     }
 
 
@@ -507,6 +512,12 @@ SPLICE = st.tuples(st.sampled_from(("cut", "byte")), st.integers(0, 1 << 16))
 @example(target="dataset", mutation=("byte", 0))
 @example(target="vocab", mutation=("byte", 0))
 @example(target="config", mutation=("byte", 0))
+# Valid JSON holding an absurd value, or a non-integer in an integer field.
+@example(target="config", mutation=(("epochs",), 1e300))
+@example(target="config", mutation=(("proj_dim",), 10**12))
+@example(target="config", mutation=(("epochs",), 2.9))
+@example(target="dataset", mutation=((0, "labels"), [0.9]))
+@example(target="dataset", mutation=((0, "labels"), [True]))
 @settings(
     max_examples=200,
     deadline=None,

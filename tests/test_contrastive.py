@@ -29,7 +29,7 @@ def make_proj(rng, feat_dim=4, proj_dim=3, scale=0.5, rho_init=0.1):
     return ProjectionParams.create(rng, feat_dim, proj_dim, scale, rho_init)
 
 
-def identity_chain(rgb, depth, rho, include_positive=False):
+def identity_chain(rgb, depth, rho):
     """``nce_chain`` loss through an identity projection with zero bias.
 
     The projection then only normalizes the rows, so for unit rows this is
@@ -39,7 +39,7 @@ def identity_chain(rgb, depth, rho, include_positive=False):
     proj = ProjectionParams(
         Param("w", np.eye(d)), Param("b", np.zeros(d)), Param("rho", np.array([rho]))
     )
-    return nce_chain(rgb, depth, proj, include_positive=include_positive)
+    return nce_chain(rgb, depth, proj)
 
 
 # Rows +v and -v for v = (0.6, 0.8): positives at 1/rho, cross pairs at
@@ -100,11 +100,6 @@ class TestNceLoss:
         one = np.array([[1.0, 0.0]])
         assert identity_chain(one, one.copy(), 0.1) == pytest.approx(0.0, abs=1e-12)
 
-    def test_single_pair_include_positive_log2(self):
-        one = np.array([[1.0, 0.0]])
-        got = identity_chain(one, one.copy(), 0.1, include_positive=True)
-        assert got == pytest.approx(math.log(2.0), abs=1e-12)
-
     def test_all_equal_embeddings_log2(self):
         e = np.array([[1.0, 0.0], [1.0, 0.0]])
         assert identity_chain(e, e.copy(), 0.3) == pytest.approx(
@@ -137,12 +132,6 @@ class TestNceLoss:
             identity_chain(depth, rgb, 0.2), abs=1e-12
         )
 
-    def test_include_positive_dominates(self, rng):
-        rgb, depth = unit_rows(rng, 3, 5), unit_rows(rng, 3, 5)
-        assert identity_chain(
-            rgb, depth, 0.5, include_positive=True
-        ) >= identity_chain(rgb, depth, 0.5)
-
     def test_non_unit_rows_rejected(self):
         # A zero row has no unit direction to compare.
         with pytest.raises(WsodkitError):
@@ -158,36 +147,26 @@ class TestNceLoss:
         r = np.random.default_rng(seed)
         rgb, depth = unit_rows(r, n, 4), unit_rows(r, n, 4)
         assert identity_chain(rgb, depth, 0.1) >= -1e-12
-        # Doubling the positive term in the denominator floors the loss
-        # at log 2.
-        assert identity_chain(
-            rgb, depth, 0.1, include_positive=True
-        ) >= math.log(2.0) - 1e-12
 
 
 class TestNceChain:
     def test_matches_loss_on_projected_batch(self, rng):
         for batch_size in (1, 3):
-            for include_positive in (False, True):
-                proj = make_proj(rng, feat_dim=6, proj_dim=4)
-                pooled_r = rng.standard_normal((batch_size, 6))
-                pooled_d = rng.standard_normal((batch_size, 6))
-                got = nce_chain(pooled_r, pooled_d, proj, include_positive)
-                want = nce_loss(pooled_r, pooled_d, proj, include_positive)
-                assert got == pytest.approx(want, abs=1e-12)
+            proj = make_proj(rng, feat_dim=6, proj_dim=4)
+            pooled_r = rng.standard_normal((batch_size, 6))
+            pooled_d = rng.standard_normal((batch_size, 6))
+            got = nce_chain(pooled_r, pooled_d, proj)
+            want = nce_loss(pooled_r, pooled_d, proj)
+            assert got == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("include_positive", [False, True])
     @pytest.mark.parametrize("batch_size", [1, 2, 4])
-    def test_gradients_finite_difference(self, rng, batch_size, include_positive):
+    def test_gradients_finite_difference(self, rng, batch_size):
         proj = make_proj(rng, feat_dim=5, proj_dim=3, rho_init=0.37)
         pooled_r = rng.standard_normal((batch_size, 5))
         pooled_d = rng.standard_normal((batch_size, 5))
 
         def f():
-            return nce_chain(
-                pooled_r, pooled_d, proj,
-                include_positive=include_positive, grad_scale=1.0,
-            )
+            return nce_chain(pooled_r, pooled_d, proj, grad_scale=1.0)
 
         assert grad_check(f, proj.params()) < 1e-6
 

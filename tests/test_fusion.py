@@ -43,11 +43,11 @@ class TestModeParse:
         ],
     )
     def test_parse_known(self, text, mode):
-        assert FusionMode.parse(text) is mode
+        assert FusionMode(text) is mode
 
     def test_parse_unknown(self):
         with pytest.raises(ValueError):
-            FusionMode.parse("both")
+            FusionMode("both")
 
 
 class TestForward:

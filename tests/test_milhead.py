@@ -117,21 +117,10 @@ class TestImagePrediction:
     def test_point_three(self):
         keep_two = np.array([[1.0], [1.0], [0.0]])
         pack = single_class([0.1, 0.2, 0.7], attention=keep_two)
-        assert pack.total[0] == pytest.approx(0.3, abs=1e-15)
+        assert pack.attended.sum(axis=0)[0] == pytest.approx(0.3, abs=1e-15)
         p = pack.image_prob
         assert p[0] == pytest.approx(sigma(0.3), abs=1e-12)
         assert p[0] == pytest.approx(0.5744425168116589, abs=1e-12)
-
-    def test_sigma_off_returns_clamped_sum(self):
-        pack = single_class(
-            [0.6, 0.5], attention=np.full((2, 1), 1.1), sigma_on_sum=False
-        )
-        assert pack.total[0] == pytest.approx(1.1, abs=1e-15)
-        p = pack.image_prob
-        assert p[0] == pytest.approx(1.0 - 1e-7, abs=1e-15)
-        q = from_scores(np.zeros((2, 2)), np.zeros((2, 2)), sigma_on_sum=False)
-        assert np.allclose(q.combined, 0.25, atol=1e-15)
-        assert q.image_prob[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_range_invariant(self, rng):
         pack = from_scores(
@@ -148,15 +137,14 @@ def loss_at(probs, labels):
     """``mil_chain``'s loss when its image probabilities are exactly ``probs``.
 
     One proposal with zero scores gives combined evidence 1/C per class;
-    attention rescales it to ``probs``, which ``sigma_on_sum=False`` passes
-    through unsquashed.
+    attention ``C * logit(probs)`` rescales it to the logits, which the
+    sigmoid maps back to ``probs``.
     """
     probs = np.array(probs)
     c = probs.size
     x, head = score_stream(np.zeros((1, c)), np.zeros((1, c)))
-    loss, pack = mil_chain(
-        x, head, labels, attention=c * probs[None, :], sigma_on_sum=False
-    )
+    logits = np.log(probs / (1.0 - probs))
+    loss, pack = mil_chain(x, head, labels, attention=c * logits[None, :])
     assert np.allclose(pack.image_prob, probs, atol=1e-15)
     return loss
 
@@ -241,16 +229,6 @@ class TestMilChain:
 
         def f():
             loss, _ = mil_chain(x, head, {0}, attention=att, grad_scale=1.0)
-            return loss
-
-        assert grad_check(f, head.params()) < 1e-6
-
-    def test_sigma_off_gradients(self, rng):
-        head = make_head(rng, feat_dim=3, num_classes=2)
-        x = rng.standard_normal((3, 3))
-
-        def f():
-            loss, _ = mil_chain(x, head, {1}, sigma_on_sum=False, grad_scale=1.0)
             return loss
 
         assert grad_check(f, head.params()) < 1e-6

@@ -250,7 +250,6 @@ class TestDepthMask:
         mask = depth_mask(rec, priors, num_classes=2)
         assert mask.column(0).tolist() == [0, 1, 0]
         assert mask.column(1).tolist() == [1, 1, 1]
-        assert mask.defined_classes == {0}
         assert not (mask.values == 1).all()
 
     def test_closed_interval_boundaries(self, rng):
@@ -265,7 +264,6 @@ class TestDepthMask:
         rec = make_record(rng, "a")
         mask = depth_mask(rec, FrozenPriors({}, {}), num_classes=3)
         assert (mask.values == 1).all()
-        assert mask.defined_classes == set()
 
     def test_caption_toggle(self, rng):
         rec = make_record(
@@ -383,14 +381,12 @@ class TestEstimatePriors:
         with pytest.raises(DataError):
             estimate_priors(recs, [bad])
 
-    def test_coverage_text_and_json(self, rng):
+    def test_coverage_text(self, rng):
         recs, preds = self.build(rng)
         _, _, report = estimate_priors(recs, preds)
-        text = report.to_text()
-        assert "accepted boxes: 9" in text
-        obj = report.to_json()
-        assert obj["accepted"] == 9
-        assert obj["classes"][0]["class_id"] == 0
+        assert report.accepted == 9
+        assert report.rows[0].class_id == 0
+        assert "accepted boxes: 9" in report.to_text()
 
     def test_empty_report_text(self):
         assert "accepted boxes: 0" in CoverageReport().to_text()

@@ -213,19 +213,13 @@ class TestRefinementChain:
 
 class TestDepthAttention:
     def test_multiplier_matrix(self):
-        mask = DepthMask(
-            values=np.array([[1, 0], [0, 1]], dtype=np.uint8),
-            defined_classes={0, 1},
-        )
+        mask = DepthMask(values=np.array([[1, 0], [0, 1]], dtype=np.uint8))
         mult = attention_multipliers(mask)
         assert mult.tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_halves_rejected_entries(self, rng):
         combined = rng.uniform(size=(3, 2))
-        mask = DepthMask(
-            values=np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8),
-            defined_classes={0, 1},
-        )
+        mask = DepthMask(values=np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8))
         out = combined * attention_multipliers(mask)
         assert out[0, 0] == combined[0, 0]
         assert out[0, 1] == pytest.approx(0.5 * combined[0, 1], abs=1e-15)
@@ -234,11 +228,11 @@ class TestDepthAttention:
 
     def test_all_ones_mask_is_identity(self, rng):
         combined = rng.uniform(size=(4, 3))
-        mask = DepthMask(values=np.ones((4, 3), dtype=np.uint8), defined_classes=set())
+        mask = DepthMask(values=np.ones((4, 3), dtype=np.uint8))
         assert np.array_equal(combined * attention_multipliers(mask), combined)
 
     def test_custom_multiplier(self):
-        mask = DepthMask(values=np.array([[0]], dtype=np.uint8), defined_classes={0})
+        mask = DepthMask(values=np.array([[0]], dtype=np.uint8))
         out = np.array([[1.0]]) * attention_multipliers(mask, 0.25)
         assert out[0, 0] == pytest.approx(0.25, abs=1e-15)
         assert refine.ATTENTION_MULTIPLIER == 0.5

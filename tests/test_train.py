@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from wsodkit.priors import DepthRange, FrozenPriors
 from wsodkit.synth import SyntheticConfig, generate_synthetic
 from wsodkit.train import (
     ABLATION_ROWS,
+    CONFIG_ALIASES,
+    MAX_EPOCHS,
+    MAX_PROJ_DIM,
     TOGGLE_NAMES,
     MiningReport,
     RunConfig,
@@ -81,11 +86,18 @@ class TestRunConfig:
             dict(init_scale=float("inf")),
             dict(label_source="oracle"),
             dict(inference_mode="both"),
+            dict(epochs=10**300),
+            dict(proj_dim=10**12),
+            dict(epochs=MAX_EPOCHS + 1),
+            dict(proj_dim=MAX_PROJ_DIM + 1),
         ],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ConfigError):
             RunConfig(**kw).validate()
+
+    def test_ceilings_accepted(self):
+        RunConfig(epochs=MAX_EPOCHS, proj_dim=MAX_PROJ_DIM).validate()
 
     def test_from_sources_file_and_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -110,14 +122,21 @@ class TestRunConfig:
             ("attention.multiplier", "attention_multiplier", "0.4", 0.4),
             ("mining.depth_filter", "depth_oicr", "on", True),
             ("nce.batch", "nce_batch", "16", 16),
-            ("nce.include_positive_in_sum", "nce_include_positive_in_sum", "yes", True),
-            ("mil.sigma_on_sum", "sigma_on_sum", "no", False),
             ("priors.use_captions", "caption_priors", "0", False),
         ],
     )
     def test_aliases(self, alias, field, value, expected):
         cfg = RunConfig.from_sources(None, [f"{alias}={value}"])
         assert getattr(cfg, field) == expected
+
+    def test_readme_lists_every_alias(self):
+        # The README's alias table is the user-facing copy of CONFIG_ALIASES.
+        readme = Path(__file__).parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text.split("## Configuration")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|$", section, re.M)
+        assert dict(rows) == CONFIG_ALIASES
+        assert len(rows) == len(CONFIG_ALIASES)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="warp_speed"):
