@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from wsodkit import synth
 from wsodkit.data import (
@@ -29,6 +27,7 @@ from wsodkit.evaluate import (
     save_detections,
 )
 from wsodkit.fusion import FusionMode
+from wsodkit.jsonio import write_json
 from wsodkit.model import ModelParams
 from wsodkit.priors import (
     DEFAULT_MIN_COUNT_WORD,
@@ -37,6 +36,20 @@ from wsodkit.priors import (
     estimate_priors,
 )
 from wsodkit.train import RunConfig, infer, run_ablation, train
+
+
+# gen-data option destinations and the SyntheticConfig fields they set.
+GEN_DATA_OPTIONS = {
+    "images": "num_images",
+    "classes": "num_classes",
+    "proposals": "proposals_per_image",
+    "feat_dim": "feat_dim",
+    "image_size": "image_size",
+    "max_objects": "max_objects",
+    "noise": "noise",
+    "label_noise": "label_noise",
+    "confuser_rate": "confuser_rate",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,15 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic labeled dataset")
     p.add_argument("--out", required=True, help="dataset JSONL to write")
     p.add_argument("--vocab-out", required=True, help="vocabulary JSON to write")
-    p.add_argument("--images", type=int, default=500)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--proposals", type=int, default=20)
-    p.add_argument("--feat-dim", type=int, default=32)
-    p.add_argument("--image-size", type=int, default=128)
-    p.add_argument("--max-objects", type=int, default=2)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--label-noise", type=float, default=0.0)
-    p.add_argument("--confuser-rate", type=float, default=0.5)
+    defaults = synth.SyntheticConfig()
+    for dest, name in GEN_DATA_OPTIONS.items():
+        value = getattr(defaults, name)
+        p.add_argument("--" + dest.replace("_", "-"), type=type(value), default=value)
     p.add_argument("--seed", type=int, default=0, help="overridden by WSOD_SEED")
 
     p = sub.add_parser(
@@ -138,18 +146,14 @@ def _load_data(args):
     return vocab, load_dataset(args.data, vocab, depth_maps), depth_maps
 
 
+def synthetic_config(args) -> synth.SyntheticConfig:
+    """The generator config that parsed ``gen-data`` options describe."""
+    fields = {name: getattr(args, dest) for dest, name in GEN_DATA_OPTIONS.items()}
+    return synth.SyntheticConfig(**fields)
+
+
 def _cmd_gen_data(args) -> int:
-    config = synth.SyntheticConfig(
-        num_images=args.images,
-        num_classes=args.classes,
-        proposals_per_image=args.proposals,
-        feat_dim=args.feat_dim,
-        image_size=args.image_size,
-        max_objects=args.max_objects,
-        noise=args.noise,
-        label_noise=args.label_noise,
-        confuser_rate=args.confuser_rate,
-    )
+    config = synthetic_config(args)
     seed_config = RunConfig(seed=args.seed)
     seed_config.validate()
     seed = seed_config.resolved_seed()
@@ -253,10 +257,7 @@ def _cmd_evaluate(args) -> int:
     )
     print(format_table([("detections", report)]))
     if args.report_out:
-        Path(args.report_out).write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(args.report_out, report.to_json())
         print(f"report -> {args.report_out}")
     return 0
 

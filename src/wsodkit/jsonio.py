@@ -1,4 +1,5 @@
-"""Checked reading of the JSON and JSON Lines files the package takes in.
+"""Checked reading of the JSON and JSON Lines files the package takes in,
+and the one writer of its indented JSON outputs.
 
 Each converter keeps Python's own conversion for the values it accepts and
 raises the caller's error class and message for any other, including the
@@ -31,6 +32,13 @@ def read_json(path: str | Path, what: str, error=DataError, malformed=ParseError
         return json.loads(raw.decode("utf-8"))
     except _UNPARSABLE as e:
         raise malformed(f"malformed {what} {path}: {e}") from e
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, indented by 2, newline-ended."""
+    Path(path).write_text(
+        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def read_jsonl(path: str | Path, what: str, error=DataError) -> Iterator[tuple]:

@@ -52,14 +52,6 @@ class HeadParams:
     def params(self) -> list[Param]:
         return [self.w_det, self.b_det, self.w_cls, self.b_cls]
 
-    @property
-    def num_classes(self) -> int:
-        return self.w_det.value.shape[1]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.w_det.value.shape[0]
-
 
 @dataclass
 class ScorePack:

@@ -22,6 +22,7 @@ from wsodkit.numkit import Param
 from wsodkit.refine import RefineBranch
 
 DEFAULT_INIT_SCALE = 0.01
+MAX_REFINE_BRANCHES = 3
 
 
 @dataclass
@@ -73,74 +74,26 @@ class ModelParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelParams":
+        """Read a checkpoint back through the layout that ``create`` defines.
+
+        The dims come from the file. Every parameter of a model created with
+        them must be there with the same shape, and nothing else may be.
+        """
         values = numkit.load_checkpoint(path)
-
-        def take(name: str) -> np.ndarray:
-            if name not in values:
-                raise CheckpointError(f"checkpoint {path} is missing {name!r}")
-            return values.pop(name)
-
-        def head(prefix: str) -> HeadParams:
-            return HeadParams(
-                w_det=Param(f"{prefix}.det.w", take(f"{prefix}.det.w")),
-                b_det=Param(f"{prefix}.det.b", take(f"{prefix}.det.b")),
-                w_cls=Param(f"{prefix}.cls.w", take(f"{prefix}.cls.w")),
-                b_cls=Param(f"{prefix}.cls.b", take(f"{prefix}.cls.b")),
-            )
-
-        rgb = head("rgb")
-        depth = head("depth")
-        proj = ProjectionParams(
-            w=Param("proj.w", take("proj.w")),
-            b=Param("proj.b", take("proj.b")),
-            rho=Param("proj.rho", take("proj.rho")),
-        )
-        refine = []
-        k = 0
-        while f"refine.{k}.w" in values:
-            refine.append(
-                RefineBranch(
-                    w=Param(f"refine.{k}.w", take(f"refine.{k}.w")),
-                    b=Param(f"refine.{k}.b", take(f"refine.{k}.b")),
-                )
-            )
-            k += 1
+        # The drawn values only fix the layout; the file's values replace them.
+        model = cls.create(_stated_dims(values, path), np.random.default_rng(0))
+        for p in model.params():
+            if p.name not in values:
+                raise CheckpointError(f"checkpoint {path} is missing {p.name!r}")
+            value = values.pop(p.name)
+            if value.shape != p.value.shape:
+                raise _shape_error(path, p.name, value.shape, p.value.shape)
+            p.value[...] = value
         if values:
             raise CheckpointError(
                 f"checkpoint {path} has unexpected entries: {sorted(values)}"
             )
-        model = cls(
-            dims=ModelDims(
-                num_classes=rgb.num_classes,
-                feat_dim=rgb.feat_dim,
-                proj_dim=proj.w.value.shape[1],
-                refine_branches=len(refine),
-            ),
-            rgb_head=rgb,
-            depth_head=depth,
-            proj=proj,
-            refine=refine,
-        )
-        model.check_consistent()
         return model
-
-    def check_consistent(self) -> None:
-        d, c = self.dims.feat_dim, self.dims.num_classes
-        for head in (self.rgb_head, self.depth_head):
-            for w, b in ((head.w_det, head.b_det), (head.w_cls, head.b_cls)):
-                if w.value.shape != (d, c) or b.value.shape != (c,):
-                    raise CheckpointError(
-                        f"parameter {w.name!r} has shape {w.value.shape}, "
-                        f"expected ({d}, {c})"
-                    )
-        if self.proj.w.value.shape[0] != d or self.proj.rho.value.shape != (1,):
-            raise CheckpointError("projection parameters are inconsistent")
-        for branch in self.refine:
-            if branch.w.value.shape != (d, c + 1) or branch.b.value.shape != (c + 1,):
-                raise CheckpointError(
-                    f"parameter {branch.w.name!r} has shape {branch.w.value.shape}, "
-                    f"expected ({d}, {c + 1})"
-                )
 
     def check_against(self, feat_dim: int, num_classes: int | None = None) -> None:
         """Fail when a dataset, or a vocabulary if given, disagrees with the
@@ -155,3 +108,47 @@ class ModelParams:
                 f"checkpoint has {self.dims.num_classes} classes but the "
                 f"vocabulary has {num_classes}"
             )
+
+
+def _shape_error(path, name: str, shape: tuple, expected) -> CheckpointError:
+    return CheckpointError(
+        f"checkpoint {path}: entry {name!r} has shape {shape}, expected {expected}"
+    )
+
+
+def _stated_dims(values: dict[str, np.ndarray], path) -> ModelDims:
+    """The dims that ``rgb.det.w``, ``proj.w`` and the ``refine.{k}.w`` run state.
+
+    Dims no file of this size could hold, or that the two matrices disagree
+    on, are refused before a model is allocated from them, so a short file
+    cannot ask for gigabytes.
+    """
+    shapes = []
+    for name in ("rgb.det.w", "proj.w"):
+        if name not in values:
+            raise CheckpointError(f"checkpoint {path} is missing {name!r}")
+        shapes.append(values[name].shape)
+        if len(shapes[-1]) != 2:
+            raise _shape_error(path, name, shapes[-1], "a 2-D shape")
+    (feat_dim, num_classes), (proj_rows, proj_dim) = shapes
+    if proj_rows != feat_dim:
+        raise _shape_error(path, "proj.w", shapes[1], (feat_dim, proj_dim))
+    branches = 0
+    while f"refine.{branches}.w" in values:
+        branches += 1
+    if branches > MAX_REFINE_BRANCHES:
+        raise CheckpointError(
+            f"checkpoint {path} has {branches} refinement branches, "
+            f"at most {MAX_REFINE_BRANCHES}"
+        )
+    size = sum(v.size for v in values.values())
+    if max(feat_dim, num_classes, proj_dim) > size:
+        raise CheckpointError(
+            f"checkpoint {path} states a dim above the {size} values it holds"
+        )
+    return ModelDims(
+        num_classes=num_classes,
+        feat_dim=feat_dim,
+        proj_dim=proj_dim,
+        refine_branches=branches,
+    )

@@ -11,7 +11,6 @@ proposals fall inside the image's range for each class.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from wsodkit.data import ClassVocabulary, ImageRecord, proposal_depths, tokenize
 from wsodkit.errors import ConfigError, DataError, ValidationError
 from wsodkit.evaluate import Detection, check_fraction
-from wsodkit.jsonio import as_finite, as_int, as_type, read_json, require
+from wsodkit.jsonio import as_finite, as_int, as_type, read_json, require, write_json
 
 DEFAULT_SCORE_THRESHOLD = 0.5
 DEFAULT_MIN_COUNT_WORD = 2
@@ -91,13 +90,13 @@ class DepthRange:
         return self.lo <= x <= self.hi
 
 
-def freeze_range(moments: RunningMoments, min_count: int) -> DepthRange | None:
-    """mean +/- population std, or None below the observation threshold."""
-    if moments.count < min_count:
+def freeze_range(
+    count: int, mean: float, std: float, min_count: int
+) -> DepthRange | None:
+    """mean +/- std, or None below the observation threshold."""
+    if count < min_count:
         return None
-    m = moments.mean()
-    s = moments.std()
-    return DepthRange(m - s, m + s)
+    return DepthRange(mean - std, mean + std)
 
 
 @dataclass
@@ -147,16 +146,13 @@ class PriorStats:
             self.by_class_word.setdefault(key, RunningMoments()).merge(m)
         self.skipped_boxes += other.skipped_boxes
 
-    def freeze(self) -> "FrozenPriors":
-        return FrozenPriors.from_stats(self)
-
-    def save(self, path: str | Path) -> None:
-        """Serialize moments (not ranges) so thresholds can change at load."""
+    def to_json(self) -> dict:
+        """Moments (not ranges), so that thresholds can change at load."""
 
         def entry(m: RunningMoments) -> dict:
             return {"count": m.count, "mean": m.mean(), "std": m.std()}
 
-        obj = {
+        return {
             "min_count": self.min_count_word,
             "by_class": {
                 str(cid): entry(self.by_class[cid]) for cid in sorted(self.by_class)
@@ -166,9 +162,12 @@ class PriorStats:
                 for cid, word in sorted(self.by_class_word)
             },
         }
-        Path(path).write_text(
-            json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+
+    def freeze(self) -> "FrozenPriors":
+        return FrozenPriors.from_json(self.to_json())
+
+    def save(self, path: str | Path) -> None:
+        write_json(path, self.to_json())
 
 
 class FrozenPriors:
@@ -183,24 +182,16 @@ class FrozenPriors:
         self.by_class_word = dict(by_class_word)
 
     @classmethod
-    def from_stats(cls, stats: PriorStats) -> "FrozenPriors":
-        by_class = {}
-        for cid, m in stats.by_class.items():
-            r = freeze_range(m, MIN_COUNT_CLASS)
-            if r is not None:
-                by_class[cid] = r
-        by_class_word = {}
-        for key, m in stats.by_class_word.items():
-            r = freeze_range(m, stats.min_count_word)
-            if r is not None:
-                by_class_word[key] = r
-        return cls(by_class, by_class_word)
+    def from_json(cls, obj, what: str = "priors") -> "FrozenPriors":
+        """Ranges from the moments that ``PriorStats.to_json`` writes.
 
-    @classmethod
-    def load(cls, path: str | Path) -> "FrozenPriors":
-        obj = read_json(path, "priors file")
-        bad = f"bad priors file {path}"
+        Freezing statistics and loading a priors file both come here, so
+        both give the same ranges to the last bit.
+        """
+        bad = f"bad {what}"
         min_count = as_int(require(obj, "min_count", bad), f"{bad}: min_count")
+        if min_count < 1:
+            raise ValidationError(f"{bad}: min_count must be >= 1, got {min_count}")
         by_class, by_class_word = {}, {}
         sections = (("by_class", MIN_COUNT_CLASS), ("by_class_word", min_count))
         for section, threshold in sections:
@@ -210,9 +201,10 @@ class FrozenPriors:
                 where = f"{bad}: {section} entry {key!r}"
                 count = as_int(require(entry, "count", where), where)
                 std = as_finite(entry.get("std"), where)
-                mu = as_finite(entry.get("mean"), where)
-                m = RunningMoments(count=count, mu=mu, m2=std * std * count)
-                r = freeze_range(m, threshold)
+                mean = as_finite(entry.get("mean"), where)
+                if count < 0 or std < 0:
+                    raise ValidationError(f"{where}: count and std must be >= 0")
+                r = freeze_range(count, mean, std, threshold)
                 if r is None:
                     continue
                 if section == "by_class":
@@ -221,6 +213,10 @@ class FrozenPriors:
                     cid, _, word = key.partition("|")
                     by_class_word[(as_int(cid, where), word)] = r
         return cls(by_class, by_class_word)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "FrozenPriors":
+        return cls.from_json(read_json(path, "priors file"), f"priors file {path}")
 
     def image_range(self, class_id: int, caption: str | None) -> DepthRange | None:
         """Depth range for one class in one image.

@@ -12,7 +12,6 @@ differing only in disabled components stay bit-comparable.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -34,8 +33,8 @@ from wsodkit.evaluate import (
     nms_detections,
 )
 from wsodkit.fusion import FusionMode
-from wsodkit.jsonio import as_float, as_int, as_type, read_json
-from wsodkit.model import ModelDims, ModelParams
+from wsodkit.jsonio import as_float, as_int, as_type, read_json, write_json
+from wsodkit.model import MAX_REFINE_BRANCHES, ModelDims, ModelParams
 from wsodkit.numkit import SGD
 from wsodkit.priors import FrozenPriors, depth_mask
 from wsodkit.data import Box
@@ -59,6 +58,7 @@ CONFIG_ALIASES = {
 }
 
 TOGGLE_NAMES = ("siamese_nce", "fusion", "depth_oicr", "depth_attention")
+LABEL_SOURCES = ("stored", "gt", "captions")
 
 ABLATION_ROWS: list[tuple[str, tuple[str, ...]]] = [
     ("baseline", ()),
@@ -68,6 +68,10 @@ ABLATION_ROWS: list[tuple[str, tuple[str, ...]]] = [
     ("depth-attention", ("siamese_nce", "depth_attention")),
     ("wsod-amplifier", TOGGLE_NAMES),
 ]
+# EvalReport.to_json keys that each ablation row carries.
+ABLATION_METRICS = (
+    "map_avg", "map50", "map75", "corloc_avg", "corloc50", "corloc75", "area_avg",
+)
 
 
 @dataclass
@@ -93,7 +97,7 @@ class RunConfig:
     refine_iou_thresh: float = 0.5
     refine_score_ratio: float = 0.5
     attention_multiplier: float = 0.5
-    label_source: str = "stored"  # stored | gt | captions
+    label_source: str = "stored"
     caption_priors: bool = True
     nms_thresh: float = DEFAULT_NMS_THRESH
     min_score: float = 0.05
@@ -101,6 +105,12 @@ class RunConfig:
     eleven_point_ap: bool = False
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ConfigError(f"{f.name} must be an int, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.epochs <= MAX_EPOCHS:
@@ -117,8 +127,8 @@ class RunConfig:
             raise ConfigError("nce_batch must be >= 1")
         if not 1 <= self.proj_dim <= MAX_PROJ_DIM:
             raise ConfigError(f"proj_dim must be in 1..{MAX_PROJ_DIM}")
-        if not 0 <= self.refine_branches <= 3:
-            raise ConfigError("refine_branches must be in 0..3")
+        if not 0 <= self.refine_branches <= MAX_REFINE_BRANCHES:
+            raise ConfigError(f"refine_branches must be in 0..{MAX_REFINE_BRANCHES}")
         for name in (
             "refine_iou_thresh",
             "refine_score_ratio",
@@ -131,14 +141,9 @@ class RunConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ConfigError(f"{name} must be finite and positive")
-        if self.label_source not in ("stored", "gt", "captions"):
-            raise ConfigError(
-                f"label_source must be stored|gt|captions, got {self.label_source!r}"
-            )
-        if self.inference_mode not in ("rgb", "fused", "depth"):
-            raise ConfigError(
-                f"inference_mode must be rgb|fused|depth, got {self.inference_mode!r}"
-            )
+        _check_choice("label_source", self.label_source, LABEL_SOURCES)
+        modes = tuple(mode.value for mode in FusionMode)
+        _check_choice("inference_mode", self.inference_mode, modes)
 
     def resolved_seed(self) -> int:
         """Config seed, overridden by the WSOD_SEED environment variable.
@@ -190,6 +195,11 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         coerced = _coerce(key, value, fields[name].type)
         return dataclasses.replace(self, **{name: coerced})
+
+
+def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ConfigError(f"{name} must be {'|'.join(choices)}, got {value!r}")
 
 
 def _coerce(key: str, value, target_type: str):
@@ -246,10 +256,7 @@ class RunReport:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(path, self.to_json())
 
 
 def resolve_labels(
@@ -261,6 +268,7 @@ def resolve_labels(
     from ground-truth boxes, ``captions`` re-extracts from the captions.
     Exactly one source is ever consulted per run.
     """
+    _check_choice("label_source", source, LABEL_SOURCES)
     out: list[set[int]] = []
     for rec in records:
         if source == "stored":
@@ -564,32 +572,18 @@ class AblationResult:
     rows: list[tuple[str, tuple[str, ...], EvalReport]] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        num = lambda v: None if isinstance(v, float) and np.isnan(v) else v
-        return {
-            "rows": [
-                {
-                    "name": name,
-                    "toggles": list(toggles),
-                    "map_avg": num(rep.map_avg),
-                    "map50": num(rep.map50),
-                    "map75": num(rep.map75),
-                    "corloc_avg": num(rep.corloc_avg),
-                    "corloc50": num(rep.corloc50),
-                    "corloc75": num(rep.corloc75),
-                    "area_avg": {b: num(v) for b, v in rep.area_avg.items()},
-                }
-                for name, toggles, rep in self.rows
-            ]
-        }
+        rows = []
+        for name, toggles, rep in self.rows:
+            metrics = rep.to_json()
+            row = {key: metrics[key] for key in ABLATION_METRICS}
+            rows.append({"name": name, "toggles": list(toggles), **row})
+        return {"rows": rows}
 
     def to_text(self) -> str:
         return format_table([(name, rep) for name, _, rep in self.rows])
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(path, self.to_json())
 
 
 def run_ablation(

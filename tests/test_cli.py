@@ -8,6 +8,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from wsodkit.cli import main
+from wsodkit.cli import build_parser, main, synthetic_config
+from wsodkit.synth import SyntheticConfig
 
 
 @pytest.fixture(autouse=True)
@@ -173,6 +175,43 @@ def test_checkpoint_mismatch_exit_3(tmp_path, capsys):
         "--out", str(tmp_path / "x.jsonl"),
     )
     assert code == 3 and "feature dim" in err
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        ("rgb.det.w", []),
+        ("rgb.det.w", [24]),
+        ("rgb.det.w", [8, 3, 1]),
+        ("proj.w", []),
+        ("proj.w", [256]),
+        ("proj.w", [8, 32, 1]),
+        ("refine.0.b", [3]),
+    ],
+)
+def test_checkpoint_entry_shape_exit_3(tmp_path, capsys, name, shape):
+    data, vocab = gen_small(capsys, tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    code, _, _ = run(
+        capsys, "train",
+        "--data", str(data), "--vocab", str(vocab),
+        "--set", "epochs=0", "--checkpoint-out", str(ckpt), "--quiet",
+    )
+    assert code == 0
+    entries = json.loads(ckpt.read_text(encoding="utf-8"))
+    entries[name] = {"shape": shape, "values": [0.5] * math.prod(shape)}
+    ckpt.write_text(json.dumps(entries), encoding="utf-8")
+    code, _, err = run(
+        capsys, "infer",
+        "--checkpoint", str(ckpt), "--data", str(data), "--vocab", str(vocab),
+        "--out", str(tmp_path / "x.jsonl"),
+    )
+    assert code == 3 and f"{name!r}" in err and err.startswith("error: ")
+
+
+def test_gen_data_defaults_are_the_generator_defaults():
+    args = build_parser().parse_args(["gen-data", "--out", "d", "--vocab-out", "v"])
+    assert synthetic_config(args) == SyntheticConfig()
 
 
 def test_ablation_without_priors_exit_2(tmp_path, capsys):
@@ -518,6 +557,12 @@ SPLICE = st.tuples(st.sampled_from(("cut", "byte")), st.integers(0, 1 << 16))
 @example(target="config", mutation=(("epochs",), 2.9))
 @example(target="dataset", mutation=((0, "labels"), [0.9]))
 @example(target="dataset", mutation=((0, "labels"), [True]))
+# Values of the right JSON type that no saved file holds.
+@example(target="priors", mutation=(("min_count",), 0))
+@example(target="priors", mutation=(("by_class", "0", "count"), -1))
+@example(target="priors", mutation=(("by_class", "0", "std"), -0.5))
+@example(target="checkpoint", mutation=(("rgb.det.w", "shape"), [4]))
+@example(target="checkpoint", mutation=(("proj.w", "shape"), [64]))
 @settings(
     max_examples=200,
     deadline=None,

@@ -47,7 +47,6 @@ class TestCreate:
         assert model.proj.w.value.shape == (5, 4)
         assert model.refine[0].w.value.shape == (5, 4)  # C + 1 outputs
         assert model.proj.rho.value.shape == (1,)
-        model.check_consistent()
 
     def test_rho_init_applied(self):
         model = ModelParams.create(
@@ -115,6 +114,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="rogue"):
             ModelParams.load(p)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"proj.w": (6, 4)}, r"'proj.w' has shape \(6, 4\), expected \(5, 4\)"),
+            ({"rgb.det.w": (0, 10**9), "proj.w": (0, 4)}, "values it holds"),
+            ({"refine.2.w": (5, 4), "refine.3.w": (5, 4)}, "4 refinement branches"),
+        ],
+    )
+    def test_stated_dims_checked_before_allocation(self, tmp_path, changes, message):
+        # Dims are refused before a model is created from them: a billion
+        # classes stated in a few bytes must not be allocated.
+        from wsodkit.numkit import Param, save_checkpoint
+
+        model = ModelParams.create(dims(), np.random.default_rng(0))
+        params = [p for p in model.params() if p.name not in changes]
+        params += [Param(name, np.zeros(shape)) for name, shape in changes.items()]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        with pytest.raises(CheckpointError, match=message):
+            ModelParams.load(path)
+
 
 class TestConsistency:
     def test_check_against_matching(self):
@@ -131,8 +151,11 @@ class TestConsistency:
         with pytest.raises(CheckpointError, match="classes"):
             model.check_against(feat_dim=5, num_classes=4)
 
-    def test_inconsistent_shapes_detected(self):
+    def test_inconsistent_shapes_detected(self, tmp_path):
         model = ModelParams.create(dims(), np.random.default_rng(0))
-        model.rgb_head.w_det.value = np.zeros((5, 9))
-        with pytest.raises(CheckpointError):
-            model.check_consistent()
+        model.depth_head.w_cls.value = np.zeros((5, 9))
+        p = tmp_path / "model.ckpt"
+        model.save(p)
+        message = r"'depth.cls.w' has shape \(5, 9\), expected \(5, 3\)"
+        with pytest.raises(CheckpointError, match=message):
+            ModelParams.load(p)

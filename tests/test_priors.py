@@ -107,19 +107,19 @@ class TestFreezeRange:
         m = RunningMoments()
         m.add(0.2)
         m.add(0.4)
-        r = freeze_range(m, min_count=2)
+        r = freeze_range(m.count, m.mean(), m.std(), min_count=2)
         assert r.lo == pytest.approx(0.2, abs=1e-12)
         assert r.hi == pytest.approx(0.4, abs=1e-12)
 
     def test_below_threshold_none(self):
         m = RunningMoments()
         m.add(0.3)
-        assert freeze_range(m, min_count=2) is None
+        assert freeze_range(m.count, m.mean(), m.std(), min_count=2) is None
 
     def test_single_value_point_range(self):
         m = RunningMoments()
         m.add(0.7)
-        r = freeze_range(m, min_count=1)
+        r = freeze_range(m.count, m.mean(), m.std(), min_count=1)
         assert r.lo == pytest.approx(0.7) and r.hi == pytest.approx(0.7)
 
     def test_mean_pm_population_std(self, rng):
@@ -127,7 +127,7 @@ class TestFreezeRange:
         values = rng.uniform(size=25)
         for v in values:
             m.add(float(v))
-        r = freeze_range(m, min_count=1)
+        r = freeze_range(m.count, m.mean(), m.std(), min_count=1)
         mu, s = float(np.mean(values)), float(np.std(values))
         assert r.lo == pytest.approx(mu - s, abs=1e-12)
         assert r.hi == pytest.approx(mu + s, abs=1e-12)
@@ -186,6 +186,21 @@ class TestPriorStats:
             assert loaded.by_class[k].hi == pytest.approx(
                 direct.by_class[k].hi, abs=1e-12
             )
+
+    def test_loaded_ranges_equal_frozen_bits(self, tmp_path):
+        # std * std * count / count is not std for these three depths, so
+        # a load that rebuilt the moments from the file lost the last bit.
+        stats = PriorStats(min_count_word=1)
+        for d in (0.1, 0.2, 1.2):
+            stats.add_observation(0, d, "a dog by the sea")
+        std = stats.by_class[0].std()
+        assert math.sqrt(std * std * 3 / 3) != std
+        path = tmp_path / "priors.json"
+        stats.save(path)
+        loaded, direct = FrozenPriors.load(path), stats.freeze()
+        assert loaded.by_class == direct.by_class
+        assert loaded.by_class_word == direct.by_class_word
+        assert len(direct.by_class_word) == len(tokenize("a dog by the sea"))
 
     def test_word_threshold_applied_at_freeze(self):
         stats = PriorStats(min_count_word=2)

@@ -12,7 +12,7 @@ from wsodkit.data import Box, ClassVocabulary
 from wsodkit.errors import CheckpointError, ConfigError, DataError
 from wsodkit.fusion import FusionMode
 from wsodkit.model import ModelDims, ModelParams
-from wsodkit.priors import DepthRange, FrozenPriors
+from wsodkit.priors import DepthRange, FrozenPriors, estimate_priors
 from wsodkit.synth import SyntheticConfig, generate_synthetic
 from wsodkit.train import (
     ABLATION_ROWS,
@@ -90,6 +90,13 @@ class TestRunConfig:
             dict(proj_dim=10**12),
             dict(epochs=MAX_EPOCHS + 1),
             dict(proj_dim=MAX_PROJ_DIM + 1),
+            dict(epochs=2.5),
+            dict(epochs=True),
+            dict(nce_batch=8.0),
+            dict(proj_dim=False),
+            dict(refine_branches=1.5),
+            dict(seed="3"),
+            dict(seed=np.int64(3)),
         ],
     )
     def test_bad_values_rejected(self, kw):
@@ -307,6 +314,24 @@ class TestDeterminismAndReductions:
             out.append((ck.read_bytes(), rp.read_bytes()))
         assert out[0][0] == out[1][0]
         assert out[0][1] == out[1][1]
+
+    def test_saved_priors_train_like_in_memory_priors(self, small_data, tmp_path):
+        records, vocab = small_data
+        baseline, _ = train(tiny_config(), records, vocab)
+        dets = infer(baseline, records, min_score=0.0)
+        stats, frozen, _ = estimate_priors(
+            records, dets, score_threshold=0.0, min_count_word=1
+        )
+        stats.save(tmp_path / "priors.json")
+        loaded = FrozenPriors.load(tmp_path / "priors.json")
+        assert loaded.by_class == frozen.by_class
+        assert loaded.by_class_word == frozen.by_class_word
+        cfg = tiny_config(depth_oicr=True, depth_attention=True)
+        for name, priors in (("memory", frozen), ("file", loaded)):
+            model, _ = train(cfg, records, vocab, priors=priors)
+            model.save(tmp_path / f"{name}.ckpt")
+        memory = (tmp_path / "memory.ckpt").read_bytes()
+        assert memory == (tmp_path / "file.ckpt").read_bytes()
 
     def test_lambda_nce_zero_equals_toggle_off(self, small_data):
         records, vocab = small_data
