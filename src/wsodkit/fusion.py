@@ -2,7 +2,8 @@
 
 Each modality owns a full MIL head; fusion adds their raw detection and
 classification scores elementwise before normalization. ``forward`` maps a
-mode onto the streams that ``milhead.forward`` sums, RGB before depth.
+mode onto the streams that ``milhead.forward`` sums, RGB before depth, and
+feeds them as a stack of one image.
 Training with fusion enabled feeds the fused scores; inference defaults to
 the RGB stream alone, with fused and depth-only modes available for
 ablations.
@@ -29,9 +30,12 @@ def forward(
     depth_head: HeadParams,
     mode: FusionMode = FusionMode.RGB_ONLY,
 ) -> ScorePack:
-    """Score one record under the requested mode."""
-    rgb = (record.rgb_features, rgb_head)
-    depth = (record.depth_features, depth_head)
+    """Score one record under the requested mode, as a stack of one.
+
+    Every array of the returned pack has a leading axis of length 1.
+    """
+    rgb = (record.rgb_features[None], rgb_head)
+    depth = (record.depth_features[None], depth_head)
     if mode is FusionMode.RGB_ONLY:
         streams = [rgb]
     elif mode is FusionMode.DEPTH_ONLY:

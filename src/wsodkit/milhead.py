@@ -7,9 +7,12 @@ per-proposal class evidence; summing it per class and squashing through a
 sigmoid yields the image-level class probability that the weak image labels
 supervise with binary cross-entropy.
 
-``forward`` is the one scoring path: ``mil_chain`` adds the loss and its
-backward for training, and ``fusion.forward`` serves inference and mining
-diagnostics by choosing which streams to feed it.
+``forward`` is the one scoring path and scores a stack of same-R images,
+features (B, R, d), in one call: ``mil_chain`` adds the losses and their
+backward for training, where one call covers a run of same-R images of an
+optimizer step, and ``fusion.forward`` serves inference and mining
+diagnostics by choosing which streams to feed it, as a stack of one. Every
+image of a stack gets the same bits it would get alone.
 """
 
 from __future__ import annotations
@@ -55,13 +58,16 @@ class HeadParams:
 
 @dataclass
 class ScorePack:
-    """All per-image score stages, raw scores through image probabilities.
+    """All score stages of a stack of B images, raw scores through image
+    probabilities.
 
-    ``det_prob`` columns each sum to 1 (softmax over proposals per class),
-    ``cls_prob`` rows each sum to 1 (softmax over classes per proposal),
-    ``combined`` is their product, ``attended`` is ``combined`` times the
-    optional attention multipliers (``combined`` itself without them), and
-    ``image_prob[c]`` squashes the sum of column c of ``attended``.
+    Per image b, ``det_prob[b]`` columns each sum to 1 (softmax over
+    proposals per class), ``cls_prob[b]`` rows each sum to 1 (softmax over
+    classes per proposal), ``combined`` is their product, ``attended`` is
+    ``combined`` times the optional attention multipliers (``combined``
+    itself without them), and ``image_prob[b, c]`` squashes the sum of
+    column c of ``attended[b]``. Score arrays are (B, R, C); ``image_prob``
+    is (B, C).
     """
 
     det_scores: np.ndarray
@@ -74,7 +80,7 @@ class ScorePack:
 
 
 def score(features: np.ndarray, head: HeadParams) -> tuple[np.ndarray, np.ndarray]:
-    """Raw detection and classification scores, each (R, C)."""
+    """Raw detection and classification scores, each (..., R, C)."""
     det = numkit.affine(features, head.w_det.value, head.b_det.value)
     cls = numkit.affine(features, head.w_cls.value, head.b_cls.value)
     return det, cls
@@ -84,15 +90,19 @@ def forward(
     streams: Sequence[tuple[np.ndarray, HeadParams]],
     attention: np.ndarray | None = None,
 ) -> ScorePack:
-    """Score one image: raw scores of every stream through image probabilities.
+    """Score a stack of same-R images: raw scores through image probabilities.
 
-    Raw scores are summed over the ``(features, head)`` streams in the
-    order given (late fusion passes RGB, then depth). ``attention`` is an
-    optional (R, C) multiplier applied to the combined evidence only on the
-    path into the image prediction, so ``combined`` stays raw for mining.
-    Each per-class sum is squashed through a sigmoid, so without attention
-    every image probability lies in [0.5, sigmoid(1)].
+    Each stream's features are a (B, R, d) stack. Raw scores are summed
+    over the ``(features, head)`` streams in the order given (late fusion
+    passes RGB, then depth). ``attention`` is an optional (B, R, C)
+    multiplier applied to the combined evidence only on the path into the
+    image prediction, so ``combined`` stays raw for mining. Each per-class
+    sum is squashed through a sigmoid, so without attention every image
+    probability lies in [0.5, sigmoid(1)]. Every image of the stack is
+    scored bit for bit as it would be alone.
     """
+    if any(features.ndim != 3 for features, _ in streams):
+        raise ShapeError("stream features must be (B, R, d) stacks")
     (features, head), *rest = streams
     det, cls = score(features, head)
     for features, head in rest:
@@ -109,7 +119,7 @@ def forward(
         cls_prob=cls_prob,
         combined=combined,
         attended=attended,
-        image_prob=numkit.sigmoid(attended.sum(axis=0)),
+        image_prob=numkit.sigmoid(attended.sum(axis=-2)),
     )
 
 
@@ -123,20 +133,23 @@ def label_vector(labels: set[int], num_classes: int) -> np.ndarray:
 def mil_chain(
     rgb_features: np.ndarray,
     rgb_head: HeadParams,
-    labels: set[int],
+    labels: Sequence[set[int]],
     depth_features: np.ndarray | None = None,
     depth_head: HeadParams | None = None,
     attention: np.ndarray | None = None,
     grad_scale: float = 0.0,
-) -> tuple[float, ScorePack]:
-    """MIL loss of one image: ``forward``, binary cross-entropy, backward.
+) -> tuple[list[float], ScorePack]:
+    """MIL losses of a stack of same-R images: ``forward``, BCE, backward.
 
-    When ``depth_features``/``depth_head`` are given, the depth stream is
-    fused after the RGB one. The loss sums, over classes, the binary
-    cross-entropy between the image probabilities (clamped before the logs)
-    and the image labels. With ``grad_scale`` nonzero, gradients of
-    ``grad_scale * loss`` are accumulated into the head parameters.
-    Returns the loss and the forward's ``ScorePack``.
+    Features are (B, R, d) stacks and ``labels`` holds one label set per
+    image. When ``depth_features``/``depth_head`` are given, the depth
+    stream is fused after the RGB one. Each image's loss sums, over
+    classes, the binary cross-entropy between its image probabilities
+    (clamped before the logs) and its labels. With ``grad_scale`` nonzero,
+    gradients of ``grad_scale`` times each loss are accumulated into the
+    head parameters one image at a time, in stack order, so a stack leaves
+    the same bits in ``Param.grad`` as its images would one call each.
+    Returns the per-image losses and the forward's ``ScorePack``.
     """
     streams = [(rgb_features, rgb_head)]
     if depth_features is not None:
@@ -145,9 +158,11 @@ def mil_chain(
         streams.append((depth_features, depth_head))
     pack = forward(streams, attention)
     image_prob = pack.image_prob
-    y = label_vector(labels, image_prob.shape[0])
+    if len(labels) != image_prob.shape[0]:
+        raise ShapeError(f"{len(labels)} label sets for {image_prob.shape[0]} images")
+    y = np.array([label_vector(ls, image_prob.shape[1]) for ls in labels])
     p = numkit.clamp_unit(image_prob)
-    loss = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum())
+    losses = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=-1)
 
     if grad_scale != 0.0:
         # d loss / d image_prob through the clamped logs.
@@ -155,7 +170,7 @@ def mil_chain(
         dlog1m = numkit.dlog_clamped(1.0 - image_prob)
         d_prob = -(y * dlogp - (1.0 - y) * dlog1m)
         d_total = d_prob * image_prob * (1.0 - image_prob)
-        d_attended = np.broadcast_to(d_total, pack.attended.shape)
+        d_attended = np.broadcast_to(d_total[:, None, :], pack.attended.shape)
         d_combined = d_attended if attention is None else d_attended * attention
         d_det_prob = d_combined * pack.cls_prob
         d_cls_prob = d_combined * pack.det_prob
@@ -163,11 +178,13 @@ def mil_chain(
         d_cls = numkit.softmax_rows_backward(pack.cls_prob, d_cls_prob)
         s = grad_scale
         for features, head in streams:
-            _, dw, db = numkit.affine_backward(features, head.w_det.value, d_det)
-            head.w_det.grad += s * dw
-            head.b_det.grad += s * db
-            _, dw, db = numkit.affine_backward(features, head.w_cls.value, d_cls)
-            head.w_cls.grad += s * dw
-            head.b_cls.grad += s * db
+            for w, b, g in (
+                (head.w_det, head.b_det, d_det),
+                (head.w_cls, head.b_cls, d_cls),
+            ):
+                dw, db = numkit.affine_backward(features, g)
+                for k in range(len(dw)):
+                    w.grad += s * dw[k]
+                    b.grad += s * db[k]
 
-    return loss, pack
+    return losses.tolist(), pack

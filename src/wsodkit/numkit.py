@@ -36,48 +36,55 @@ class Param:
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise affine map ``x @ w + b`` with shape checking."""
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ShapeError("affine expects x (n,d), w (d,m), b (m,)")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    """Row-wise affine map ``x @ w + b`` over the last two axes of ``x``.
+
+    ``x`` is one (n, d) matrix or a stack (..., n, d) of them; each matrix
+    of the stack is mapped exactly as it would be on its own.
+    """
+    if x.ndim < 2 or w.ndim != 2 or b.ndim != 1:
+        raise ShapeError("affine expects x (..., n, d), w (d, m), b (m,)")
+    if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(
             f"affine shapes do not conform: x {x.shape}, w {w.shape}, b {b.shape}"
         )
     return x @ w + b
 
 
-def affine_backward(
-    x: np.ndarray, w: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``x @ w + b`` given upstream ``g``; returns (dx, dw, db)."""
-    return g @ w.T, x.T @ g, g.sum(axis=0)
+def affine_backward(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias gradients of ``x @ w + b`` given upstream ``g``.
+
+    Over the last two axes: for a stack (..., n, d) of inputs the result is
+    the stack of per-matrix gradients, (..., d, m) and (..., m), which the
+    caller sums into ``Param.grad`` in the order it needs.
+    """
+    return np.swapaxes(x, -1, -2) @ g, g.sum(axis=-2)
 
 
 def softmax_cols(s: np.ndarray) -> np.ndarray:
-    """Softmax down each column (axis 0); every column sums to 1.
+    """Softmax down each column (axis -2); every column sums to 1.
 
     The column max is subtracted before exponentiation so large scores
-    cannot overflow.
+    cannot overflow. A stack of matrices is normalized matrix by matrix.
     """
     s = np.asarray(s, dtype=np.float64)
-    e = np.exp(s - s.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
+    e = np.exp(s - s.max(axis=-2, keepdims=True))
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 def softmax_rows(s: np.ndarray) -> np.ndarray:
-    """Softmax along each row (axis 1); every row sums to 1."""
+    """Softmax along each row (axis -1); every row sums to 1."""
     s = np.asarray(s, dtype=np.float64)
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cols_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     # ds = y * (g - <g, y>_col), the softmax Jacobian applied columnwise.
-    return y * (g - (g * y).sum(axis=0, keepdims=True))
+    return y * (g - (g * y).sum(axis=-2, keepdims=True))
 
 
 def softmax_rows_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=1, keepdims=True))
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -177,7 +177,7 @@ def refinement_chain(
         d_logits = q * coef[:, None]
         d_logits[np.arange(r), targets] -= coef
         d_logits *= grad_scale
-        _, dw, db = numkit.affine_backward(record.rgb_features, branch.w.value, d_logits)
+        dw, db = numkit.affine_backward(record.rgb_features, d_logits)
         branch.w.grad += dw
         branch.b.grad += db
     return loss, q

@@ -53,17 +53,19 @@ def make_record(
 
 
 def score_stream(det: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, HeadParams]:
-    """A (features, head) stream whose raw scores are exactly ``det``/``cls``.
+    """A (features, head) stream of one image whose raw scores are exactly
+    ``det``/``cls``.
 
     Identity features times the score matrices plus a zero bias reproduces
     them bit for bit, so tests can drive the MIL forward from raw scores.
+    The features are a stack of one, (1, R, R).
     """
     zero = np.zeros(det.shape[1])
     head = HeadParams(
         Param("det.w", det), Param("det.b", zero),
         Param("cls.w", cls), Param("cls.b", zero),
     )
-    return np.eye(det.shape[0]), head
+    return np.eye(det.shape[0])[None], head
 
 
 @pytest.fixture

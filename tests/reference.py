@@ -192,7 +192,7 @@ def infer_candidates(model, records, mode, min_score, nms_thresh):
                     image_id=rec.image_id,
                     class_id=cid,
                     box=Box(*rec.proposals[i].tolist()),
-                    score=float(pack.combined[i, cid]),
+                    score=float(pack.combined[0, i, cid]),
                 )
                 for i in range(rec.num_proposals)
             ]

@@ -121,9 +121,9 @@ def test_criterion_2_gradient_integrity():
             params = rgb.params() + depth.params()
 
             def f_mil():
-                loss, _ = mil_chain(
-                    xv, rgb, labels,
-                    depth_features=xd, depth_head=depth, grad_scale=1.0,
+                [loss], _ = mil_chain(
+                    xv[None], rgb, [labels],
+                    depth_features=xd[None], depth_head=depth, grad_scale=1.0,
                 )
                 return loss
 

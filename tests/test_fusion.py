@@ -22,15 +22,15 @@ class TestFuse:
         a = (rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
         b = (rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
         pack = milhead.forward([score_stream(*a), score_stream(*b)])
-        assert np.array_equal(pack.det_scores, a[0] + b[0])
-        assert np.array_equal(pack.cls_scores, a[1] + b[1])
+        assert np.array_equal(pack.det_scores[0], a[0] + b[0])
+        assert np.array_equal(pack.cls_scores[0], a[1] + b[1])
 
     def test_zero_stream_is_identity(self, rng):
         a = (rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
         z = (np.zeros((4, 3)), np.zeros((4, 3)))
         pack = milhead.forward([score_stream(*a), score_stream(*z)])
-        assert np.array_equal(pack.det_scores, a[0])
-        assert np.array_equal(pack.cls_scores, a[1])
+        assert np.array_equal(pack.det_scores[0], a[0])
+        assert np.array_equal(pack.cls_scores[0], a[1])
 
 
 class TestModeParse:
@@ -101,8 +101,8 @@ class TestForward:
         # Score-level addition makes the two orderings identical.
         rgb_head, depth_head = heads
         rec = make_record(rng, "a", feat_dim=8)
-        v = (rec.rgb_features, rgb_head)
-        d = (rec.depth_features, depth_head)
+        v = (rec.rgb_features[None], rgb_head)
+        d = (rec.depth_features[None], depth_head)
         ab = milhead.forward([v, d])
         ba = milhead.forward([d, v])
         assert np.array_equal(ab.det_scores, ba.det_scores)

@@ -1,5 +1,6 @@
 """MIL detection head: forward-pass oracles, loss values, gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from wsodkit import milhead
 from wsodkit.errors import ShapeError
-from wsodkit.milhead import HeadParams, label_vector, mil_chain
+from wsodkit.milhead import HeadParams, ScorePack, label_vector, mil_chain
 
 from conftest import score_stream
 from reference import grad_check
@@ -21,9 +22,19 @@ def make_head(rng, feat_dim=4, num_classes=3, scale=0.5, prefix="rgb"):
     return HeadParams.create(prefix, rng, feat_dim, num_classes, scale)
 
 
-def from_scores(det, cls, **kw):
-    """Forward pass of a single stream emitting the given raw scores."""
-    return milhead.forward([score_stream(det, cls)], **kw)
+def first_image(pack):
+    """The pack of the first image of a stack, without the stack axis."""
+    return ScorePack(
+        **{f.name: getattr(pack, f.name)[0] for f in dataclasses.fields(pack)}
+    )
+
+
+def from_scores(det, cls, attention=None):
+    """Forward pass of one image through a single stream emitting the given
+    raw scores; ``attention`` is that image's (R, C) multiplier."""
+    if attention is not None:
+        attention = attention[None]
+    return first_image(milhead.forward([score_stream(det, cls)], attention))
 
 
 class TestScore:
@@ -144,8 +155,8 @@ def loss_at(probs, labels):
     c = probs.size
     x, head = score_stream(np.zeros((1, c)), np.zeros((1, c)))
     logits = np.log(probs / (1.0 - probs))
-    loss, pack = mil_chain(x, head, labels, attention=c * logits[None, :])
-    assert np.allclose(pack.image_prob, probs, atol=1e-15)
+    [loss], pack = mil_chain(x, head, [labels], attention=c * logits[None, None, :])
+    assert np.allclose(pack.image_prob[0], probs, atol=1e-15)
     return loss
 
 
@@ -168,7 +179,7 @@ class TestMilLoss:
             stream = score_stream(
                 rng.standard_normal((4, 3)) * 4, rng.standard_normal((4, 3)) * 4
             )
-            loss_all_neg, _ = mil_chain(*stream, set())
+            [loss_all_neg], _ = mil_chain(*stream, [set()])
             assert loss_all_neg >= 3 * math.log(2.0) - 1e-9
 
     def test_label_vector(self):
@@ -179,7 +190,7 @@ class TestMilChain:
     def test_loss_matches_manual_pipeline(self, rng):
         head = make_head(rng, feat_dim=6, num_classes=3)
         x = rng.standard_normal((5, 6))
-        loss, pack = mil_chain(x, head, {0, 2})
+        [loss], pack = mil_chain(x[None], head, [{0, 2}])
         det = x @ head.w_det.value + head.b_det.value
         cls = x @ head.w_cls.value + head.b_cls.value
         ed = np.exp(det - det.max(axis=0, keepdims=True))
@@ -189,7 +200,7 @@ class TestMilChain:
         y = np.array([1.0, 0.0, 1.0])
         bce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum()
         assert loss == pytest.approx(bce, abs=1e-12)
-        assert np.allclose(pack.combined, combined, atol=1e-15)
+        assert np.allclose(pack.combined[0], combined, atol=1e-15)
         assert pack.attended is pack.combined
 
     def test_rgb_gradients_finite_difference(self, rng):
@@ -197,7 +208,7 @@ class TestMilChain:
         x = rng.standard_normal((5, 4))
 
         def f():
-            loss, _ = mil_chain(x, head, {1}, grad_scale=1.0)
+            [loss], _ = mil_chain(x[None], head, [{1}], grad_scale=1.0)
             return loss
 
         assert grad_check(f, head.params()) < 1e-6
@@ -210,11 +221,11 @@ class TestMilChain:
         params = rgb_head.params() + depth_head.params()
 
         def f():
-            loss, _ = mil_chain(
-                xv,
+            [loss], _ = mil_chain(
+                xv[None],
                 rgb_head,
-                {0, 2},
-                depth_features=xd,
+                [{0, 2}],
+                depth_features=xd[None],
                 depth_head=depth_head,
                 grad_scale=1.0,
             )
@@ -228,7 +239,9 @@ class TestMilChain:
         att = np.where(rng.uniform(size=(4, 2)) < 0.5, 0.5, 1.0)
 
         def f():
-            loss, _ = mil_chain(x, head, {0}, attention=att, grad_scale=1.0)
+            [loss], _ = mil_chain(
+                x[None], head, [{0}], attention=att[None], grad_scale=1.0
+            )
             return loss
 
         assert grad_check(f, head.params()) < 1e-6
@@ -239,15 +252,15 @@ class TestMilChain:
         head = make_head(rng, feat_dim=4, num_classes=2)
         x = rng.standard_normal((4, 4))
         att = np.full((4, 2), 0.5)
-        loss_att, pack_att = mil_chain(x, head, {0}, attention=att)
-        loss_plain, pack_plain = mil_chain(x, head, {0})
+        [loss_att], pack_att = mil_chain(x[None], head, [{0}], attention=att[None])
+        [loss_plain], pack_plain = mil_chain(x[None], head, [{0}])
         attended = pack_att.attended
         assert np.allclose(pack_att.combined, pack_plain.combined, atol=1e-15)
         assert np.allclose(attended, pack_plain.combined * 0.5, atol=1e-15)
         assert loss_att != pytest.approx(loss_plain, abs=1e-12)
         assert np.allclose(
             pack_att.image_prob,
-            1.0 / (1.0 + np.exp(-attended.sum(axis=0))),
+            1.0 / (1.0 + np.exp(-attended.sum(axis=1))),
             atol=1e-12,
         )
 
@@ -256,11 +269,11 @@ class TestMilChain:
         x = rng.standard_normal((3, 3))
         for p in head.params():
             p.zero_grad()
-        mil_chain(x, head, {0}, grad_scale=1.0)
+        mil_chain(x[None], head, [{0}], grad_scale=1.0)
         g1 = [p.grad.copy() for p in head.params()]
         for p in head.params():
             p.zero_grad()
-        mil_chain(x, head, {0}, grad_scale=0.25)
+        mil_chain(x[None], head, [{0}], grad_scale=0.25)
         for a, p in zip(g1, head.params()):
             assert np.allclose(p.grad, 0.25 * a, atol=1e-15)
 
@@ -269,5 +282,58 @@ class TestMilChain:
         x = rng.standard_normal((2, 4))
         for p in head.params():
             p.zero_grad()
-        mil_chain(x, head, {0})
+        mil_chain(x[None], head, [{0}])
         assert all(not p.grad.any() for p in head.params())
+
+
+class TestStackedChain:
+    @pytest.mark.parametrize("b", [1, 8])
+    @pytest.mark.parametrize("mode", ["rgb", "fused", "attention"])
+    def test_stack_equals_single_image_calls(self, rng, mode, b):
+        r, d, c = 7, 5, 4
+        rgb = make_head(rng, feat_dim=d, num_classes=c)
+        depth = make_head(rng, feat_dim=d, num_classes=c, prefix="depth")
+        params = rgb.params() + depth.params()
+        xv = rng.standard_normal((b, r, d))
+        xd = rng.standard_normal((b, r, d))
+        att = np.where(rng.uniform(size=(b, r, c)) < 0.5, 0.5, 1.0)
+        labels = [
+            set(rng.choice(c, size=int(rng.integers(0, c + 1)), replace=False).tolist())
+            for _ in range(b)
+        ]
+        fused = mode == "fused"
+
+        def run(lo, hi):
+            return mil_chain(
+                xv[lo:hi],
+                rgb,
+                labels[lo:hi],
+                depth_features=xd[lo:hi] if fused else None,
+                depth_head=depth if fused else None,
+                attention=att[lo:hi] if mode == "attention" else None,
+                grad_scale=0.125,
+            )
+
+        for p in params:
+            p.zero_grad()
+        losses, pack = run(0, b)
+        grads = [p.grad.copy() for p in params]
+        for p in params:
+            p.zero_grad()
+        singles = [run(k, k + 1) for k in range(b)]
+        assert losses == [loss for one, _ in singles for loss in one]
+        for f in dataclasses.fields(pack):
+            parts = [getattr(one, f.name) for _, one in singles]
+            assert np.array_equal(getattr(pack, f.name), np.concatenate(parts)), f.name
+        assert any(g.any() for g in grads)
+        for p, g in zip(params, grads):
+            assert np.array_equal(p.grad, g), p.name
+
+    def test_unstacked_features_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            milhead.forward([(rng.standard_normal((3, 4)), make_head(rng))])
+
+    def test_label_count_must_match_stack(self, rng):
+        head = make_head(rng)
+        with pytest.raises(ShapeError):
+            mil_chain(rng.standard_normal((2, 3, 4)), head, [{0}])

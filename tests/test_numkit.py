@@ -52,12 +52,41 @@ class TestAffine:
 
         def f():
             out = numkit.affine(x, w.value, b.value)
-            _, gw, gb = numkit.affine_backward(x, w.value, g)
+            gw, gb = numkit.affine_backward(x, g)
             w.grad += gw
             b.grad += gb
             return float((out * g).sum())
 
         assert grad_check(f, [w, b]) < 1e-8
+
+
+class TestStacks:
+    def test_stack_matches_each_matrix(self, rng):
+        # A stack of matrices must give each one the bits it gets alone.
+        x = rng.standard_normal((5, 7, 4))
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(3)
+        g = rng.standard_normal((5, 7, 3))
+        out = numkit.affine(x, w, b)
+        dw, db = numkit.affine_backward(x, g)
+        for k in range(5):
+            assert np.array_equal(out[k], numkit.affine(x[k], w, b))
+            dw_k, db_k = numkit.affine_backward(x[k], g[k])
+            assert np.array_equal(dw[k], dw_k)
+            assert np.array_equal(db[k], db_k)
+        for fwd, bwd in (
+            (numkit.softmax_cols, numkit.softmax_cols_backward),
+            (numkit.softmax_rows, numkit.softmax_rows_backward),
+        ):
+            y = fwd(out)
+            back = bwd(y, g)
+            for k in range(5):
+                assert np.array_equal(y[k], fwd(out[k]))
+                assert np.array_equal(back[k], bwd(y[k], g[k]))
+
+    def test_affine_rejects_vector_input(self):
+        with pytest.raises(ShapeError):
+            numkit.affine(np.zeros(3), np.zeros((3, 2)), np.zeros(2))
 
 
 class TestSoftmax:

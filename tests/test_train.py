@@ -1,5 +1,6 @@
 """Training loop, config plumbing, inference, mining, ablation."""
 
+import importlib
 import json
 import math
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wsodkit import fusion, milhead
 from wsodkit.data import Box, ClassVocabulary
 from wsodkit.errors import CheckpointError, ConfigError, DataError
 from wsodkit.fusion import FusionMode
@@ -32,6 +34,9 @@ from wsodkit.train import (
 
 from conftest import make_record
 from reference import bare_mil_run, infer_candidates, iou
+
+# The module itself: the package exports its ``train`` function by that name.
+TRAIN = importlib.import_module("wsodkit.train")
 
 
 def tiny_config(**kw):
@@ -97,11 +102,22 @@ class TestRunConfig:
             dict(refine_branches=1.5),
             dict(seed="3"),
             dict(seed=np.int64(3)),
+            dict(fusion="no"),
+            dict(siamese_nce=1),
+            dict(learning_rate="0.1"),
+            dict(min_score="0.1"),
+            dict(momentum=True),
+            dict(attention_multiplier=None),
+            dict(label_source=b"gt"),
+            dict(inference_mode=None),
         ],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ConfigError):
             RunConfig(**kw).validate()
+
+    def test_int_accepted_for_float_fields(self):
+        RunConfig(learning_rate=1, momentum=0, min_score=0).validate()
 
     def test_ceilings_accepted(self):
         RunConfig(epochs=MAX_EPOCHS, proj_dim=MAX_PROJ_DIM).validate()
@@ -386,6 +402,43 @@ class TestDeterminismAndReductions:
         for a, b in zip(model.proj.params(), fresh.proj.params()):
             assert np.array_equal(a.value, b.value), a.name
 
+    def test_stacked_step_matches_one_image_per_call(
+        self, rng, small_vocab, monkeypatch, tmp_path
+    ):
+        # Consecutive same-R images of a step share one mil_chain call; the
+        # run must write the bytes of a run that calls it once per image.
+        sizes = (1, 2, 6, 11, 30) + (9,) * 10
+        recs = [
+            make_record(rng, f"i{k}", num_proposals=r, feat_dim=8, labels={k % 3})
+            for k, r in enumerate(sizes)
+        ]
+        priors = FrozenPriors({0: DepthRange(0.2, 0.7), 2: DepthRange(0.5, 1.0)}, {})
+        cfg = tiny_config(
+            epochs=3, nce_batch=6, siamese_nce=True, fusion=True,
+            depth_oicr=True, depth_attention=True,
+        )
+        stack_sizes = []
+        chain = milhead.mil_chain
+
+        def counted(features, *args, **kwargs):
+            stack_sizes.append(len(features))
+            return chain(features, *args, **kwargs)
+
+        monkeypatch.setattr(milhead, "mil_chain", counted)
+        runs = []
+        for budget in (TRAIN.MIL_ROW_BUDGET, 1):
+            monkeypatch.setattr(TRAIN, "MIL_ROW_BUDGET", budget)
+            stack_sizes.clear()
+            model, report = train(cfg, recs, small_vocab, priors=priors)
+            model.save(tmp_path / "model.ckpt")
+            epochs = [e.to_json() for e in report.epochs]
+            ckpt = (tmp_path / "model.ckpt").read_bytes()
+            runs.append((ckpt, epochs, max(stack_sizes)))
+        (stacked_bytes, stacked_epochs, widest), (one_bytes, one_epochs, one) = runs
+        assert widest > 1 and one == 1
+        assert stacked_bytes == one_bytes
+        assert stacked_epochs == one_epochs
+
     def test_loss_decreases_on_separable_data(self):
         cfg = SyntheticConfig(
             num_images=60,
@@ -465,7 +518,14 @@ class TestInfer:
             make_record(rng, f"m{k}", num_proposals=r, feat_dim=feat_dim, size=64.0)
             for k, r in enumerate((1, 2, 11, 30))
         ]
-        for min_score, nms_thresh in ((0.0, 0.5), (0.05, 0.3), (0.0, 1.0)):
+        # A floor equal to a candidate's exact score drops that candidate.
+        combined = fusion.forward(
+            mixed[-1], model.rgb_head, model.depth_head, mode
+        ).combined
+        tie = float(np.sort(combined, axis=None)[combined.size // 2])
+        for min_score, nms_thresh in (
+            (0.0, 0.5), (0.05, 0.3), (0.0, 1.0), (tie, 0.5), (tie, 1.0)
+        ):
             got = infer(model, mixed, mode, min_score, nms_thresh)
             want = infer_candidates(model, mixed, mode, min_score, nms_thresh)
             assert got == want
