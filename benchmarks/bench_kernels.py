@@ -2,8 +2,12 @@
 
 Run as ``python benchmarks/bench_kernels.py``. ``iou_matrix`` and ``nms``
 are timed on a few sizes with both backends on identical inputs, and the
-outputs are cross-checked before any number is reported. ``box_mean_pool``
-has a single implementation, so there is nothing to compare it against.
+outputs are cross-checked before any number is reported. The sizes include
+the shapes the pipeline benchmark's workloads run: ``nms`` over a 20-box
+class group (R=20) and a 2000-box one (R=2000), and ``iou_matrix`` of 18
+candidates against 2000 proposals, the mining column at R=2000.
+``box_mean_pool`` has a single implementation, so there is nothing to
+compare it against.
 """
 
 from __future__ import annotations
@@ -39,15 +43,15 @@ def _time(fn, *args, repeat: int = 5) -> float:
 
 def bench_iou(rng) -> list[tuple[str, float, float]]:
     rows = []
-    for n in (64, 256, 1024):
+    for n, m in ((18, 2000), (64, 64), (256, 256), (1024, 1024)):
         a = _boxes(rng, n)
-        b = _boxes(rng, n)
+        b = _boxes(rng, m)
         ref = _py.iou_matrix(a, b)
         if _ext is not None:
             assert np.allclose(_ext.iou_matrix(a, b), ref, atol=1e-12)
         rows.append(
             (
-                f"iou_matrix {n}x{n}",
+                f"iou_matrix {n}x{m}",
                 _time(_py.iou_matrix, a, b),
                 _time(_ext.iou_matrix, a, b) if _ext else float("nan"),
             )
@@ -57,7 +61,7 @@ def bench_iou(rng) -> list[tuple[str, float, float]]:
 
 def bench_nms(rng) -> list[tuple[str, float, float]]:
     rows = []
-    for n in (256, 1024, 4096):
+    for n in (20, 256, 1024, 2000, 4096):
         boxes = _boxes(rng, n)
         scores = rng.uniform(0, 1, n)
         ref = _py.nms(boxes, scores, 0.5)

@@ -58,7 +58,7 @@ class HeadParams:
 
 @dataclass
 class ScorePack:
-    """All score stages of a stack of B images, raw scores through image
+    """Score stages of a stack of B images, softmaxes through image
     probabilities.
 
     Per image b, ``det_prob[b]`` columns each sum to 1 (softmax over
@@ -70,8 +70,6 @@ class ScorePack:
     is (B, C).
     """
 
-    det_scores: np.ndarray
-    cls_scores: np.ndarray
     det_prob: np.ndarray
     cls_prob: np.ndarray
     combined: np.ndarray
@@ -113,8 +111,6 @@ def forward(
     combined = det_prob * cls_prob
     attended = combined if attention is None else combined * attention
     return ScorePack(
-        det_scores=det,
-        cls_scores=cls,
         det_prob=det_prob,
         cls_prob=cls_prob,
         combined=combined,

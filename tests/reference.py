@@ -4,8 +4,8 @@ Everything here is deliberately written flat, without the package's own
 layers (Param, SGD, mil_chain), so agreement is evidence rather than
 tautology. The package ships one forward path per component; the
 standalone pieces only tests call live here instead: the contrastive loss
-of a projected batch, box-pair IoU and the finite-difference gradient
-check.
+of a projected batch, box-pair IoU, the broadcast IoU matrix, greedy NMS
+one kept box at a time and the finite-difference gradient check.
 """
 
 import math
@@ -283,3 +283,56 @@ def iou(a, b):
     if inter <= 0.0:
         return 0.0
     return inter / (a.area() + b.area() - inter)
+
+
+def iou_broadcast(a, b):
+    """IoU matrix of (n, 4) and (m, 4) float64 boxes, one broadcast per term.
+
+    The same float operations in the same order as ``kernels.iou_matrix``,
+    with a fresh array for every intermediate, so the two agree bit for bit.
+    """
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
+    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
+    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
+    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
+    iw = np.maximum(ix2 - ix1, 0.0)
+    ih = np.maximum(iy2 - iy1, 0.0)
+    inter = iw * ih
+    union = area_a[:, None] + area_b[None, :] - inter
+    out = np.zeros_like(inter)
+    pos = inter > 0.0
+    np.divide(inter, union, out=out, where=pos)
+    return out
+
+
+def nms_sequential(boxes, scores, thresh):
+    """Greedy NMS one kept box at a time.
+
+    Takes the best remaining box (stable descending score), then drops
+    every remaining box whose IoU with it exceeds ``thresh``; repeats until
+    none remain. Returns the kept indices as int64, in keep order.
+    """
+    b = np.asarray(boxes, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
+    x1, y1, x2, y2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    areas = (x2 - x1) * (y2 - y1)
+    order = np.argsort(-s, kind="stable")
+    keep = []
+    while order.size > 0:
+        i = order[0]
+        keep.append(int(i))
+        rest = order[1:]
+        ix1 = np.maximum(x1[i], x1[rest])
+        iy1 = np.maximum(y1[i], y1[rest])
+        ix2 = np.minimum(x2[i], x2[rest])
+        iy2 = np.minimum(y2[i], y2[rest])
+        iw = np.maximum(ix2 - ix1, 0.0)
+        ih = np.maximum(iy2 - iy1, 0.0)
+        inter = iw * ih
+        iou = np.zeros_like(inter)
+        pos = inter > 0.0
+        np.divide(inter, areas[i] + areas[rest] - inter, out=iou, where=pos)
+        order = rest[iou <= thresh]
+    return np.asarray(keep, dtype=np.int64)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wsodkit import fusion, milhead
+from wsodkit import fusion, milhead, numkit
 from wsodkit.fusion import FusionMode
 from wsodkit.milhead import HeadParams
 
@@ -19,18 +19,20 @@ def heads(rng):
 
 class TestFuse:
     def test_elementwise_sum(self, rng):
+        # The streams' raw scores add before either softmax.
         a = (rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
         b = (rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
         pack = milhead.forward([score_stream(*a), score_stream(*b)])
-        assert np.array_equal(pack.det_scores[0], a[0] + b[0])
-        assert np.array_equal(pack.cls_scores[0], a[1] + b[1])
+        assert np.array_equal(pack.det_prob, numkit.softmax_cols((a[0] + b[0])[None]))
+        assert np.array_equal(pack.cls_prob, numkit.softmax_rows((a[1] + b[1])[None]))
 
     def test_zero_stream_is_identity(self, rng):
         a = (rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
         z = (np.zeros((4, 3)), np.zeros((4, 3)))
         pack = milhead.forward([score_stream(*a), score_stream(*z)])
-        assert np.array_equal(pack.det_scores[0], a[0])
-        assert np.array_equal(pack.cls_scores[0], a[1])
+        alone = milhead.forward([score_stream(*a)])
+        assert np.array_equal(pack.det_prob, alone.det_prob)
+        assert np.array_equal(pack.cls_prob, alone.cls_prob)
 
 
 class TestModeParse:
@@ -105,5 +107,5 @@ class TestForward:
         d = (rec.depth_features[None], depth_head)
         ab = milhead.forward([v, d])
         ba = milhead.forward([d, v])
-        assert np.array_equal(ab.det_scores, ba.det_scores)
-        assert np.array_equal(ab.cls_scores, ba.cls_scores)
+        assert np.array_equal(ab.det_prob, ba.det_prob)
+        assert np.array_equal(ab.cls_prob, ba.cls_prob)

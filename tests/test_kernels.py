@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from wsodkit import kernels
 from wsodkit.kernels import _py
 
+from conftest import random_boxes
+from reference import iou_broadcast, nms_sequential
+
 try:
     from wsodkit.kernels import _ext
 except ImportError:
@@ -21,6 +24,25 @@ BACKENDS = [_py] if _ext is None else [_py, _ext]
 
 def _backend_id(mod):
     return "py" if mod is _py else "ext"
+
+
+def hard_boxes(rng, n):
+    """Random boxes with duplicates, nested boxes and zero-area boxes.
+
+    About a quarter of the rows each copy another row, shrink another row
+    to a box nested inside it, or collapse to zero width.
+    """
+    boxes = random_boxes(rng, n)
+    kind = rng.integers(0, 4, n)
+    dup = kind == 1
+    boxes[dup] = boxes[rng.integers(0, n, dup.sum())]
+    nest = kind == 2
+    outer = boxes[rng.integers(0, n, nest.sum())]
+    half = (outer[:, 2:] - outer[:, :2]) / 4.0
+    boxes[nest] = np.hstack([outer[:, :2] + half, outer[:, 2:] - half])
+    flat = kind == 3
+    boxes[flat, 2] = boxes[flat, 0]
+    return boxes
 
 
 # -- IoU ---------------------------------------------------------------------
@@ -56,8 +78,6 @@ class TestIou:
         assert k.iou_matrix(a, b)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_matrix_shape_and_symmetry(self, k, rng):
-        from conftest import random_boxes
-
         a = random_boxes(rng, 7)
         b = random_boxes(rng, 5)
         m = k.iou_matrix(a, b)
@@ -81,6 +101,18 @@ class TestIou:
     def test_bad_shape_raises(self, k):
         with pytest.raises(ValueError):
             k.iou_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    # (18, 2000) is the mining column of a selective-search-sized image.
+    @pytest.mark.parametrize("n,m", [(0, 5), (5, 0), (1, 1), (20, 20), (18, 2000)])
+    def test_bitwise_equal_to_broadcast_oracle(self, k, rng, n, m):
+        a = hard_boxes(rng, n)
+        b = hard_boxes(rng, m)
+        shared = min(n, m) // 2
+        b[:shared] = a[:shared]
+        got = k.iou_matrix(a, b)
+        want = iou_broadcast(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n, m)
+        assert got.tobytes() == want.tobytes()
 
 
 # -- NMS ---------------------------------------------------------------------
@@ -126,10 +158,8 @@ class TestNms:
         assert keep.size == 0
 
     def test_against_quadratic_oracle(self, k, rng):
-        from conftest import random_boxes
-
         for trial in range(25):
-            n = int(rng.integers(1, 30))
+            n = int(rng.integers(1, 101))
             boxes = random_boxes(rng, n)
             scores = rng.uniform(0, 1, n)
             got = k.nms(boxes, scores, 0.4).tolist()
@@ -145,6 +175,29 @@ class TestNms:
                 if ok:
                     kept.append(i)
             assert got == kept
+
+    # Sizes on both sides of the 32-box head block of the NumPy kernel.
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 65, 200, 2000])
+    @pytest.mark.parametrize("thresh", [0.0, 0.3, 0.5, 1.0])
+    def test_against_sequential_oracle(self, k, n, thresh):
+        rng = np.random.default_rng(n)
+        boxes = random_boxes(rng, n)
+        scores = rng.uniform(0, 1, n)
+        got = k.nms(boxes, scores, thresh)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, nms_sequential(boxes, scores, thresh))
+        # Tied scores over duplicate, nested and zero-area boxes.
+        boxes = hard_boxes(rng, n)
+        scores = rng.integers(0, 4, n) / 4.0
+        got = k.nms(boxes, scores, thresh)
+        assert np.array_equal(got, nms_sequential(boxes, scores, thresh))
+
+    def test_zero_area_boxes_never_suppress(self, k):
+        # A zero-area box has no intersection with anything, so it scores
+        # IoU 0 even against itself and survives any threshold >= 0.
+        boxes = np.tile([[3.0, 3.0, 3.0, 9.0]], (40, 1))
+        keep = k.nms(boxes, np.full(40, 0.5), 0.0)
+        assert keep.tolist() == list(range(40))
 
 
 # -- box mean pooling --------------------------------------------------------
@@ -263,21 +316,18 @@ class TestBoxMeanPool:
 @pytest.mark.skipif(_ext is None, reason="compiled backend unavailable")
 class TestParity:
     def test_iou_bitwise_equal(self, rng):
-        from conftest import random_boxes
-
         a = random_boxes(rng, 40)
         b = random_boxes(rng, 30)
         assert np.array_equal(_py.iou_matrix(a, b), _ext.iou_matrix(a, b))
 
     def test_nms_identical_keeps(self, rng):
-        from conftest import random_boxes
-
-        for _ in range(10):
-            boxes = random_boxes(rng, 25)
-            scores = rng.uniform(0, 1, 25)
-            assert np.array_equal(
-                _py.nms(boxes, scores, 0.5), _ext.nms(boxes, scores, 0.5)
-            )
+        for n in (25, 33, 100):
+            for _ in range(10):
+                boxes = random_boxes(rng, n)
+                scores = rng.uniform(0, 1, n)
+                assert np.array_equal(
+                    _py.nms(boxes, scores, 0.5), _ext.nms(boxes, scores, 0.5)
+                )
 
 
 def test_backend_constant():
@@ -314,12 +364,10 @@ def test_iou_bounds_and_symmetry(a, b):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    n=st.integers(1, 15),
+    n=st.integers(1, 80),
     thresh=st.floats(0.1, 0.9),
 )
 def test_nms_output_subset_and_separated(seed, n, thresh):
-    from conftest import random_boxes
-
     r = np.random.default_rng(seed)
     boxes = random_boxes(r, n)
     scores = r.uniform(0, 1, n)
