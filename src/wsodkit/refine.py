@@ -6,8 +6,17 @@ proposals whose depth mask admits the class, the best-scoring candidate
 seeds a cluster, and well-overlapping, well-scoring candidates join it.
 Refinement branches are per-proposal classifiers over C classes plus
 background, supervised by those pseudo boxes with the miner's confidence as
-the loss weight. Depth attention softens the same mask into a multiplier
-that halves out-of-range evidence on the path into the image prediction.
+the loss weight. ``refinement_chain`` scores a stack of same-R images in
+one call, as ``milhead.mil_chain`` does, and every image of the stack gets
+the bits it would get alone. Depth attention softens the same mask into a
+multiplier that halves out-of-range evidence on the path into the image
+prediction.
+
+Proposals are fixed for a whole run, so ``pair_iou`` builds a record's
+R x R proposal IoU block once, and ``mine`` and ``assign_targets`` read
+their IoU columns as slices of it. The IoU formula is elementwise, so a
+slice is bitwise equal to a direct kernel call. Records with more than
+``PAIR_IOU_MAX_R`` proposals get no block and call the kernel each time.
 """
 
 from __future__ import annotations
@@ -25,6 +34,12 @@ from wsodkit.priors import DepthMask
 DEFAULT_IOU_THRESH = 0.5
 DEFAULT_SCORE_RATIO = 0.5
 ATTENTION_MULTIPLIER = 0.5
+# Most proposals a record may have for ``pair_iou`` to cache its R x R IoU
+# block: 32 KB at the bound, 3.2 KB at the stock R=20. There the block
+# replaces the ~2.6 20x1 and 20xk kernel calls an image makes per epoch and
+# branch, each ~16-21 us of NumPy call overhead. One block at R=2000 would
+# take 32 MB and ~160 ms to build.
+PAIR_IOU_MAX_R = 64
 
 
 @dataclass
@@ -71,6 +86,22 @@ class PseudoBoxes:
         return out
 
 
+def pair_iou(record: ImageRecord) -> np.ndarray | None:
+    """The record's (R, R) proposal IoU block, or None above ``PAIR_IOU_MAX_R``."""
+    if record.num_proposals > PAIR_IOU_MAX_R:
+        return None
+    return kernels.iou_matrix(record.proposals, record.proposals)
+
+
+def _iou_columns(
+    record: ImageRecord, idx: list[int], block: np.ndarray | None
+) -> np.ndarray:
+    """IoU of every proposal against proposals ``idx``, as (R, len(idx))."""
+    if block is not None:
+        return block[:, idx]
+    return kernels.iou_matrix(record.proposals, record.proposals[idx])
+
+
 def mine(
     record: ImageRecord,
     scores: np.ndarray,
@@ -78,6 +109,7 @@ def mine(
     mask: DepthMask | None = None,
     iou_thresh: float = DEFAULT_IOU_THRESH,
     score_ratio: float = DEFAULT_SCORE_RATIO,
+    pair_ious: np.ndarray | None = None,
 ) -> PseudoBoxes:
     """Select pseudo boxes for each image label from supervising scores.
 
@@ -85,7 +117,8 @@ def mine(
     (all of them when the mask is absent, and again all of them when the
     pool would be empty). The top-scoring candidate is the seed; candidates
     with IoU >= ``iou_thresh`` against it and score >= ``score_ratio``
-    times the seed's score join the cluster.
+    times the seed's score join the cluster. ``pair_ious`` is the record's
+    ``pair_iou`` block, when it has one.
     """
     r = record.num_proposals
     if scores.ndim != 2 or scores.shape[0] != r:
@@ -94,26 +127,25 @@ def mine(
         raise ShapeError("mine requires a nonempty label set")
     by_class: dict[int, list[tuple[int, float]]] = {}
     for c in sorted(labels):
+        cand = None
         if mask is not None:
-            cand = np.nonzero(mask.column(c))[0]
+            cand = np.flatnonzero(mask.column(c))
             if cand.size == 0:
-                cand = np.arange(r)
-        else:
-            cand = np.arange(r)
-        col = scores[cand, c]
+                cand = None
+        col = scores[:, c] if cand is None else scores[cand, c]
         seed_pos = int(np.argmax(col))
-        seed = int(cand[seed_pos])
+        seed = seed_pos if cand is None else int(cand[seed_pos])
         seed_score = float(col[seed_pos])
-        ious = kernels.iou_matrix(
-            record.proposals[cand], record.proposals[seed][None, :]
-        )[:, 0]
-        entries = [(seed, seed_score)]
-        for pos, idx in enumerate(cand):
-            if int(idx) == seed:
-                continue
-            if ious[pos] >= iou_thresh and col[pos] >= score_ratio * seed_score:
-                entries.append((int(idx), float(col[pos])))
-        by_class[c] = entries
+        ious = _iou_columns(record, [seed], pair_ious)[:, 0]
+        if cand is not None:
+            ious = ious[cand]
+        join = (ious >= iou_thresh) & (col >= score_ratio * seed_score)
+        join[seed_pos] = False
+        members = np.flatnonzero(join)
+        idxs = members if cand is None else cand[members]
+        by_class[c] = [(seed, seed_score)] + list(
+            zip(idxs.tolist(), col[members].tolist())
+        )
     return PseudoBoxes(by_class=by_class)
 
 
@@ -122,6 +154,7 @@ def assign_targets(
     pseudo: PseudoBoxes,
     num_classes: int,
     iou_thresh: float = DEFAULT_IOU_THRESH,
+    pair_ious: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-proposal refinement targets and weights.
 
@@ -129,58 +162,65 @@ def assign_targets(
     first in class-then-index order). At IoU >= ``iou_thresh`` the proposal
     takes that pseudo box's class and score as weight; otherwise it is
     background (class index C) and inherits the nearest pseudo box's score,
-    or weight 1 when there are no pseudo boxes at all.
+    or weight 1 when there are no pseudo boxes at all. ``pair_ious`` is the
+    record's ``pair_iou`` block, when it has one.
     """
     r = record.num_proposals
     targets = np.full(r, num_classes, dtype=np.int64)
-    weights = np.ones(r, dtype=np.float64)
     entries = pseudo.flat()
     if not entries:
-        return targets, weights
-    boxes = record.proposals[[idx for _, idx, _ in entries]]
-    ious = kernels.iou_matrix(record.proposals, boxes)
+        return targets, np.ones(r, dtype=np.float64)
+    cids, idxs, scores = zip(*entries)
+    ious = _iou_columns(record, list(idxs), pair_ious)
     best = np.argmax(ious, axis=1)
-    for i in range(r):
-        j = int(best[i])
-        cid, _, score = entries[j]
-        weights[i] = score
-        if ious[i, j] >= iou_thresh:
-            targets[i] = cid
-    return targets, weights
+    hit = ious[np.arange(r), best] >= iou_thresh
+    targets[hit] = np.array(cids, dtype=np.int64)[best[hit]]
+    return targets, np.array(scores, dtype=np.float64)[best]
 
 
 def refinement_chain(
-    record: ImageRecord,
+    features: np.ndarray,
     branch: RefineBranch,
     targets: np.ndarray,
     weights: np.ndarray,
     grad_scale: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """Weighted cross-entropy of one branch against assigned targets.
+) -> tuple[list[float], np.ndarray]:
+    """Weighted cross-entropy of one branch over a stack of same-R images.
 
-    Loss is ``-(1/R) * sum_i w_i * log q_i[target_i]`` with q the row
-    softmax of the branch scores over C + 1 classes. Supervision weights
-    are constants; with ``grad_scale`` nonzero, gradients of
-    ``grad_scale * loss`` accumulate into the branch parameters only.
+    ``features`` is a (B, R, d) stack; ``targets`` and ``weights`` are
+    (B, R). Image b's loss is ``-(1/R) * sum_i w_i * log q_i[target_i]``
+    with q the row softmax of the branch scores over C + 1 classes.
+    Supervision weights are constants; with ``grad_scale`` nonzero,
+    gradients of ``grad_scale`` times each loss accumulate into the branch
+    parameters only, one image at a time in stack order, so a stack leaves
+    the same bits in ``Param.grad`` as its images would one call each.
 
-    Returns (loss, q) where q holds the branch's class probabilities.
+    Returns the per-image losses and q, the (B, R, C + 1) class
+    probabilities.
     """
-    r = record.num_proposals
-    logits = numkit.affine(record.rgb_features, branch.w.value, branch.b.value)
+    if features.ndim != 3 or targets.shape != features.shape[:2]:
+        raise ShapeError(
+            f"refinement_chain expects features (B, R, d) and targets (B, R), "
+            f"got {features.shape} and {targets.shape}"
+        )
+    r = features.shape[1]
+    logits = numkit.affine(features, branch.w.value, branch.b.value)
     q = numkit.softmax_rows(logits)
-    picked = q[np.arange(r), targets]
-    loss = float(-(weights * numkit.log_clamped(picked)).sum() / r)
+    stack, rows = np.ogrid[: q.shape[0], :r]
+    picked = q[stack, rows, targets]
+    losses = -(weights * numkit.log_clamped(picked)).sum(axis=-1) / r
     if grad_scale != 0.0:
         # Rows where the clamp binds contribute no gradient.
         live = numkit.dlog_clamped(picked) * picked
         coef = (weights * live) / r
-        d_logits = q * coef[:, None]
-        d_logits[np.arange(r), targets] -= coef
+        d_logits = q * coef[..., None]
+        d_logits[stack, rows, targets] -= coef
         d_logits *= grad_scale
-        dw, db = numkit.affine_backward(record.rgb_features, d_logits)
-        branch.w.grad += dw
-        branch.b.grad += db
-    return loss, q
+        dw, db = numkit.affine_backward(features, d_logits)
+        for k in range(len(dw)):
+            branch.w.grad += dw[k]
+            branch.b.grad += db[k]
+    return losses.tolist(), q
 
 
 def attention_multipliers(

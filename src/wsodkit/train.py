@@ -6,11 +6,16 @@ and the whole batch contributes one contrastive loss when that toggle is
 on. The three terms are weighted, gradients accumulate across the batch,
 and a single momentum-SGD step follows. Each run of consecutive same-R
 images of a batch gets its MIL losses from one stacked ``mil_chain`` call
-of at most ``MIL_ROW_BUDGET`` proposal rows; gradients and losses still
-accumulate image by image in batch order, so stacking changes no bit of a
-run. Refinement runs per image on that image's slice of the stack. All randomness flows through one
-seeded generator whose draw order does not depend on the toggles, so runs
-differing only in disabled components stay bit-comparable.
+of at most ``MIL_ROW_BUDGET`` proposal rows. The labelled images of the
+run then go through each refinement branch in one ``refinement_chain``
+call over the same feature stack, mined image by image from the previous
+stage's scores. Gradients and losses still accumulate image by image in
+batch order, so stacking changes no bit of a run. What is fixed for the
+whole run is built once per record: the depth masks, their attention
+multipliers and the proposal IoU blocks that mining slices. All
+randomness flows through one seeded generator whose draw order does not
+depend on the toggles, so runs differing only in disabled components stay
+bit-comparable.
 """
 
 from __future__ import annotations
@@ -347,42 +352,53 @@ def _same_r_runs(records: Sequence[ImageRecord], batch: list[int]) -> list[list[
     return runs
 
 
-def _refinement_loss(
+def _refinement_losses(
     model: ModelParams,
-    rec: ImageRecord,
+    records: Sequence[ImageRecord],
+    stack: list[int],
+    features: np.ndarray,
     sup: np.ndarray,
-    rec_labels: set[int],
-    mask: DepthMask | None,
+    labels: Sequence[set[int]],
+    masks: Sequence[DepthMask | None],
+    pair_ious: Sequence[np.ndarray | None],
     config: RunConfig,
     grad_scale: float,
-) -> float:
-    """Mean loss of the refinement branches on one image, with backward.
+) -> list[float]:
+    """Mean loss of the refinement branches on each image of a stack.
 
-    Each branch mines pseudo boxes from the previous stage's class scores,
-    starting from the MIL head's ``sup``, and accumulates the gradients of
-    ``grad_scale`` times its loss.
+    ``stack`` indexes same-R labelled images into the per-record sequences,
+    ``features`` is their (B, R, d) RGB stack and ``sup`` the MIL head's
+    (B, R, C) combined scores. Each branch mines pseudo boxes per image
+    from the previous stage's class scores, scores the stack in one
+    ``refinement_chain`` call, and accumulates the gradients of
+    ``grad_scale`` times each image's loss.
     """
     num_classes = model.dims.num_classes
-    k_total = len(model.refine)
-    img_ref = 0.0
+    img_ref = [0.0] * len(stack)
     for branch in model.refine:
-        pseudo = refine.mine(
-            rec,
-            sup,
-            rec_labels,
-            mask=mask,
-            iou_thresh=config.refine_iou_thresh,
-            score_ratio=config.refine_score_ratio,
+        targets, weights = [], []
+        for k, idx in enumerate(stack):
+            pseudo = refine.mine(
+                records[idx],
+                sup[k],
+                labels[idx],
+                masks[idx],
+                iou_thresh=config.refine_iou_thresh,
+                score_ratio=config.refine_score_ratio,
+                pair_ious=pair_ious[idx],
+            )
+            t, w = refine.assign_targets(
+                records[idx], pseudo, num_classes, config.refine_iou_thresh,
+                pair_ious[idx],
+            )
+            targets.append(t)
+            weights.append(w)
+        losses, q = refine.refinement_chain(
+            features, branch, np.stack(targets), np.stack(weights), grad_scale
         )
-        targets, weights = refine.assign_targets(
-            rec, pseudo, num_classes, config.refine_iou_thresh
-        )
-        branch_loss, q = refine.refinement_chain(
-            rec, branch, targets, weights, grad_scale=grad_scale
-        )
-        img_ref += branch_loss
-        sup = q[:, :num_classes]
-    return img_ref / k_total
+        img_ref = [acc + loss for acc, loss in zip(img_ref, losses)]
+        sup = q[..., :num_classes]
+    return [acc / len(model.refine) for acc in img_ref]
 
 
 def train(
@@ -409,6 +425,12 @@ def train(
     feat_dim = check_features(records)
     labels = resolve_labels(records, vocab, config.label_source)
     masks = _record_masks(records, priors, num_classes, config)
+    attention = None
+    if config.depth_attention and masks is not None:
+        attention = [
+            refine.attention_multipliers(m, config.attention_multiplier) for m in masks
+        ]
+    mine_masks = masks if config.depth_oicr else [None] * len(records)
 
     seed = config.resolved_seed()
     rng = np.random.default_rng(seed)
@@ -427,6 +449,7 @@ def train(
 
     use_nce = config.siamese_nce and config.lambda_nce > 0.0
     use_refine = config.refine_branches >= 1 and config.lambda_ref > 0.0
+    pair_ious = [refine.pair_iou(rec) for rec in records] if use_refine else None
     n = len(records)
     report = RunReport(config=config.to_json(), seed=seed)
     start = time.perf_counter()
@@ -444,16 +467,9 @@ def train(
             pooled_depth = []
             for chunk in _same_r_runs(records, batch):
                 stack = [records[idx] for idx in chunk]
-                attention = None
-                if config.depth_attention and masks is not None:
-                    attention = np.stack([
-                        refine.attention_multipliers(
-                            masks[idx], config.attention_multiplier
-                        )
-                        for idx in chunk
-                    ])
+                rgb = np.stack([rec.rgb_features for rec in stack])
                 mil_losses, pack = milhead.mil_chain(
-                    np.stack([rec.rgb_features for rec in stack]),
+                    rgb,
                     model.rgb_head,
                     [labels[idx] for idx in chunk],
                     depth_features=(
@@ -462,26 +478,36 @@ def train(
                         else None
                     ),
                     depth_head=model.depth_head if config.fusion else None,
-                    attention=attention,
+                    attention=(
+                        np.stack([attention[idx] for idx in chunk])
+                        if attention is not None
+                        else None
+                    ),
                     grad_scale=config.lambda_mil / bsz,
                 )
-                for k, (idx, rec) in enumerate(zip(chunk, stack)):
-                    mil_sum += mil_losses[k]
-                    rec_labels = labels[idx]
-                    if use_refine and rec_labels:
-                        mine_mask = (
-                            masks[idx] if masks is not None and config.depth_oicr
-                            else None
-                        )
-                        ref_sum += _refinement_loss(
-                            model, rec, pack.combined[k], rec_labels, mine_mask,
-                            config, config.lambda_ref / (bsz * len(model.refine)),
-                        )
-                    if use_nce:
+                for loss in mil_losses:
+                    mil_sum += loss
+                if use_nce:
+                    for rec in stack:
                         pooled_rgb.append(contrastive.pool_features(rec.rgb_features))
                         pooled_depth.append(
                             contrastive.pool_features(rec.depth_features)
                         )
+                live = [k for k, idx in enumerate(chunk) if labels[idx]]
+                if use_refine and live:
+                    for loss in _refinement_losses(
+                        model,
+                        records,
+                        [chunk[k] for k in live],
+                        rgb[live],
+                        pack.combined[live],
+                        labels,
+                        mine_masks,
+                        pair_ious,
+                        config,
+                        config.lambda_ref / (bsz * len(model.refine)),
+                    ):
+                        ref_sum += loss
             if use_nce:
                 nce_sum += contrastive.nce_chain(
                     np.stack(pooled_rgb),

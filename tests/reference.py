@@ -5,7 +5,8 @@ layers (Param, SGD, mil_chain), so agreement is evidence rather than
 tautology. The package ships one forward path per component; the
 standalone pieces only tests call live here instead: the contrastive loss
 of a projected batch, box-pair IoU, the broadcast IoU matrix, greedy NMS
-one kept box at a time and the finite-difference gradient check.
+one kept box at a time, pseudo-box mining and target assignment one
+proposal at a time, and the finite-difference gradient check.
 """
 
 import math
@@ -336,3 +337,43 @@ def nms_sequential(boxes, scores, thresh):
         np.divide(inter, areas[i] + areas[rest] - inter, out=iou, where=pos)
         order = rest[iou <= thresh]
     return np.asarray(keep, dtype=np.int64)
+
+
+def mine_loop(record, scores, labels, mask, iou_thresh, score_ratio):
+    """Pseudo boxes per label, walking the candidate pool one proposal at a
+    time; returns ``PseudoBoxes.by_class`` of ``refine.mine``."""
+    by_class = {}
+    for c in sorted(labels):
+        cand = list(range(record.num_proposals))
+        if mask is not None and mask.column(c).any():
+            cand = [i for i in cand if mask.column(c)[i]]
+        col = [float(scores[i, c]) for i in cand]
+        seed_pos = int(np.argmax(col))
+        seed, seed_score = cand[seed_pos], col[seed_pos]
+        p = record.proposals
+        ious = iou_broadcast(p[cand], p[seed][None, :])[:, 0]
+        entries = [(seed, seed_score)]
+        for pos, idx in enumerate(cand):
+            near = ious[pos] >= iou_thresh
+            if idx != seed and near and col[pos] >= score_ratio * seed_score:
+                entries.append((idx, col[pos]))
+        by_class[c] = entries
+    return by_class
+
+
+def assign_targets_loop(record, by_class, num_classes, iou_thresh):
+    """Refinement targets and weights of ``refine.assign_targets``, one
+    proposal at a time."""
+    r = record.num_proposals
+    targets = np.full(r, num_classes, dtype=np.int64)
+    weights = np.ones(r)
+    entries = [(c, idx, s) for c in sorted(by_class) for idx, s in by_class[c]]
+    if not entries:
+        return targets, weights
+    ious = iou_broadcast(record.proposals, record.proposals[[e[1] for e in entries]])
+    for i in range(r):
+        j = int(np.argmax(ious[i]))
+        weights[i] = entries[j][2]
+        if ious[i, j] >= iou_thresh:
+            targets[i] = entries[j][0]
+    return targets, weights

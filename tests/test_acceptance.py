@@ -148,8 +148,9 @@ def test_criterion_2_gradient_integrity():
             weights = r.uniform(0.1, 1.0, size=num_p)
 
             def f_ref():
-                loss, _ = refinement_chain(rec, branch, targets, weights,
-                                           grad_scale=1.0)
+                [loss], _ = refinement_chain(rec.rgb_features[None], branch,
+                                             targets[None], weights[None],
+                                             grad_scale=1.0)
                 return loss
 
             worst = max(worst, grad_check(f_ref, branch.params()))

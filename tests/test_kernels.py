@@ -192,6 +192,23 @@ class TestNms:
         got = k.nms(boxes, scores, thresh)
         assert np.array_equal(got, nms_sequential(boxes, scores, thresh))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_groups_at_every_threshold(self, k, n):
+        # Keeps change only where the threshold crosses a pairwise IoU, so
+        # 0, 1 and each IoU with its two float neighbours cover every
+        # threshold. Groups of up to three boxes skip the NumPy head block.
+        rng = np.random.default_rng(n)
+        for trial in range(40):
+            boxes = hard_boxes(rng, n) if trial % 2 else random_boxes(rng, n)
+            if trial % 5 == 0:
+                boxes[1:] = boxes[0]
+            scores = rng.integers(0, 3, n) / 2.0
+            ious = _py.iou_matrix(boxes, boxes).ravel()
+            cuts = {0.0, 1.0, *ious, *np.nextafter(ious, 0.0), *np.nextafter(ious, 1.0)}
+            for thresh in sorted(cuts):
+                got = k.nms(boxes, scores, thresh)
+                assert np.array_equal(got, nms_sequential(boxes, scores, thresh))
+
     def test_zero_area_boxes_never_suppress(self, k):
         # A zero-area box has no intersection with anything, so it scores
         # IoU 0 even against itself and survives any threshold >= 0.

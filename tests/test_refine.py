@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wsodkit import refine
+from wsodkit import kernels, refine
 from wsodkit.data import Box
 from wsodkit.errors import ShapeError
 from wsodkit.priors import DepthMask, DepthRange, FrozenPriors, depth_mask
@@ -19,7 +19,7 @@ from wsodkit.refine import (
 )
 
 from conftest import make_record
-from reference import grad_check
+from reference import assign_targets_loop, grad_check, mine_loop
 
 
 def stacked_record(rng, boxes, depths=None, **kw):
@@ -157,6 +157,67 @@ class TestAssignTargets:
         assert targets.tolist() == [0, 0]
 
 
+def cache_cases():
+    """Mining inputs for the cached-block pins.
+
+    Sizes straddle ``PAIR_IOU_MAX_R``. Cases cycle through no mask, random
+    masks, a mask that empties class 0's pool (the fallback), and tied
+    scores over duplicated boxes, under three threshold pairs.
+    """
+    rng = np.random.default_rng(11)
+    bound = refine.PAIR_IOU_MAX_R
+    for r in (1, 2, 7, 20, bound, bound + 1, 150):
+        for trial in range(8):
+            rec = make_record(rng, f"r{r}", num_proposals=r, num_classes=3)
+            scores = rng.uniform(size=(r, 3))
+            admit = (rng.uniform(size=(r, 3)) < 0.5).astype(np.uint8)
+            mask = None
+            if trial % 4 == 1:
+                mask = DepthMask(values=admit)
+            elif trial % 4 == 2:
+                admit[:, 0] = 0
+                mask = DepthMask(values=admit)
+            elif trial % 4 == 3:
+                rec.proposals[1::2] = rec.proposals[::2][: r // 2]
+                scores = rng.integers(0, 3, (r, 3)) / 2.0
+            size = int(rng.integers(1, 4))
+            labels = set(rng.choice(3, size=size, replace=False).tolist())
+            thresh = [(0.5, 0.5), (0.0, 0.0), (0.3, 0.9)][trial % 3]
+            yield rec, scores, labels, mask, thresh
+
+
+class TestPairIouCache:
+    def test_block_is_one_kernel_call_within_bound(self, rng):
+        bound = refine.PAIR_IOU_MAX_R
+        for r in (1, 20, bound):
+            rec = make_record(rng, "r", num_proposals=r)
+            block = refine.pair_iou(rec)
+            direct = kernels.iou_matrix(rec.proposals, rec.proposals)
+            assert block.tobytes() == direct.tobytes()
+        assert refine.pair_iou(make_record(rng, "r", num_proposals=bound + 1)) is None
+
+    def test_cached_block_matches_direct_kernel(self):
+        # Any slice of the R x R block equals a direct kernel call bit for
+        # bit, so the cache moves no pseudo box, target or weight. Records
+        # above the bound get no block in training; one is built here anyway.
+        fallbacks = duplicates = 0
+        for rec, scores, labels, mask, (t, ratio) in cache_cases():
+            fallbacks += mask is not None and not mask.values[:, 0].any() and 0 in labels
+            duplicates += len(np.unique(rec.proposals, axis=0)) < rec.num_proposals
+            block = kernels.iou_matrix(rec.proposals, rec.proposals)
+            direct = mine(rec, scores, labels, mask, t, ratio)
+            cached = mine(rec, scores, labels, mask, t, ratio, pair_ious=block)
+            assert cached.by_class == direct.by_class
+            assert direct.by_class == mine_loop(rec, scores, labels, mask, t, ratio)
+            got = assign_targets(rec, direct, 3, t)
+            hit = assign_targets(rec, direct, 3, t, pair_ious=block)
+            want = assign_targets_loop(rec, direct.by_class, 3, t)
+            for a, b, c in zip(got, hit, want):
+                assert a.dtype == c.dtype
+                assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert fallbacks and duplicates
+
+
 class TestRefinementChain:
     def test_uniform_branch_log_c_plus_one(self, rng):
         # Zero weights give uniform q over C+1=3 classes; unit supervision
@@ -165,8 +226,8 @@ class TestRefinementChain:
         branch = RefineBranch.create(0, rng, 4, 2, 0.01)
         branch.w.value[:] = 0.0
         branch.b.value[:] = 0.0
-        loss, q = refinement_chain(
-            rec, branch, np.array([0]), np.array([1.0])
+        [loss], [q] = refinement_chain(
+            rec.rgb_features[None], branch, np.array([[0]]), np.array([[1.0]])
         )
         assert loss == pytest.approx(math.log(3.0), abs=1e-12)
         assert np.allclose(q, 1.0 / 3.0, atol=1e-15)
@@ -176,7 +237,9 @@ class TestRefinementChain:
         branch = RefineBranch.create(0, rng, 4, 2, 0.3)
         targets = np.array([0, 2, 1])
         weights = np.array([0.9, 1.0, 0.25])
-        loss, q = refinement_chain(rec, branch, targets, weights)
+        [loss], [q] = refinement_chain(
+            rec.rgb_features[None], branch, targets[None], weights[None]
+        )
         manual = -sum(
             w * math.log(q[i, t]) for i, (t, w) in enumerate(zip(targets, weights))
         ) / 3.0
@@ -185,8 +248,8 @@ class TestRefinementChain:
     def test_zero_weights_zero_loss(self, rng):
         rec = make_record(rng, "r", num_proposals=2, feat_dim=4)
         branch = RefineBranch.create(0, rng, 4, 2, 0.3)
-        loss, _ = refinement_chain(
-            rec, branch, np.array([0, 1]), np.zeros(2)
+        [loss], _ = refinement_chain(
+            rec.rgb_features[None], branch, np.array([[0, 1]]), np.zeros((1, 2))
         )
         assert loss == 0.0
 
@@ -197,7 +260,10 @@ class TestRefinementChain:
         weights = rng.uniform(0.1, 1.0, size=5)
 
         def f():
-            loss, _ = refinement_chain(rec, branch, targets, weights, grad_scale=1.0)
+            [loss], _ = refinement_chain(
+                rec.rgb_features[None], branch, targets[None], weights[None],
+                grad_scale=1.0,
+            )
             return loss
 
         assert grad_check(f, branch.params()) < 1e-6
@@ -207,8 +273,40 @@ class TestRefinementChain:
         branch = RefineBranch.create(0, rng, 4, 2, 0.3)
         for p in branch.params():
             p.zero_grad()
-        refinement_chain(rec, branch, np.array([0, 2]), np.ones(2))
+        refinement_chain(
+            rec.rgb_features[None], branch, np.array([[0, 2]]), np.ones((1, 2))
+        )
         assert all(not p.grad.any() for p in branch.params())
+
+
+    def test_stack_equals_single_image_calls(self, rng):
+        b, r, d, c = 3, 6, 4, 2
+        branch = RefineBranch.create(0, rng, d, c, 0.4)
+        x = rng.standard_normal((b, r, d))
+        targets = rng.integers(0, c + 1, size=(b, r))
+        weights = rng.uniform(0.1, 1.0, size=(b, r))
+        for p in branch.params():
+            p.zero_grad()
+        losses, q = refinement_chain(x, branch, targets, weights, grad_scale=0.25)
+        grads = [p.grad.copy() for p in branch.params()]
+        for p in branch.params():
+            p.zero_grad()
+        singles = [
+            refinement_chain(x[k : k + 1], branch, targets[k : k + 1],
+                             weights[k : k + 1], grad_scale=0.25)
+            for k in range(b)
+        ]
+        assert losses == [loss for one, _ in singles for loss in one]
+        assert np.array_equal(q, np.concatenate([one for _, one in singles]))
+        assert all(g.any() for g in grads)
+        for p, g in zip(branch.params(), grads):
+            assert p.grad.tobytes() == g.tobytes(), p.name
+
+    def test_unstacked_features_rejected(self, rng):
+        rec = make_record(rng, "r", num_proposals=2, feat_dim=4)
+        branch = RefineBranch.create(0, rng, 4, 2, 0.3)
+        with pytest.raises(ShapeError):
+            refinement_chain(rec.rgb_features, branch, np.array([0, 1]), np.ones(2))
 
 
 class TestDepthAttention:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsodkit import fusion, milhead
+from wsodkit import fusion, milhead, refine
 from wsodkit.data import Box, ClassVocabulary
 from wsodkit.errors import CheckpointError, ConfigError, DataError
 from wsodkit.fusion import FusionMode
@@ -436,6 +436,48 @@ class TestDeterminismAndReductions:
             runs.append((ckpt, epochs, max(stack_sizes)))
         (stacked_bytes, stacked_epochs, widest), (one_bytes, one_epochs, one) = runs
         assert widest > 1 and one == 1
+        assert stacked_bytes == one_bytes
+        assert stacked_epochs == one_epochs
+
+    def test_stacked_refinement_matches_one_image_per_call(
+        self, rng, small_vocab, monkeypatch, tmp_path
+    ):
+        # The labelled images of a same-R run share one refinement_chain
+        # call per branch, over three branches; an unlabelled image and
+        # images above the IoU cache bound ride along. The run must write
+        # the bytes of a run that scores one image per call.
+        big = refine.PAIR_IOU_MAX_R + 6
+        sizes = (9,) * 8 + (big,) * 4 + (9,) * 6
+        recs = [
+            make_record(rng, f"i{k}", num_proposals=r, feat_dim=8, labels={k % 3})
+            for k, r in enumerate(sizes)
+        ]
+        recs[2].labels = set()
+        priors = FrozenPriors({0: DepthRange(0.2, 0.7), 2: DepthRange(0.5, 1.0)}, {})
+        cfg = tiny_config(
+            epochs=3, nce_batch=6, refine_branches=3, siamese_nce=True,
+            fusion=True, depth_oicr=True, depth_attention=True,
+        )
+        stack_sizes = []
+        chain = refine.refinement_chain
+
+        def counted(features, *args, **kwargs):
+            stack_sizes.append(len(features))
+            return chain(features, *args, **kwargs)
+
+        monkeypatch.setattr(refine, "refinement_chain", counted)
+        runs = []
+        for budget in (TRAIN.MIL_ROW_BUDGET, 1):
+            monkeypatch.setattr(TRAIN, "MIL_ROW_BUDGET", budget)
+            stack_sizes.clear()
+            model, report = train(cfg, recs, small_vocab, priors=priors)
+            model.save(tmp_path / "model.ckpt")
+            epochs = [e.to_json() for e in report.epochs]
+            ckpt = (tmp_path / "model.ckpt").read_bytes()
+            runs.append((ckpt, epochs, max(stack_sizes)))
+        (stacked_bytes, stacked_epochs, widest), (one_bytes, one_epochs, one) = runs
+        assert widest > 1 and one == 1
+        assert all(e["refine"] > 0.0 for e in stacked_epochs)
         assert stacked_bytes == one_bytes
         assert stacked_epochs == one_epochs
 
