@@ -3,11 +3,11 @@
 Run as ``python benchmarks/bench_kernels.py``. ``iou_matrix`` and ``nms``
 are timed on a few sizes with both backends on identical inputs, and the
 outputs are cross-checked before any number is reported. The sizes include
-the shapes the pipeline benchmark's workloads run: ``nms`` over 2- and
-3-box class groups, which it settles without a head block, a 20-box one
-(R=20) and a 2000-box one (R=2000), and ``iou_matrix`` at 20x1 and 20x20,
-the mining column and the per-record proposal block refinement caches at
-R=20, at 2000x8, a target-assignment block at R=2000, and at 18x2000.
+the shapes the pipeline benchmark's workloads run: ``nms`` over a 20-box
+class group (R=20) and a 2000-box one (R=2000), and ``iou_matrix`` at 20x1
+and 20x20, the mining column and the per-record proposal block refinement
+caches at R=20, at 2000x8, a target-assignment block at R=2000, and at
+18x2000, the mining column at R=2000.
 ``box_mean_pool`` has a single implementation, so there is nothing to
 compare it against.
 """
@@ -64,7 +64,7 @@ def bench_iou(rng) -> list[tuple[str, float, float]]:
 
 def bench_nms(rng) -> list[tuple[str, float, float]]:
     rows = []
-    for n in (2, 3, 20, 256, 1024, 2000, 4096):
+    for n in (20, 256, 1024, 2000, 4096):
         boxes = _boxes(rng, n)
         scores = rng.uniform(0, 1, n)
         ref = _py.nms(boxes, scores, 0.5)

@@ -22,10 +22,7 @@ the NMS calls of the benchmark workloads (2-vCPU Xeon VM, NumPy 2.4,
 medians of 7 rounds), 2000-box calls ran 2.05x faster than the per-box
 loop at 32, 1.88x at 16, 1.80x at 64 and 1.50x at 128. 20-box calls, which
 a head of 20 or more holds whole, ran 4.8x faster at 20 and 5.4x at 32
-and above. The last ``NMS_SMALL`` = 3 or fewer survivors settle from
-their own IoU block read as Python lists, without the bitset set-up: on
-the same VM, 2-box calls took 22.9 against 23.8 us and 3-box calls 24.0
-against 25.1 us (best of 7 rounds of 2000 calls).
+and above.
 """
 
 import numpy as np
@@ -40,8 +37,6 @@ def _as_boxes(a):
 
 # Boxes per head block of ``nms``; the module docstring gives the timings.
 NMS_BLOCK = 32
-# Most survivors ``nms`` settles without a head block.
-NMS_SMALL = 3
 
 
 def _iou(a, b):
@@ -85,7 +80,7 @@ def nms(boxes, scores, thresh):
         raise ValueError("scores must have shape (n,)")
     rest = np.argsort(-s, kind="stable")
     keep = []
-    while rest.size > NMS_SMALL:
+    while rest.size > 1:
         head, rest = rest[:NMS_BLOCK], rest[NMS_BLOCK:]
         # Row i of the head's own block, read as a little-endian bitset over
         # the head, holds the boxes that head box i suppresses once kept.
@@ -104,14 +99,6 @@ def nms(boxes, scores, thresh):
             rest = rest[~(_iou(b[kept], b[rest]) > thresh).any(axis=0)]
     # A lone survivor is kept without an IoU call; many of the class groups
     # that reach NMS after infer's score floor hold one box.
-    if rest.size > 1:
-        # Greedy rule over the block: box i stays unless a kept box drops it.
-        over = (_iou(b[rest], b[rest]) > thresh).tolist()
-        kept = []
-        for i in range(rest.size):
-            if not any(over[j][i] for j in kept):
-                kept.append(i)
-        rest = rest[kept]
     keep.extend(rest.tolist())
     return np.asarray(keep, dtype=np.int64)
 

@@ -355,7 +355,6 @@ def _same_r_runs(records: Sequence[ImageRecord], batch: list[int]) -> list[list[
 def _refinement_losses(
     model: ModelParams,
     records: Sequence[ImageRecord],
-    stack: list[int],
     features: np.ndarray,
     sup: np.ndarray,
     labels: Sequence[set[int]],
@@ -366,30 +365,29 @@ def _refinement_losses(
 ) -> list[float]:
     """Mean loss of the refinement branches on each image of a stack.
 
-    ``stack`` indexes same-R labelled images into the per-record sequences,
-    ``features`` is their (B, R, d) RGB stack and ``sup`` the MIL head's
-    (B, R, C) combined scores. Each branch mines pseudo boxes per image
-    from the previous stage's class scores, scores the stack in one
-    ``refinement_chain`` call, and accumulates the gradients of
-    ``grad_scale`` times each image's loss.
+    Every sequence argument holds one entry per image of a same-R stack of
+    labelled images, in stack order: ``features`` is their (B, R, d) RGB
+    stack and ``sup`` the MIL head's (B, R, C) combined scores. Each branch
+    mines pseudo boxes per image from the previous stage's class scores,
+    scores the stack in one ``refinement_chain`` call, and accumulates the
+    gradients of ``grad_scale`` times each image's loss.
     """
     num_classes = model.dims.num_classes
-    img_ref = [0.0] * len(stack)
+    img_ref = [0.0] * len(records)
     for branch in model.refine:
         targets, weights = [], []
-        for k, idx in enumerate(stack):
+        for k, rec in enumerate(records):
             pseudo = refine.mine(
-                records[idx],
+                rec,
                 sup[k],
-                labels[idx],
-                masks[idx],
+                labels[k],
+                masks[k],
                 iou_thresh=config.refine_iou_thresh,
                 score_ratio=config.refine_score_ratio,
-                pair_ious=pair_ious[idx],
+                pair_ious=pair_ious[k],
             )
             t, w = refine.assign_targets(
-                records[idx], pseudo, num_classes, config.refine_iou_thresh,
-                pair_ious[idx],
+                rec, pseudo, num_classes, config.refine_iou_thresh, pair_ious[k]
             )
             targets.append(t)
             weights.append(w)
@@ -495,15 +493,15 @@ def train(
                         )
                 live = [k for k, idx in enumerate(chunk) if labels[idx]]
                 if use_refine and live:
+                    ids = [chunk[k] for k in live]
                     for loss in _refinement_losses(
                         model,
-                        records,
-                        [chunk[k] for k in live],
+                        [records[idx] for idx in ids],
                         rgb[live],
                         pack.combined[live],
-                        labels,
-                        mine_masks,
-                        pair_ious,
+                        [labels[idx] for idx in ids],
+                        [mine_masks[idx] for idx in ids],
+                        [pair_ious[idx] for idx in ids],
                         config,
                         config.lambda_ref / (bsz * len(model.refine)),
                     ):

@@ -196,7 +196,7 @@ class TestNms:
     def test_small_groups_at_every_threshold(self, k, n):
         # Keeps change only where the threshold crosses a pairwise IoU, so
         # 0, 1 and each IoU with its two float neighbours cover every
-        # threshold. Groups of up to three boxes skip the NumPy head block.
+        # threshold.
         rng = np.random.default_rng(n)
         for trial in range(40):
             boxes = hard_boxes(rng, n) if trial % 2 else random_boxes(rng, n)
