@@ -6,12 +6,14 @@ truth it overlaps most, counting as a true positive only at or above the
 IoU threshold, and the precision/recall curve is integrated under its
 monotone envelope at every recall change (an 11-point variant is
 available). The matcher works per image, as the COCO API's
-``evaluateImg`` does: one IoU block between the image's detections, in
-score order, and its truths, then greedy claims on that block in array
-rounds, each resolving every detection up to the next claim. Misses get
-one more block against the image's ignored truths. CorLoc asks, per
-class, on what fraction of the images containing the class the single
-most confident detection hits.
+``evaluateImg`` does: the detections are ranked once, each image gets one
+IoU block between its detections, in score order, and its truths, plus
+one per-row maximum over its ignored truths, and those serve every IoU
+threshold. Greedy claims on the block run in array rounds, each
+resolving every detection up to the next claim. CorLoc asks, per class,
+on what fraction of the images containing the class the single most
+confident detection hits; each image's top detection and its best
+overlap are likewise found once for all thresholds.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -105,14 +107,12 @@ def load_detections(
 
 @dataclass
 class APResult:
-    """AP for one class at one threshold, with the curve behind it."""
+    """AP for one class at one threshold, with the counts behind it."""
 
     ap: float
     n_gt: int
     tp: int
     fp: int
-    recall: np.ndarray
-    precision: np.ndarray
 
 
 def _greedy_hits(ious: np.ndarray, iou_thresh: float) -> np.ndarray:
@@ -141,18 +141,17 @@ def _greedy_hits(ious: np.ndarray, iou_thresh: float) -> np.ndarray:
 def _match(
     dets: Sequence[Detection],
     gts_by_image: Mapping[str, np.ndarray],
-    iou_thresh: float,
+    iou_thresholds: Sequence[float],
     ignore_by_image: Mapping[str, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Greedy matching in descending score order (stable ties).
 
-    Returns per-detection tp and fp indicator arrays aligned with the
+    Yields, per threshold, tp and fp indicator arrays aligned with the
     sorted order, dropping detections absorbed by ignored ground truth.
-    Images are independent, so each gets one IoU block against its truths
-    and, for its misses, one against its ignored boxes.
+    The ranking and, per image, the IoU block against its truths and each
+    row's best overlap with its ignored boxes are computed once: IoU is
+    elementwise, so every threshold reads the same values.
     """
-    if not dets:
-        return np.zeros(0), np.zeros(0)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
     boxes = np.array([d.box.as_list() for d in dets], dtype=np.float64)[order]
@@ -164,30 +163,37 @@ def _match(
     # image_ids.
     by_image = np.argsort(image_of, kind="stable")
     groups = np.split(by_image, np.flatnonzero(np.diff(image_of[by_image])) + 1)
-    hit = np.zeros(len(dets), dtype=bool)
-    absorbed = np.zeros(len(dets), dtype=bool)
+    # Per image: sorted positions, IoU block against its truths (None
+    # without truth), best overlap with its ignored boxes (None without).
+    blocks = []
     for iid, pos in zip(image_ids, groups):
         gts = gts_by_image.get(iid)
+        ious = None
         if gts is not None and len(gts):
             ious = kernels.iou_matrix(boxes[pos], gts)
-            hit[pos] = _greedy_hits(ious, iou_thresh)
         ign = None if ignore_by_image is None else ignore_by_image.get(iid)
-        miss = pos[~hit[pos]]
-        if ign is not None and len(ign) and len(miss):
-            ious = kernels.iou_matrix(boxes[miss], ign)
-            # Absorbed by out-of-bucket ground truth.
-            absorbed[miss] = ious.max(axis=1) >= iou_thresh
-    keep = ~absorbed
-    return hit[keep].astype(np.float64), (~hit[keep]).astype(np.float64)
+        ign_max = None
+        if ign is not None and len(ign):
+            ign_max = kernels.iou_matrix(boxes[pos], ign).max(axis=1)
+        blocks.append((pos, ious, ign_max))
+    for t in iou_thresholds:
+        hit = np.zeros(len(dets), dtype=bool)
+        absorbed = np.zeros(len(dets), dtype=bool)
+        for pos, ious, ign_max in blocks:
+            if ious is not None:
+                hit[pos] = _greedy_hits(ious, t)
+            if ign_max is not None:
+                # Absorbed by out-of-bucket ground truth.
+                absorbed[pos] = ~hit[pos] & (ign_max >= t)
+        keep = ~absorbed
+        yield hit[keep].astype(np.float64), (~hit[keep]).astype(np.float64)
 
 
 def _ap_from_flags(
     tp: np.ndarray, fp: np.ndarray, n_gt: int, eleven_point: bool
 ) -> APResult:
-    if n_gt <= 0:
-        raise ValidationError("AP undefined for a class with no ground truth")
     if tp.size == 0:
-        return APResult(0.0, n_gt, 0, 0, np.zeros(0), np.zeros(0))
+        return APResult(0.0, n_gt, 0, 0)
     ctp = np.cumsum(tp)
     cfp = np.cumsum(fp)
     recall = ctp / n_gt
@@ -204,35 +210,37 @@ def _ap_from_flags(
         mpre = np.maximum.accumulate(mpre[::-1])[::-1]
         idx = np.nonzero(mrec[1:] != mrec[:-1])[0]
         ap = float(((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]).sum())
-    return APResult(
-        float(ap), n_gt, int(ctp[-1]), int(cfp[-1]), recall, precision
-    )
+    return APResult(float(ap), n_gt, int(ctp[-1]), int(cfp[-1]))
 
 
 def average_precision(
     dets: Sequence[Detection],
     gts_by_image: Mapping[str, np.ndarray],
-    iou_thresh: float,
+    iou_thresholds: Sequence[float],
     eleven_point: bool = False,
     ignore_by_image: Mapping[str, np.ndarray] | None = None,
-) -> APResult:
-    """Single-class AP over any number of images.
+) -> list[APResult]:
+    """Single-class AP over any number of images, one result per threshold.
 
     ``gts_by_image`` maps image id to an (G, 4) array of this class's
     boxes. Detections matching only ``ignore_by_image`` boxes are dropped
     from the curve instead of counting as false positives.
     """
     n_gt = sum(len(g) for g in gts_by_image.values())
-    tp, fp = _match(dets, gts_by_image, iou_thresh, ignore_by_image)
-    return _ap_from_flags(tp, fp, n_gt, eleven_point)
+    if n_gt <= 0:
+        raise ValidationError("AP undefined for a class with no ground truth")
+    return [
+        _ap_from_flags(tp, fp, n_gt, eleven_point)
+        for tp, fp in _match(dets, gts_by_image, iou_thresholds, ignore_by_image)
+    ]
 
 
 def corloc(
     dets: Sequence[Detection],
     gts_by_image: Mapping[str, np.ndarray],
-    iou_thresh: float,
-) -> float:
-    """Fraction of class-bearing images whose top detection hits.
+    iou_thresholds: Sequence[float],
+) -> list[float]:
+    """Fraction of class-bearing images whose top detection hits, per threshold.
 
     ``dets`` are one class's raw detections (no NMS or score floor needed:
     only the most confident one per image is consulted; score ties keep
@@ -246,15 +254,13 @@ def corloc(
         cur = best.get(d.image_id)
         if cur is None or d.score > cur.score:
             best[d.image_id] = d
-    hits = 0
-    for iid in images:
-        top = best.get(iid)
-        if top is None:
-            continue
-        ious = kernels.iou_matrix(top.box.as_array()[None, :], gts_by_image[iid])[0]
-        if ious.max() >= iou_thresh:
-            hits += 1
-    return hits / len(images)
+    # Each image's top detection's best overlap with its truths.
+    top_iou = np.array([
+        kernels.iou_matrix(best[iid].box.as_array()[None, :], gts_by_image[iid]).max()
+        for iid in images
+        if iid in best
+    ])
+    return [int(np.count_nonzero(top_iou >= t)) / len(images) for t in iou_thresholds]
 
 
 @dataclass
@@ -353,9 +359,20 @@ def evaluate(
     per-class NMS. Classes with no ground-truth box anywhere are excluded
     from every mean. Area buckets partition ground truth by box area at
     ``AREA_SMALL_MAX`` and ``AREA_MEDIUM_MAX``; detections over an
-    out-of-bucket object are discarded rather than penalized.
+    out-of-bucket object are discarded rather than penalized. IoU
+    thresholds must lie in [0, 1], at least one, with distinct keys at
+    two decimals (the report's keys); anything else is a ConfigError.
     """
     check_fraction("nms_thresh", nms_thresh)
+    if not len(iou_thresholds):
+        raise ConfigError("iou_thresholds must not be empty")
+    for t in iou_thresholds:
+        check_fraction("iou_thresholds", float(t))
+    thresholds = [round(float(t), 2) for t in iou_thresholds]
+    if len(set(thresholds)) < len(thresholds):
+        raise ConfigError(
+            f"iou_thresholds {list(iou_thresholds)} repeat a two-decimal key"
+        )
     if not any(rec.gt_boxes for rec in records):
         raise ValidationError("evaluation requires ground-truth boxes")
     known = {rec.image_id for rec in records}
@@ -363,7 +380,6 @@ def evaluate(
         if d.image_id not in known:
             raise ValidationError(f"detection references unknown image {d.image_id!r}")
     gts, class_ids = _gt_index(records)
-    thresholds = [round(float(t), 2) for t in iou_thresholds]
 
     dets_by_class: dict[int, list[Detection]] = {c: [] for c in class_ids}
     for d in dets:
@@ -387,11 +403,14 @@ def evaluate(
     counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}
     corloc_by_class: dict[int, dict[float, float]] = {c: {} for c in class_ids}
     for cid in class_ids:
-        for t in thresholds:
-            res = average_precision(kept_by_class[cid], gts[cid], t, eleven_point)
+        results = average_precision(
+            kept_by_class[cid], gts[cid], thresholds, eleven_point
+        )
+        fractions = corloc(dets_by_class[cid], gts[cid], thresholds)
+        for t, res, frac in zip(thresholds, results, fractions):
             ap[cid][t] = res.ap
             counts[cid][t] = (res.tp, res.fp, res.n_gt)
-            corloc_by_class[cid][t] = corloc(dets_by_class[cid], gts[cid], t)
+            corloc_by_class[cid][t] = frac
 
     map_by_thresh = {
         t: float(np.mean([ap[c][t] for c in class_ids])) for t in thresholds
@@ -418,10 +437,10 @@ def evaluate(
         for bucket, (eligible, ignored) in split.items():
             if not any(len(g) for g in eligible.values()):
                 continue
-            for t, per_class in per_bucket[bucket].items():
-                res = average_precision(
-                    kept_by_class[cid], eligible, t, eleven_point, ignored
-                )
+            results = average_precision(
+                kept_by_class[cid], eligible, thresholds, eleven_point, ignored
+            )
+            for res, per_class in zip(results, per_bucket[bucket].values()):
                 per_class.append(res.ap)
     area_ap = {
         b: {t: float(np.mean(v)) if v else float("nan") for t, v in per_t.items()}

@@ -100,7 +100,7 @@ class TestIou:
 class TestAveragePrecision:
     def test_single_hit_perfect(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
-        res = average_precision([det("a", [0, 0, 10, 10], 0.9)], gts, 0.5)
+        res = average_precision([det("a", [0, 0, 10, 10], 0.9)], gts, [0.5])[0]
         assert res.ap == pytest.approx(1.0, abs=1e-12)
         assert (res.tp, res.fp, res.n_gt) == (1, 1 - 1, 1)
 
@@ -111,7 +111,7 @@ class TestAveragePrecision:
             det("a", [50, 50, 60, 60], 0.9),
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(dets, gts, 0.5)
+        res = average_precision(dets, gts, [0.5])[0]
         assert res.ap == pytest.approx(0.5, abs=1e-12)
 
     def test_duplicate_detection_is_fp(self):
@@ -120,7 +120,7 @@ class TestAveragePrecision:
             det("a", [0, 0, 10, 10], 0.9),
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(dets, gts, 0.5)
+        res = average_precision(dets, gts, [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
         assert res.ap == pytest.approx(1.0, abs=1e-12)
 
@@ -128,17 +128,19 @@ class TestAveragePrecision:
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         loose = det("a", [0, 0, 12, 10], 0.9)  # IoU 5/6
         tight = det("a", [0, 0, 10, 10], 0.5)
-        res = average_precision([tight, loose], gts, 0.5)
+        res = average_precision([tight, loose], gts, [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
 
     def test_no_detections_zero(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
-        res = average_precision([], gts, 0.5)
+        res = average_precision([], gts, [0.5])[0]
         assert res.ap == 0.0 and res.n_gt == 1
 
     def test_no_gt_rejected(self):
         with pytest.raises(ValidationError):
-            average_precision([det("a", [0, 0, 1, 1], 0.5)], {"a": np.zeros((0, 4))}, 0.5)
+            average_precision(
+                [det("a", [0, 0, 1, 1], 0.5)], {"a": np.zeros((0, 4))}, [0.5]
+            )
 
     def test_eleven_point_differs_from_all_point(self):
         # One of two truths found: all-point gives 0.5, the 11-point grid
@@ -147,8 +149,10 @@ class TestAveragePrecision:
             "a": np.array([[0.0, 0.0, 10.0, 10.0], [50.0, 50.0, 60.0, 60.0]])
         }
         dets = [det("a", [0, 0, 10, 10], 0.9)]
-        assert average_precision(dets, gts, 0.5).ap == pytest.approx(0.5, abs=1e-12)
-        assert average_precision(dets, gts, 0.5, eleven_point=True).ap == (
+        assert average_precision(dets, gts, [0.5])[0].ap == (
+            pytest.approx(0.5, abs=1e-12)
+        )
+        assert average_precision(dets, gts, [0.5], eleven_point=True)[0].ap == (
             pytest.approx(6.0 / 11.0, abs=1e-12)
         )
 
@@ -159,7 +163,7 @@ class TestAveragePrecision:
             det("a", [50, 50, 60, 60], 0.9),  # absorbed, not an FP
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(dets, gts, 0.5, ignore_by_image=ignore)
+        res = average_precision(dets, gts, [0.5], ignore_by_image=ignore)[0]
         assert (res.tp, res.fp) == (1, 0)
         assert res.ap == pytest.approx(1.0, abs=1e-12)
 
@@ -170,9 +174,9 @@ class TestAveragePrecision:
         if n_gt == 0:
             return
         for thresh in (0.3, 0.5, 0.75):
-            got = average_precision(dets, gts, thresh)
+            got = average_precision(dets, gts, [thresh])[0]
             assert got.ap == pytest.approx(all_point_ap(dets, gts, thresh), abs=1e-12)
-            assert corloc(dets, gts, thresh) == pytest.approx(
+            assert corloc(dets, gts, [thresh])[0] == pytest.approx(
                 top1_corloc(dets, gts, thresh), abs=1e-12
             )
 
@@ -181,7 +185,7 @@ class TestAveragePrecision:
         dets, gts = random_scenario(seed, num_images=3)
         if sum(len(g) for g in gts.values()) == 0:
             return
-        tps = [average_precision(dets, gts, t).tp for t in IOU_GRID]
+        tps = [res.tp for res in average_precision(dets, gts, IOU_GRID)]
         assert all(a >= b for a, b in zip(tps, tps[1:]))
 
 
@@ -192,7 +196,7 @@ class TestIgnoreAwareMatching:
         dets, gts, ignored = ignore_scenario(seed)
         ign = ignored if use_ignore else None
         for thresh in (0.3, 0.5, 0.75):
-            got = average_precision(dets, gts, thresh, ignore_by_image=ign)
+            got = average_precision(dets, gts, [thresh], ignore_by_image=ign)[0]
             tp, fp = greedy_match(dets, gts, thresh, ign)
             assert (got.tp, got.fp) == (sum(tp), sum(fp))
             assert got.ap == pytest.approx(
@@ -218,7 +222,7 @@ class TestIgnoreAwareMatching:
             det("a", [0, 0, 10, 10], 0.8),
             det("b", [60, 60, 70, 70], 0.7),  # overlaps nothing: still an FP
         ]
-        res = average_precision(dets, gts, 0.5, ignore_by_image=ignore)
+        res = average_precision(dets, gts, [0.5], ignore_by_image=ignore)[0]
         assert (res.tp, res.fp) == (1, 1)
 
     def test_threshold_is_inclusive_for_truth_and_ignored(self):
@@ -229,15 +233,69 @@ class TestIgnoreAwareMatching:
             det("a", [0, 0, 20, 10], 0.9),
             det("a", [50, 50, 70, 60], 0.8),
         ]
-        res = average_precision(dets, gts, 0.5, ignore_by_image=ignore)
+        res = average_precision(dets, gts, [0.5], ignore_by_image=ignore)[0]
         assert (res.tp, res.fp) == (1, 0)
         assert greedy_match(dets, gts, 0.5, ignore) == ([1.0], [0.0])
+
+
+class TestOneCallPerGrid:
+    """One call over IOU_GRID equals the literal oracles at every threshold."""
+
+    def check_ap(self, dets, gts, ign=None):
+        results = average_precision(dets, gts, IOU_GRID, ignore_by_image=ign)
+        assert len(results) == len(IOU_GRID)
+        for t, res in zip(IOU_GRID, results):
+            tp, fp = greedy_match(dets, gts, t, ign)
+            assert (res.tp, res.fp) == (sum(tp), sum(fp)), t
+            assert res.ap == pytest.approx(
+                all_point_ap(dets, gts, t, ign), abs=1e-12
+            ), t
+
+    def check_corloc(self, dets, gts):
+        assert corloc(dets, gts, IOU_GRID) == pytest.approx(
+            [top1_corloc(dets, gts, t) for t in IOU_GRID], abs=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_scenario(self, seed):
+        dets, gts = random_scenario(seed)
+        if sum(len(g) for g in gts.values()) == 0:
+            return
+        self.check_ap(dets, gts)
+        self.check_corloc(dets, gts)
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("use_ignore", [False, True])
+    def test_ignore_scenario(self, seed, use_ignore):
+        dets, gts, ignored = ignore_scenario(seed)
+        self.check_ap(dets, gts, ignored if use_ignore else None)
+        self.check_corloc(dets, gts)
+
+    def test_empty_detections(self):
+        _, gts, ignored = ignore_scenario(0)
+        for ign in (None, ignored):
+            self.check_ap([], gts, ign)
+            results = average_precision([], gts, IOU_GRID, ignore_by_image=ign)
+            assert all(r.ap == 0.0 for r in results)
+        self.check_corloc([], gts)
+
+    def test_score_ties(self):
+        # IoU 0.7 with the truth: a hit up to 0.7, a miss above.
+        gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
+        hit = det("a", [0, 0, 10, 7], 0.9)
+        miss = det("a", [50, 50, 60, 60], 0.9)
+        for dets in ([hit, miss], [miss, hit]):
+            self.check_ap(dets, gts)
+            self.check_corloc(dets, gts)
+        expected = [1.0 if t <= 0.7 else 0.0 for t in IOU_GRID]
+        assert corloc([hit, miss], gts, IOU_GRID) == expected
+        assert corloc([miss, hit], gts, IOU_GRID) == [0.0] * len(IOU_GRID)
 
 
 class TestMatcherCallCount:
     """One IoU block per image, however many detections it holds."""
 
-    def count_iou_calls(self, monkeypatch, dets_per_image):
+    def count_iou_calls(self, monkeypatch, dets_per_image, iou_thresholds=IOU_GRID):
         rng = np.random.default_rng(3)
         records = [
             make_record(rng, f"i{k}", num_proposals=6, with_gt=True)
@@ -259,7 +317,8 @@ class TestMatcherCallCount:
             return real(a, b)
 
         monkeypatch.setattr(kernels, "iou_matrix", counting)
-        evaluate(dets, records, nms_thresh=1.0)  # NMS keeps every detection
+        # NMS keeps every detection.
+        evaluate(dets, records, iou_thresholds=iou_thresholds, nms_thresh=1.0)
         monkeypatch.undo()
         return len(calls), sum(calls)
 
@@ -269,6 +328,11 @@ class TestMatcherCallCount:
         rows = [r for _, r in counts]
         assert calls[0] == calls[1] == calls[2]
         assert rows[0] < rows[1] < rows[2]  # the work itself still scales
+
+    def test_calls_do_not_grow_with_thresholds(self, monkeypatch):
+        one = self.count_iou_calls(monkeypatch, 6, iou_thresholds=(0.5,))
+        grid = self.count_iou_calls(monkeypatch, 6, iou_thresholds=IOU_GRID)
+        assert one == grid
 
 
 class TestCorloc:
@@ -281,7 +345,7 @@ class TestCorloc:
             det("a", [0, 0, 10, 10], 0.9),
             det("b", [50, 50, 60, 60], 0.9),
         ]
-        assert corloc(dets, gts, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert corloc(dets, gts, [0.5])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_only_top_scorer_counts(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
@@ -289,25 +353,25 @@ class TestCorloc:
             det("a", [50, 50, 60, 60], 0.9),  # top-1 misses
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        assert corloc(dets, gts, 0.5) == 0.0
+        assert corloc(dets, gts, [0.5])[0] == 0.0
 
     def test_score_tie_keeps_earliest(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         hit = det("a", [0, 0, 10, 10], 0.9)
         miss = det("a", [50, 50, 60, 60], 0.9)
-        assert corloc([hit, miss], gts, 0.5) == 1.0
-        assert corloc([miss, hit], gts, 0.5) == 0.0
+        assert corloc([hit, miss], gts, [0.5])[0] == 1.0
+        assert corloc([miss, hit], gts, [0.5])[0] == 0.0
 
     def test_image_without_detection_misses(self):
         gts = {
             "a": np.array([[0.0, 0.0, 10.0, 10.0]]),
             "b": np.array([[0.0, 0.0, 10.0, 10.0]]),
         }
-        assert corloc([det("a", [0, 0, 10, 10], 0.9)], gts, 0.5) == 0.5
+        assert corloc([det("a", [0, 0, 10, 10], 0.9)], gts, [0.5])[0] == 0.5
 
     def test_no_class_images_rejected(self):
         with pytest.raises(ValidationError):
-            corloc([], {"a": np.zeros((0, 4))}, 0.5)
+            corloc([], {"a": np.zeros((0, 4))}, [0.5])
 
 
 class TestNmsDetections:
@@ -387,6 +451,22 @@ class TestEvaluate:
         records, dets = self.build(rng)
         with pytest.raises(ConfigError, match="nms_thresh"):
             evaluate(dets, records, nms_thresh=thresh)
+
+    @pytest.mark.parametrize("grid", [[1.5], [float("nan")], [-0.2]])
+    def test_threshold_outside_unit_rejected(self, rng, grid):
+        records, dets = self.build(rng)
+        with pytest.raises(ConfigError, match="iou_thresholds must lie in"):
+            evaluate(dets, records, iou_thresholds=grid)
+
+    def test_empty_grid_rejected(self, rng):
+        records, dets = self.build(rng)
+        with pytest.raises(ConfigError, match="iou_thresholds must not be empty"):
+            evaluate(dets, records, iou_thresholds=[])
+
+    def test_colliding_keys_rejected(self, rng):
+        records, dets = self.build(rng)
+        with pytest.raises(ConfigError, match="repeat a two-decimal key"):
+            evaluate(dets, records, iou_thresholds=[0.5, 0.501])
 
     def test_perfect_detections_score_one(self, rng):
         records, dets = self.build(rng)
