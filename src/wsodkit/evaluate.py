@@ -60,14 +60,15 @@ class Detection:
     score: float
 
 
-def nms_detections(dets: Sequence[Detection], thresh: float) -> list[Detection]:
-    """Greedy NMS over one image/class group; keeps descending-score order."""
-    if not dets:
-        return []
-    boxes = np.array([d.box.as_list() for d in dets], dtype=np.float64)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    keep = kernels.nms(boxes, scores, thresh)
-    return [dets[int(i)] for i in keep]
+def nms_detections(boxes: np.ndarray, scores: np.ndarray, thresh: float) -> np.ndarray:
+    """Greedy NMS over one image/class group, given as arrays.
+
+    ``boxes`` is (N, 4) and ``scores`` (N,). Returns the kept row indices
+    as int64, in descending-score order with ties going to the earlier
+    row; an empty group keeps nothing. Callers build objects only for the
+    rows it returns.
+    """
+    return kernels.nms(boxes, scores, thresh)
 
 
 def save_detections(dets: Iterable[Detection], path: str | Path) -> None:
@@ -396,7 +397,10 @@ def evaluate(
         for rec in records:
             group = grouped.get(rec.image_id)
             if group:
-                kept.extend(nms_detections(group, nms_thresh))
+                boxes = np.array([d.box.as_list() for d in group], dtype=np.float64)
+                scores = np.array([d.score for d in group], dtype=np.float64)
+                keep = nms_detections(boxes, scores, nms_thresh)
+                kept.extend(group[i] for i in keep.tolist())
         kept_by_class[cid] = kept
 
     ap: dict[int, dict[float, float]] = {c: {} for c in class_ids}

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from wsodkit import contrastive, fusion, kernels, milhead, refine
-from wsodkit.data import ClassVocabulary, ImageRecord, extract_labels
+from wsodkit.data import Box, ClassVocabulary, ImageRecord, extract_labels
 from wsodkit.errors import ConfigError, DataError
 from wsodkit.evaluate import (
     DEFAULT_NMS_THRESH,
@@ -46,7 +46,6 @@ from wsodkit.jsonio import as_float, as_int, as_type, read_json, write_json
 from wsodkit.model import MAX_REFINE_BRANCHES, ModelDims, ModelParams
 from wsodkit.numkit import SGD
 from wsodkit.priors import DepthMask, FrozenPriors, depth_mask
-from wsodkit.data import Box
 
 SEED_ENV_VAR = "WSOD_SEED"
 # Sanity ceilings: larger values only run for ever or exhaust memory.
@@ -565,7 +564,10 @@ def infer(
 
     Detection confidence is the combined (det x cls) probability of the
     proposal; boxes are the proposals themselves. Only detections scoring
-    strictly above ``min_score`` are emitted.
+    strictly above ``min_score`` are emitted, in record, class, NMS order.
+    Class-wise NMS runs on the proposal and score arrays, and objects are
+    built only for its survivors: one ``Box`` per proposal kept by any
+    class, shared by every class's ``Detection`` of it.
     """
     check_fraction("nms_thresh", nms_thresh)
     check_fraction("min_score", min_score)
@@ -576,18 +578,25 @@ def infer(
         # Greedy NMS settles every candidate above the floor before any at or
         # below it, so dropping those first leaves the survivors unchanged.
         above = conf > min_score
-        # Boxes are frozen, so every class group shares one per proposal.
-        boxes = [
-            Box(*row) if live else None
-            for row, live in zip(rec.proposals.tolist(), above.any(axis=1).tolist())
-        ]
+        kept: list[tuple[int, np.ndarray]] = []
+        live = np.zeros(rec.num_proposals, dtype=bool)
         for cid in range(model.dims.num_classes):
-            rows = np.flatnonzero(above[:, cid]).tolist()
-            group = [
-                Detection(rec.image_id, cid, boxes[i], score)
-                for i, score in zip(rows, conf[rows, cid].tolist())
-            ]
-            out.extend(nms_detections(group, nms_thresh))
+            rows = np.flatnonzero(above[:, cid])
+            if rows.size:
+                rows = rows[
+                    nms_detections(rec.proposals[rows], conf[rows, cid], nms_thresh)
+                ]
+                kept.append((cid, rows))
+                live[rows] = True
+        # Boxes are frozen, so every class group shares one per proposal;
+        # slot[i] is proposal i's place among the live ones.
+        boxes = [Box(*row) for row in rec.proposals[live].tolist()]
+        slot = np.cumsum(live) - 1
+        for cid, rows in kept:
+            out.extend(
+                Detection(rec.image_id, cid, boxes[k], score)
+                for k, score in zip(slot[rows].tolist(), conf[rows, cid].tolist())
+            )
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from wsodkit import fusion
 from wsodkit.data import Box
 from wsodkit.errors import WsodkitError
-from wsodkit.evaluate import Detection, nms_detections
+from wsodkit.evaluate import Detection
 
 EPS = 1e-7
 
@@ -178,28 +178,27 @@ def top1_corloc(dets, gts_by_image, thresh):
 
 
 def infer_candidates(model, records, mode, min_score, nms_thresh):
-    """Literal inference: R·C fresh detections per image, then class-wise NMS.
+    """Literal inference: greedy NMS over every proposal of each class.
 
-    Every (proposal, class) pair gets its own validated ``Box`` and
-    ``Detection``; survivors of per-class NMS scoring strictly above
-    ``min_score`` are emitted in record, class, NMS order.
+    Each class's NMS runs over all R proposals with ``nms_sequential``,
+    not the package's NMS; survivors scoring strictly above ``min_score``
+    are emitted in record, class, NMS order, each with its own ``Box``.
     """
     out = []
     for rec in records:
         pack = fusion.forward(rec, model.rgb_head, model.depth_head, mode)
         for cid in range(model.dims.num_classes):
-            group = [
-                Detection(
-                    image_id=rec.image_id,
-                    class_id=cid,
-                    box=Box(*rec.proposals[i].tolist()),
-                    score=float(pack.combined[0, i, cid]),
-                )
-                for i in range(rec.num_proposals)
-            ]
-            for det in nms_detections(group, nms_thresh):
-                if det.score > min_score:
-                    out.append(det)
+            scores = pack.combined[0, :, cid]
+            for i in nms_sequential(rec.proposals, scores, nms_thresh).tolist():
+                if scores[i] > min_score:
+                    out.append(
+                        Detection(
+                            image_id=rec.image_id,
+                            class_id=cid,
+                            box=Box(*rec.proposals[i].tolist()),
+                            score=float(scores[i]),
+                        )
+                    )
     return out
 
 

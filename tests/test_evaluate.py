@@ -23,7 +23,7 @@ from wsodkit.evaluate import (
 )
 
 from conftest import make_record, random_boxes
-from reference import all_point_ap, greedy_match, top1_corloc
+from reference import all_point_ap, greedy_match, nms_sequential, top1_corloc
 
 
 def det(iid, box, score, cid=0):
@@ -376,16 +376,29 @@ class TestCorloc:
 
 class TestNmsDetections:
     def test_duplicates_collapse(self):
-        dets = [
-            det("a", [0, 0, 10, 10], 0.9),
-            det("a", [0, 1, 10, 11], 0.8),
-            det("a", [50, 50, 60, 60], 0.7),
-        ]
-        kept = nms_detections(dets, 0.5)
-        assert [d.score for d in kept] == [0.9, 0.7]
+        boxes = np.array([[0, 0, 10, 10], [0, 1, 10, 11], [50, 50, 60, 60]], float)
+        scores = np.array([0.9, 0.8, 0.7])
+        kept = nms_detections(boxes, scores, 0.5)
+        assert kept.tolist() == [0, 2]
+        assert scores[kept].tolist() == [0.9, 0.7]
 
     def test_empty(self):
-        assert nms_detections([], 0.5) == []
+        kept = nms_detections(np.zeros((0, 4)), np.zeros(0), 0.5)
+        assert kept.dtype == np.int64
+        assert kept.shape == (0,)
+
+    # Groups past 32 boxes cross kernels' NMS_BLOCK.
+    @pytest.mark.parametrize("n", [1, 2, 31, 33, 65, 200])
+    @pytest.mark.parametrize("thresh", [0.0, 0.3, 0.5, 1.0])
+    def test_matches_sequential_oracle(self, n, thresh):
+        r = np.random.default_rng(n)
+        boxes = random_boxes(r, n)
+        boxes[1::4] = boxes[: len(boxes[1::4])]
+        # Scores on a coarse grid tie exactly; ties go to the earlier row.
+        scores = r.integers(0, max(2, n // 4), n) / 8.0
+        kept = nms_detections(boxes, scores, thresh)
+        assert kept.dtype == np.int64
+        assert np.array_equal(kept, nms_sequential(boxes, scores, thresh))
 
 
 class TestDetectionIO:

@@ -3,7 +3,10 @@
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -558,7 +561,7 @@ class TestInfer:
         feat_dim = records[0].rgb_features.shape[1]
         mixed = records[:3] + [
             make_record(rng, f"m{k}", num_proposals=r, feat_dim=feat_dim, size=64.0)
-            for k, r in enumerate((1, 2, 11, 30))
+            for k, r in enumerate((1, 2, 11, 30, 300))
         ]
         # A floor equal to a candidate's exact score drops that candidate.
         combined = fusion.forward(
@@ -572,11 +575,65 @@ class TestInfer:
             want = infer_candidates(model, mixed, mode, min_score, nms_thresh)
             assert got == want
 
+    def test_one_box_object_per_proposal(self, trained):
+        # Every class's detection of a proposal holds the same Box object.
+        model, records = trained
+        dets = infer(model, records, min_score=0.0)
+        first: dict[tuple, Box] = {}
+        classes: dict[tuple, int] = {}
+        for d in dets:
+            key = (d.image_id, tuple(d.box.as_list()))
+            assert first.setdefault(key, d.box) is d.box
+            classes[key] = classes.get(key, 0) + 1
+        assert max(classes.values()) > 1
+
     def test_feat_dim_mismatch_rejected(self, trained, rng):
         model, _ = trained
         bad = [make_record(rng, "x", feat_dim=9, labels={0})]
         with pytest.raises(CheckpointError):
             infer(model, bad)
+
+
+# The two-stage pipeline in one fresh interpreter. It must not pull in
+# numpy.ma (np.unique and friends import it lazily): that alone adds about
+# 1.6 MiB of resident memory to every run.
+PIPELINE_SCRIPT = """
+import sys
+from wsodkit.evaluate import evaluate
+from wsodkit.fusion import FusionMode
+from wsodkit.priors import estimate_priors
+from wsodkit.synth import SyntheticConfig, generate_synthetic
+from wsodkit.train import RunConfig, infer, train
+
+images, proposals = map(int, sys.argv[1:3])
+records, vocab = generate_synthetic(
+    SyntheticConfig(num_images=images, proposals_per_image=proposals), seed=0
+)
+model, _ = train(RunConfig(epochs=1), records, vocab, eval_records=[])
+dets = infer(model, records, min_score=0.0)
+_, frozen, _ = estimate_priors(records, dets, score_threshold=0.0)
+full = RunConfig(
+    epochs=1, siamese_nce=True, fusion=True, depth_oicr=True,
+    depth_attention=True, inference_mode="fused",
+)
+model, _ = train(full, records, vocab, priors=frozen, eval_records=[])
+dets = infer(model, records, mode=FusionMode.FUSED, min_score=0.0)
+evaluate(dets, records)
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("images, proposals", [(24, 20), (3, 500)])
+def test_pipeline_leaves_numpy_ma_unimported(images, proposals):
+    src = str(Path(TRAIN.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPELINE_SCRIPT, str(images), str(proposals)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 class TestMiningPrecision:
