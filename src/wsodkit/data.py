@@ -24,6 +24,7 @@ from wsodkit.jsonio import (
     as_array,
     as_float,
     as_int,
+    as_number,
     as_type,
     read_json,
     read_jsonl,
@@ -306,10 +307,10 @@ def _check_geometry(rid: str, width: int, height: int, p: np.ndarray) -> None:
 
 
 def box_from_json(value, message: str) -> Box:
-    """A Box from a JSON array of four numbers."""
+    """A Box from a JSON array of four numbers (ints or floats, no bools)."""
     if not isinstance(value, list) or len(value) != 4:
         raise ValidationError(message)
-    return Box(*[as_float(v, message) for v in value])
+    return Box(*[as_float(as_number(v, message), message) for v in value])
 
 
 def _floats_2d(raw, rid: str, name: str) -> np.ndarray:

@@ -6,10 +6,12 @@ truth it overlaps most, counting as a true positive only at or above the
 IoU threshold, and the precision/recall curve is integrated under its
 monotone envelope at every recall change (an 11-point variant is
 available). The matcher works per image, as the COCO API's
-``evaluateImg`` does: the detections are ranked once, each image gets one
-IoU block between its detections, in score order, and its truths, plus
-one per-row maximum over its ignored truths, and those serve every IoU
-threshold. Greedy claims on the block run in array rounds, each
+``evaluateImg`` does: the detections are ranked once and each image gets
+one IoU block between its detections, in score order, and all its truths.
+That block serves every IoU threshold and every view of the truth: the
+full set, a set with some boxes ignored, and each area bucket, which reads
+its own columns as truths and the row maximum over the rest as the
+ignored overlap. Greedy claims on the block run in array rounds, each
 resolving every detection up to the next claim. CorLoc asks, per class,
 on what fraction of the images containing the class the single most
 confident detection hits; each image's top detection and its best
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -29,13 +31,27 @@ import numpy as np
 from wsodkit import kernels
 from wsodkit.data import Box, ClassVocabulary, ImageRecord, box_from_json
 from wsodkit.errors import ConfigError, ParseError, ValidationError
-from wsodkit.jsonio import as_float, as_int, as_type, read_jsonl, require
+from wsodkit.jsonio import (
+    as_float,
+    as_int,
+    as_number,
+    as_type,
+    read_jsonl,
+    require,
+)
 
 DEFAULT_NMS_THRESH = 0.5
 IOU_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 AREA_SMALL_MAX = 32.0 * 32.0
 AREA_MEDIUM_MAX = 96.0 * 96.0
 AREA_BUCKETS = ("small", "medium", "large")
+# The types of the numbers json.loads returns, and the integers a double
+# holds exactly, which need no conversion.
+_NUMBER = frozenset((int, float))
+_EXACT_INT = 2**53
+# Detection lines joined into one write: fewer writes than one per line,
+# without holding a whole file's text.
+_LINES_PER_WRITE = 1024
 
 
 def check_fraction(name: str, value: float, upper_open: bool = False) -> None:
@@ -71,36 +87,115 @@ def nms_detections(boxes: np.ndarray, scores: np.ndarray, thresh: float) -> np.n
     return kernels.nms(boxes, scores, thresh)
 
 
+def _json_number(value) -> str:
+    """``value`` as ``json.dumps`` spells it inside a detection line."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _bad_line(path: str | Path, lineno: int) -> str:
+    return f"{path}: line {lineno}: bad detection"
+
+
 def save_detections(dets: Iterable[Detection], path: str | Path) -> None:
-    """Write detections as JSONL; deterministic for equal inputs."""
+    """Write detections as JSONL, one object per line; byte-stable for equal inputs.
+
+    Each line is ``{"image_id": ..., "box": [x1, y1, x2, y2], "class_id":
+    ..., "score": ...}`` with ``json.dumps``'s default separators, ids
+    escaped to ASCII and numbers spelled as Python's ``repr`` (``NaN`` and
+    ``Infinity`` for non-finite scores): the bytes ``json.dumps`` gives for
+    that dict. The class id goes through ``int`` and the score through
+    ``float`` first. An image id is encoded once per run of its
+    detections, and a ``Box`` object once per run of its image's
+    detections, so the classes that ``infer`` gives one proposal's shared
+    ``Box`` share its text.
+    """
     with open(path, "w", encoding="utf-8") as fh:
+        lines: list[str] = []
+        last_id, id_text = None, ""
+        # Keyed by identity, so -0.0 and 0.0 or 1 and 1.0 never share text;
+        # each entry holds its box, so that the id is not reused while the
+        # entry stands. Emptied when the image changes, to bound its size.
+        box_text: dict[int, tuple[Box, str]] = {}
         for d in dets:
-            obj = {
-                "image_id": d.image_id,
-                "box": d.box.as_list(),
-                "class_id": int(d.class_id),
-                "score": float(d.score),
-            }
-            fh.write(json.dumps(obj) + "\n")
+            # Fields are read and converted, then encoded, in the order that
+            # json.dumps of the line's dict takes, so a bad value raises the
+            # error it raises there.
+            box = d.box
+            cached = box_text.get(id(box))
+            coords = box.as_list() if cached is None else None
+            cid = int(d.class_id)
+            score = float(d.score)
+            iid = d.image_id
+            if type(iid) is not str or iid != last_id:
+                id_text = json.dumps(iid)
+                last_id = iid if type(iid) is str else None
+                box_text.clear()
+            if cached is None:
+                cached = box_text[id(box)] = (
+                    box, "[" + ", ".join(map(_json_number, coords)) + "]"
+                )
+            # int() and float() return exact ints and floats, which format as
+            # json.dumps formats them.
+            lines.append(
+                f'{{"image_id": {id_text}, "box": {cached[1]}, "class_id": {cid}, '
+                f'"score": {_json_number(score)}}}\n'
+            )
+            if len(lines) == _LINES_PER_WRITE:
+                fh.write("".join(lines))
+                lines.clear()
+        fh.write("".join(lines))
 
 
 def load_detections(
     path: str | Path, vocab: ClassVocabulary | None = None
 ) -> list[Detection]:
-    """Read detections JSONL; class ids must lie in ``vocab`` when given."""
+    """Read detections JSONL; class ids must lie in ``vocab`` when given.
+
+    Every line is a JSON object with a four-number ``box``, a finite
+    ``score``, a string ``image_id`` and an integral ``class_id``; numbers
+    are JSON ints or floats, never booleans or strings. A bad line raises
+    ParseError (not JSON) or ValidationError naming its line number.
+    Boxes of one file with equal coordinates, signs of zeros included,
+    share one ``Box``.
+    """
     dets: list[Detection] = []
+    boxes: dict[tuple, Box] = {}
+    num_classes = None if vocab is None else len(vocab)
     for lineno, obj in read_jsonl(path, "detections", ParseError):
-        bad = f"{path}: line {lineno}: bad detection"
-        box = box_from_json(require(obj, "box", bad), bad)
-        score = as_float(obj.get("score"), bad)
+        # A value of the exact type a field wants passes as it is; any other
+        # goes through the converters, which convert it or raise ``bad``.
+        raw = obj.get("box") if type(obj) is dict else None
+        key = None
+        if type(raw) is list and len(raw) == 4 and _NUMBER.issuperset(map(type, raw)):
+            key = tuple(raw)
+            if 0 in key:
+                # -0.0 == 0.0, yet they are different boxes.
+                key += tuple(math.copysign(1.0, v) for v in key if not v)
+        box = boxes.get(key)
+        if box is None:
+            bad = _bad_line(path, lineno)
+            box = box_from_json(require(obj, "box", bad), bad)
+            if key is not None:
+                boxes[key] = box
+        score = obj.get("score")
+        if type(score) is not float:
+            bad = _bad_line(path, lineno)
+            score = as_float(as_number(score, bad), bad)
         # json.loads accepts the NaN and Infinity literals.
         if not math.isfinite(score):
             raise ValidationError(f"{path}: line {lineno}: non-finite score {score}")
-        image_id = as_type(obj.get("image_id"), str, bad)
-        cid = as_int(obj.get("class_id"), bad)
-        if vocab is not None and not 0 <= cid < len(vocab):
+        image_id = obj.get("image_id")
+        if type(image_id) is not str:
+            image_id = as_type(image_id, str, _bad_line(path, lineno))
+        cid = obj.get("class_id")
+        if type(cid) is not int or not -_EXACT_INT <= cid <= _EXACT_INT:
+            bad = _bad_line(path, lineno)
+            cid = as_int(as_number(cid, bad), bad)
+        if num_classes is not None and not 0 <= cid < num_classes:
             raise ValidationError(
-                f"{path}: line {lineno}: class {cid} outside 0..{len(vocab) - 1}"
+                f"{path}: line {lineno}: class {cid} outside 0..{num_classes - 1}"
             )
         dets.append(Detection(image_id, cid, box, score))
     return dets
@@ -108,12 +203,17 @@ def load_detections(
 
 @dataclass
 class APResult:
-    """AP for one class at one threshold, with the counts behind it."""
+    """AP for one class at one threshold, with the counts behind it.
+
+    ``subsets`` holds the result for each named truth subset that
+    ``average_precision`` was asked for and that holds any truth.
+    """
 
     ap: float
     n_gt: int
     tp: int
     fp: int
+    subsets: dict[str, "APResult"] = field(default_factory=dict)
 
 
 def _greedy_hits(ious: np.ndarray, iou_thresh: float) -> np.ndarray:
@@ -139,19 +239,14 @@ def _greedy_hits(ious: np.ndarray, iou_thresh: float) -> np.ndarray:
     return hits
 
 
-def _match(
-    dets: Sequence[Detection],
-    gts_by_image: Mapping[str, np.ndarray],
-    iou_thresholds: Sequence[float],
-    ignore_by_image: Mapping[str, np.ndarray] | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Greedy matching in descending score order (stable ties).
+def _rank(
+    dets: Sequence[Detection], truths_by_image: Mapping[str, np.ndarray]
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Rank detections once by descending score (stable ties).
 
-    Yields, per threshold, tp and fp indicator arrays aligned with the
-    sorted order, dropping detections absorbed by ignored ground truth.
-    The ranking and, per image, the IoU block against its truths and each
-    row's best overlap with its ignored boxes are computed once: IoU is
-    elementwise, so every threshold reads the same values.
+    Returns, per image holding both detections and truth, its id, its
+    detections' positions in the ranking (ascending) and their IoU block
+    against all its truths, rows in score order.
     """
     scores = np.array([d.score for d in dets], dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
@@ -164,27 +259,52 @@ def _match(
     # image_ids.
     by_image = np.argsort(image_of, kind="stable")
     groups = np.split(by_image, np.flatnonzero(np.diff(image_of[by_image])) + 1)
-    # Per image: sorted positions, IoU block against its truths (None
-    # without truth), best overlap with its ignored boxes (None without).
     blocks = []
     for iid, pos in zip(image_ids, groups):
-        gts = gts_by_image.get(iid)
-        ious = None
-        if gts is not None and len(gts):
-            ious = kernels.iou_matrix(boxes[pos], gts)
-        ign = None if ignore_by_image is None else ignore_by_image.get(iid)
-        ign_max = None
-        if ign is not None and len(ign):
-            ign_max = kernels.iou_matrix(boxes[pos], ign).max(axis=1)
-        blocks.append((pos, ious, ign_max))
+        truths = truths_by_image.get(iid)
+        if truths is not None and len(truths):
+            blocks.append((iid, pos, kernels.iou_matrix(boxes[pos], truths)))
+    return blocks
+
+
+def _match(
+    num_dets: int,
+    blocks: Sequence[tuple[str, np.ndarray, np.ndarray]],
+    eligible: Mapping[str, np.ndarray] | None,
+    iou_thresholds: Sequence[float],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Greedy matching of ranked detections against one view of the truth.
+
+    ``eligible`` maps an image to a boolean mask over its truth columns
+    (an image it lacks has none eligible); None makes every truth
+    eligible. Yields, per threshold, tp and fp indicator arrays aligned
+    with the ranking, dropping detections absorbed by ignored truth (the
+    columns outside the mask). The views read the blocks ``_rank`` built:
+    IoU is elementwise, so a column subset equals the block against that
+    subset of the truths.
+    """
+    # Per image: positions, IoU block against its eligible truths (None
+    # without), best overlap with its ignored truths (None without).
+    parts = []
+    for iid, pos, block in blocks:
+        if eligible is None:
+            parts.append((pos, block, None))
+            continue
+        inb = eligible.get(iid)
+        if inb is None:
+            inb = np.zeros(block.shape[1], dtype=bool)
+        parts.append((
+            pos,
+            block[:, inb] if inb.any() else None,
+            None if inb.all() else block[:, ~inb].max(axis=1),
+        ))
     for t in iou_thresholds:
-        hit = np.zeros(len(dets), dtype=bool)
-        absorbed = np.zeros(len(dets), dtype=bool)
-        for pos, ious, ign_max in blocks:
+        hit = np.zeros(num_dets, dtype=bool)
+        absorbed = np.zeros(num_dets, dtype=bool)
+        for pos, ious, ign_max in parts:
             if ious is not None:
                 hit[pos] = _greedy_hits(ious, t)
             if ign_max is not None:
-                # Absorbed by out-of-bucket ground truth.
                 absorbed[pos] = ~hit[pos] & (ign_max >= t)
         keep = ~absorbed
         yield hit[keep].astype(np.float64), (~hit[keep]).astype(np.float64)
@@ -220,20 +340,59 @@ def average_precision(
     iou_thresholds: Sequence[float],
     eleven_point: bool = False,
     ignore_by_image: Mapping[str, np.ndarray] | None = None,
+    subsets: Mapping[str, Mapping[str, np.ndarray]] | None = None,
 ) -> list[APResult]:
     """Single-class AP over any number of images, one result per threshold.
 
     ``gts_by_image`` maps image id to an (G, 4) array of this class's
     boxes. Detections matching only ``ignore_by_image`` boxes are dropped
-    from the curve instead of counting as false positives.
+    from the curve instead of counting as false positives. ``subsets``
+    names subsets of the truth, each a map from image id to a boolean mask
+    over that image's rows of ``gts_by_image``; each result's ``subsets``
+    then holds the AP against a subset's truth alone, the rest ignored,
+    for every subset holding any. The detections are ranked once and each
+    image gets one IoU block, which the full truth and every subset share.
     """
     n_gt = sum(len(g) for g in gts_by_image.values())
     if n_gt <= 0:
         raise ValidationError("AP undefined for a class with no ground truth")
-    return [
+    truths, eligible, views = gts_by_image, None, dict(subsets or {})
+    if ignore_by_image is not None:
+        # An image's ignored boxes become truth columns after its own, and
+        # every view leaves them out.
+        truths = {}
+        for iid in {**gts_by_image, **ignore_by_image}:
+            rows = [gts_by_image.get(iid), ignore_by_image.get(iid)]
+            rows = [a for a in rows if a is not None and len(a)]
+            if rows:
+                truths[iid] = np.concatenate(rows)
+        extra = {
+            iid: len(t) - len(gts_by_image.get(iid, ())) for iid, t in truths.items()
+        }
+        eligible = {
+            iid: np.arange(len(t)) < len(t) - extra[iid] for iid, t in truths.items()
+        }
+        views = {
+            name: {
+                iid: np.pad(mask, (0, extra[iid]))
+                for iid, mask in masks.items()
+                if iid in truths
+            }
+            for name, masks in views.items()
+        }
+    blocks = _rank(dets, truths)
+    results = [
         _ap_from_flags(tp, fp, n_gt, eleven_point)
-        for tp, fp in _match(dets, gts_by_image, iou_thresholds, ignore_by_image)
+        for tp, fp in _match(len(dets), blocks, eligible, iou_thresholds)
     ]
+    for name, masks in views.items():
+        n_sub = sum(int(np.count_nonzero(m)) for m in masks.values())
+        if n_sub <= 0:
+            continue
+        flags = _match(len(dets), blocks, masks, iou_thresholds)
+        for res, (tp, fp) in zip(results, flags):
+            res.subsets[name] = _ap_from_flags(tp, fp, n_sub, eleven_point)
+    return results
 
 
 def corloc(
@@ -347,6 +506,20 @@ def _gt_index(
     return by_class, sorted(by_class)
 
 
+def _area_buckets(
+    gts_by_image: Mapping[str, np.ndarray],
+) -> dict[str, dict[str, np.ndarray]]:
+    """Each area bucket's truth, as per-image masks over ``gts_by_image`` rows."""
+    buckets: dict[str, dict[str, np.ndarray]] = {b: {} for b in AREA_BUCKETS}
+    for iid, boxes in gts_by_image.items():
+        areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+        small = areas < AREA_SMALL_MAX
+        medium = ~small & (areas < AREA_MEDIUM_MAX)
+        for bucket, inb in zip(AREA_BUCKETS, (small, medium, ~small & ~medium)):
+            buckets[bucket][iid] = inb
+    return buckets
+
+
 def evaluate(
     dets: Sequence[Detection],
     records: Sequence[ImageRecord],
@@ -406,15 +579,24 @@ def evaluate(
     ap: dict[int, dict[float, float]] = {c: {} for c in class_ids}
     counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}
     corloc_by_class: dict[int, dict[float, float]] = {c: {} for c in class_ids}
+    per_bucket: dict[str, dict[float, list[float]]] = {
+        b: {t: [] for t in thresholds} for b in AREA_BUCKETS
+    }
     for cid in class_ids:
         results = average_precision(
-            kept_by_class[cid], gts[cid], thresholds, eleven_point
+            kept_by_class[cid],
+            gts[cid],
+            thresholds,
+            eleven_point,
+            subsets=_area_buckets(gts[cid]),
         )
         fractions = corloc(dets_by_class[cid], gts[cid], thresholds)
         for t, res, frac in zip(thresholds, results, fractions):
             ap[cid][t] = res.ap
             counts[cid][t] = (res.tp, res.fp, res.n_gt)
             corloc_by_class[cid][t] = frac
+            for bucket, sub in res.subsets.items():
+                per_bucket[bucket][t].append(sub.ap)
 
     map_by_thresh = {
         t: float(np.mean([ap[c][t] for c in class_ids])) for t in thresholds
@@ -423,29 +605,6 @@ def evaluate(
         t: float(np.mean([corloc_by_class[c][t] for c in class_ids]))
         for t in thresholds
     }
-
-    # Split each class's truth into area buckets once, for every threshold.
-    per_bucket: dict[str, dict[float, list[float]]] = {
-        b: {t: [] for t in thresholds} for b in AREA_BUCKETS
-    }
-    for cid in class_ids:
-        split: dict[str, tuple[dict, dict]] = {b: ({}, {}) for b in AREA_BUCKETS}
-        for iid, boxes in gts[cid].items():
-            areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-            small = areas < AREA_SMALL_MAX
-            medium = ~small & (areas < AREA_MEDIUM_MAX)
-            for bucket, inb in zip(AREA_BUCKETS, (small, medium, ~small & ~medium)):
-                eligible, ignored = split[bucket]
-                eligible[iid] = boxes[inb]
-                ignored[iid] = boxes[~inb]
-        for bucket, (eligible, ignored) in split.items():
-            if not any(len(g) for g in eligible.values()):
-                continue
-            results = average_precision(
-                kept_by_class[cid], eligible, thresholds, eleven_point, ignored
-            )
-            for res, per_class in zip(results, per_bucket[bucket].values()):
-                per_class.append(res.ap)
     area_ap = {
         b: {t: float(np.mean(v)) if v else float("nan") for t, v in per_t.items()}
         for b, per_t in per_bucket.items()

@@ -95,6 +95,13 @@ def as_int(value, message: str, error=ValidationError) -> int:
     return out
 
 
+def as_number(value, message: str, error=ValidationError) -> int | float:
+    """``value`` itself if it is a JSON number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(message)
+    return value
+
+
 def as_float(value, message: str, error=ValidationError) -> float:
     """``float(value)``, for the values Python's float() converts."""
     try:

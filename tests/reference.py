@@ -6,9 +6,11 @@ tautology. The package ships one forward path per component; the
 standalone pieces only tests call live here instead: the contrastive loss
 of a projected batch, box-pair IoU, the broadcast IoU matrix, greedy NMS
 one kept box at a time, pseudo-box mining and target assignment one
-proposal at a time, and the finite-difference gradient check.
+proposal at a time, the finite-difference gradient check, and the
+detection writer that encodes each line as a dict through ``json.dumps``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -175,6 +177,19 @@ def top1_corloc(dets, gts_by_image, thresh):
         if any(iou(top.box, Box(*g)) >= thresh for g in gts_by_image[iid]):
             hits += 1
     return hits / len(images)
+
+
+def save_detections_dumps(dets, path):
+    """Literal detection writer: one ``json.dumps`` of a dict per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in dets:
+            obj = {
+                "image_id": d.image_id,
+                "box": d.box.as_list(),
+                "class_id": int(d.class_id),
+                "score": float(d.score),
+            }
+            fh.write(json.dumps(obj) + "\n")
 
 
 def infer_candidates(model, records, mode, min_score, nms_thresh):

@@ -563,6 +563,9 @@ SPLICE = st.tuples(st.sampled_from(("cut", "byte")), st.integers(0, 1 << 16))
 @example(target="priors", mutation=(("by_class", "0", "std"), -0.5))
 @example(target="checkpoint", mutation=(("rgb.det.w", "shape"), [4]))
 @example(target="checkpoint", mutation=(("proj.w", "shape"), [64]))
+# Detection numbers of another JSON type, which float() would convert.
+@example(target="detections", mutation=((0, "box"), [True, "0", 2, 2]))
+@example(target="detections", mutation=((0, "score"), "0.5"))
 @settings(
     max_examples=200,
     deadline=None,

@@ -219,6 +219,13 @@ class TestJsonRoundTrip:
             (b.as_list(), c) for b, c in rec.gt_boxes
         ]
 
+    @pytest.mark.parametrize("coord", [True, "1", None, [1]])
+    def test_gt_box_coordinates_are_json_numbers(self, rng, coord):
+        obj = record_to_json(make_record(rng, with_gt=True))
+        obj["gt_boxes"][0][0] = coord
+        with pytest.raises(ValidationError, match="gt_boxes entries"):
+            record_from_json(obj)
+
     def test_optional_fields_omitted(self, rng):
         rec = make_record(rng)
         obj = record_to_json(rec)

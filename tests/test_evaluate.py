@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from wsodkit import kernels
-from wsodkit.data import Box
+from wsodkit.data import Box, ClassVocabulary
 from wsodkit.errors import ConfigError, ParseError, ValidationError
 from wsodkit.evaluate import (
     IOU_GRID,
@@ -23,7 +26,13 @@ from wsodkit.evaluate import (
 )
 
 from conftest import make_record, random_boxes
-from reference import all_point_ap, greedy_match, nms_sequential, top1_corloc
+from reference import (
+    all_point_ap,
+    greedy_match,
+    nms_sequential,
+    save_detections_dumps,
+    top1_corloc,
+)
 
 
 def det(iid, box, score, cid=0):
@@ -238,6 +247,43 @@ class TestIgnoreAwareMatching:
         assert greedy_match(dets, gts, 0.5, ignore) == ([1.0], [0.0])
 
 
+class TestTruthSubsets:
+    """A subset's AP equals a separate call whose other truth is ignored."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("use_ignore", [False, True])
+    def test_matches_separate_calls(self, seed, use_ignore):
+        dets, gts, ignored = ignore_scenario(seed)
+        r = np.random.default_rng(100 + seed)
+        subsets = {
+            name: {iid: r.uniform(size=len(g)) < frac for iid, g in gts.items()}
+            for name, frac in (("none", 0.0), ("some", 0.5), ("all", 1.0))
+        }
+        ign = ignored if use_ignore else None
+        got = average_precision(
+            dets, gts, IOU_GRID, ignore_by_image=ign, subsets=subsets
+        )
+        plain = average_precision(dets, gts, IOU_GRID, ignore_by_image=ign)
+        fields = lambda res: (res.ap, res.tp, res.fp, res.n_gt)
+        assert [fields(res) for res in got] == [fields(res) for res in plain]
+        empty = np.zeros((0, 4))
+        for name, masks in subsets.items():
+            sub_gts = {iid: gts[iid][m] for iid, m in masks.items()}
+            rest = {}
+            for iid in {**gts, **ignored}:
+                parts = [gts[iid][~masks[iid]]] if iid in gts else []
+                if use_ignore:
+                    parts.append(ignored.get(iid, empty))
+                rest[iid] = np.concatenate(parts or [empty])
+            if not sum(len(g) for g in sub_gts.values()):
+                assert all(name not in res.subsets for res in got)
+                continue
+            want = average_precision(dets, sub_gts, IOU_GRID, ignore_by_image=rest)
+            assert [fields(res.subsets[name]) for res in got] == [
+                fields(res) for res in want
+            ]
+
+
 class TestOneCallPerGrid:
     """One call over IOU_GRID equals the literal oracles at every threshold."""
 
@@ -334,6 +380,42 @@ class TestMatcherCallCount:
         grid = self.count_iou_calls(monkeypatch, 6, iou_thresholds=IOU_GRID)
         assert one == grid
 
+    def test_calls_do_not_grow_with_area_buckets(self, monkeypatch):
+        # Three truths per image, all small or one in each bucket; the
+        # buckets read column subsets of the class-level IoU blocks.
+        sides = {"one": (10.0, 20.0, 30.0), "three": (10.0, 50.0, 110.0)}
+        rng = np.random.default_rng(5)
+        calls, area_avg = {}, {}
+        for name, widths in sides.items():
+            records, dets = [], []
+            for k in range(3):
+                rec = make_record(rng, f"i{k}", num_proposals=4, size=300.0)
+                truth = [
+                    Box(60.0 * j, 0.0, 60.0 * j + w, w) for j, w in enumerate(widths)
+                ]
+                rec = dataclasses.replace(rec, gt_boxes=[(b, 0) for b in truth])
+                records.append(rec)
+                dets += [
+                    Detection(rec.image_id, 0, b, 0.9 - 0.1 * j)
+                    for j, b in enumerate(truth)
+                ]
+                dets += [
+                    Detection(rec.image_id, 0, Box(*b.tolist()), 0.3)
+                    for b in random_boxes(rng, 3, size=300.0)
+                ]
+            real = kernels.iou_matrix
+            count = []
+            monkeypatch.setattr(
+                kernels, "iou_matrix", lambda a, b: count.append(1) or real(a, b)
+            )
+            report = evaluate(dets, records, nms_thresh=1.0)
+            monkeypatch.undo()
+            calls[name] = len(count)
+            area_avg[name] = report.area_avg
+        assert calls["one"] == calls["three"]
+        assert [v == v for v in area_avg["one"].values()] == [True, False, False]
+        assert [v == v for v in area_avg["three"].values()] == [True, True, True]
+
 
 class TestCorloc:
     def test_half_hit(self):
@@ -401,6 +483,73 @@ class TestNmsDetections:
         assert np.array_equal(kept, nms_sequential(boxes, scores, thresh))
 
 
+# Values as the writer may meet them: any coordinate type Box accepts (a
+# float32 json.dumps refuses), class ids json.dumps or int() refuse, scores
+# float() refuses or turns non-finite, ids needing escapes.
+COORDS = st.one_of(
+    st.integers(0, 10**6),
+    st.floats(0.0, 1e6),
+    st.just(-0.0),
+    st.floats(0.0, 1e6).map(np.float64),
+    st.floats(0.0, 1e6, width=32).map(np.float32),
+    st.booleans(),
+)
+CLASS_IDS = st.one_of(
+    st.integers(0, 20),
+    st.integers(0, 20).map(np.int64),
+    st.integers(0, 20).map(np.int32),
+    st.floats(0.0, 20.0),
+    st.booleans(),
+    st.sampled_from(["3", "x", None, math.nan, math.inf]),
+)
+SCORES = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from(["0.5", "nan", "x", None]),
+)
+IMAGE_IDS = st.one_of(
+    st.text(alphabet=st.sampled_from('a"\\/\n\x00é☃\U0001f600\ud800'), max_size=6),
+    # Any code point, surrogates included, without Hypothesis's charmap.
+    st.lists(st.integers(0, 0x10FFFF).map(chr), max_size=4).map("".join),
+    st.integers(),
+    st.none(),
+)
+
+
+@st.composite
+def boxes(draw):
+    corners = []
+    for _ in range(2):
+        lo, hi = sorted([draw(COORDS), draw(COORDS)], key=float)
+        if hi <= lo:  # compared as Box compares them
+            hi = float(lo) + 1.0
+        corners.append((lo, hi))
+    (x1, x2), (y1, y2) = corners
+    return Box(x1, y1, x2, y2)
+
+
+@st.composite
+def detection_lists(draw):
+    # Detections draw from a small pool of boxes, so some share one Box.
+    pool = draw(st.lists(boxes(), min_size=1, max_size=4))
+    return [
+        Detection(draw(IMAGE_IDS), draw(CLASS_IDS), draw(st.sampled_from(pool)),
+                  draw(SCORES))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+
+
+def written(write, dets, path):
+    """The file's bytes, or the type of the exception the writer raised."""
+    try:
+        write(dets, path)
+    except Exception as e:  # noqa: BLE001 - the type is the result
+        return type(e)
+    return path.read_bytes()
+
+
 class TestDetectionIO:
     def test_round_trip(self, tmp_path):
         dets = [
@@ -418,6 +567,136 @@ class TestDetectionIO:
         save_detections(dets, p1)
         save_detections(dets, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @given(dets=detection_lists())
+    @example(dets=[det("a", [0, 0, 1, 1], s) for s in (math.nan, math.inf, -math.inf)])
+    @settings(
+        max_examples=50,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_save_matches_dumps_oracle(self, tmp_path, dets):
+        got = written(save_detections, dets, tmp_path / "got.jsonl")
+        want = written(save_detections_dumps, dets, tmp_path / "want.jsonl")
+        assert got == want
+
+    def test_many_lines_match_oracle(self, tmp_path):
+        # More lines than the writer joins into one write.
+        r = np.random.default_rng(0)
+        dets = [
+            det(f"i{k % 7}", box, float(r.uniform()), k % 3)
+            for k, box in enumerate(random_boxes(r, 1100))
+        ]
+        save_detections(dets, tmp_path / "got.jsonl")
+        save_detections_dumps(dets, tmp_path / "want.jsonl")
+        got = (tmp_path / "got.jsonl").read_bytes()
+        assert got == (tmp_path / "want.jsonl").read_bytes()
+        assert got.count(b"\n") == 1100
+
+    def test_oracle_cases_reach_both_outcomes(self, tmp_path):
+        # The property above sees written files and raised errors alike.
+        cases = [
+            [det("a", [0, 0, 1, 1], 0.5)],
+            [det("a", [0, 0, np.float32(1), 1], 0.5)],
+            [Detection("a", "x", Box(0, 0, 1, 1), 0.5)],
+            [Detection(object(), 0, Box(0, 0, 1, 1), 0.5)],
+        ]
+        got = [written(save_detections, c, tmp_path / "f.jsonl") for c in cases]
+        assert isinstance(got[0], bytes)
+        assert got[1:] == [TypeError, ValueError, TypeError]
+
+    def test_one_box_per_distinct_box(self, tmp_path):
+        a, b = Box(1.0, 2.0, 3.0, 4.0), Box(0.0, 0.5, 2.0, 2.5)
+        dets = [
+            det("i0", [1.0, 2.0, 3.0, 4.0], 0.9),  # equal to a, not a itself
+            Detection("i0", 1, a, 0.8),
+            Detection("i1", 0, b, 0.7),
+            Detection("i1", 2, a, 0.6),
+            Detection("i2", 0, b, 0.5),
+        ]
+        p = tmp_path / "dets.jsonl"
+        save_detections(dets, p)
+        loaded = load_detections(p)
+        assert loaded == dets
+        assert len({id(d.box) for d in loaded}) == 2
+        assert loaded[0].box is loaded[1].box is loaded[3].box
+        assert loaded[2].box is loaded[4].box
+        # A second file builds its own boxes.
+        assert load_detections(p)[0].box is not loaded[0].box
+
+    def test_signed_zero_boxes_stay_apart(self, tmp_path):
+        # -0.0 == 0.0, and both pass Box validation.
+        dets = [
+            det("a", [0.0, 0.0, 1.0, 1.0], 0.5),
+            det("a", [-0.0, 0.0, 1.0, 1.0], 0.5),
+            det("a", [0.0, -0.0, 1.0, 1.0], 0.5),
+            det("a", [-0.0, 0.0, 1.0, 1.0], 0.5),
+            det("a", [0, 0, 1, 1], 0.5),
+        ]
+        p, again = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_detections(dets, p)
+        loaded = load_detections(p)
+        signs = [[math.copysign(1.0, v) for v in d.box.as_list()] for d in loaded]
+        assert signs == [[1, 1, 1, 1], [-1, 1, 1, 1], [1, -1, 1, 1], [-1, 1, 1, 1],
+                         [1, 1, 1, 1]]
+        assert loaded[1].box is loaded[3].box
+        assert loaded[0].box is not loaded[1].box
+        save_detections(loaded, again)
+        assert again.read_bytes() == p.read_bytes().replace(b"[0, 0, 1, 1]",
+                                                             b"[0.0, 0.0, 1.0, 1.0]")
+
+    # Each bad line follows a good one with the same box, so the box cache
+    # already holds it; a line's number and error class do not depend on that.
+    GOOD = {"image_id": "a", "box": [1, 0, 2, 2], "class_id": 0, "score": 0.5}
+    BAD_LINES = [
+        ('{"image_id": "a"', ParseError, "line 2"),
+        ("   ", ParseError, "line 2: empty line"),
+        ("[1, 0, 2, 2]", ValidationError, "line 2: bad detection"),
+        ({"box": None}, ValidationError, "line 2: bad detection"),
+        ({"box": [1, 0, 2]}, ValidationError, "line 2: bad detection"),
+        ({"box": [True, 0, 2, 2]}, ValidationError, "line 2: bad detection"),
+        ({"box": [1, False, 2, 2]}, ValidationError, "line 2: bad detection"),
+        ({"box": ["1", 0, 2, 2]}, ValidationError, "line 2: bad detection"),
+        ({"box": [1, 0, 2, [2]]}, ValidationError, "line 2: bad detection"),
+        ({"box": [1, 0, 2, 10**400]}, ValidationError, "line 2: bad detection"),
+        ({"box": [2, 0, 1, 2]}, ValidationError, "degenerate box"),
+        ({"box": [-1, 0, 2, 2]}, ValidationError, "negative coordinates"),
+        ({"box": [1, 0, 2, 1e999]}, ValidationError, "non-finite coordinates"),
+        ({"score": None}, ValidationError, "line 2: bad detection"),
+        ({"score": "0.5"}, ValidationError, "line 2: bad detection"),
+        ({"score": True}, ValidationError, "line 2: bad detection"),
+        ({"score": 10**400}, ValidationError, "line 2: bad detection"),
+        ({"score": 1e999}, ValidationError, "line 2: non-finite score inf"),
+        ({"image_id": 7}, ValidationError, "line 2: bad detection"),
+        ({"image_id": None}, ValidationError, "line 2: bad detection"),
+        ({"class_id": 0.5}, ValidationError, "line 2: bad detection"),
+        ({"class_id": True}, ValidationError, "line 2: bad detection"),
+        ({"class_id": "0"}, ValidationError, "line 2: bad detection"),
+        ({"class_id": 10**400}, ValidationError, "line 2: bad detection"),
+        ({"class_id": 1e999}, ValidationError, "line 2: bad detection"),
+        ({"class_id": 3}, ValidationError, "line 2: class 3 outside 0..2"),
+        ({"class_id": 2**53 + 1}, ValidationError, "line 2: class 9007199254740993 "),
+        ({"class_id": -1.0}, ValidationError, "line 2: class -1 outside"),
+    ]
+
+    @pytest.mark.parametrize("bad, error, message", BAD_LINES)
+    def test_bad_line_reports_line_and_class(self, tmp_path, bad, error, message):
+        if isinstance(bad, dict):
+            bad = json.dumps({**self.GOOD, **bad})
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(self.GOOD) + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(error, match=message):
+            load_detections(p, ClassVocabulary(["x", "y", "z"]))
+
+    def test_integral_class_ids_convert(self, tmp_path):
+        p = tmp_path / "dets.jsonl"
+        lines = [{**self.GOOD, "class_id": c} for c in (2, 2.0, -0.0)]
+        p.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        loaded = load_detections(p)
+        assert [d.class_id for d in loaded] == [2, 2, 0]
+        assert all(type(d.class_id) is int for d in loaded)
+        assert [type(d.score) for d in loaded] == [float] * 3
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -441,7 +720,9 @@ class TestDetectionIO:
         good = '{"image_id": "a", "box": [0, 0, 1, 1], "class_id": 0, "score": 0.5}'
         bad = good.replace("0.5", literal)
         p.write_text(good + "\n" + bad + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2: non-finite score"):
+        # A string is not a JSON number, whatever it spells.
+        problem = "bad detection" if literal.startswith('"') else "non-finite score"
+        with pytest.raises(ValidationError, match=f"line 2: {problem}"):
             load_detections(p)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsodkit import fusion, milhead, refine
+from wsodkit import contrastive, fusion, milhead, refine
 from wsodkit.data import Box, ClassVocabulary
 from wsodkit.errors import CheckpointError, ConfigError, DataError
 from wsodkit.fusion import FusionMode
@@ -362,6 +362,19 @@ class TestDeterminismAndReductions:
         m2, _ = train(tiny_config(epochs=2, siamese_nce=False), records, vocab)
         for a, b in zip(m1.params(), m2.params()):
             assert np.array_equal(a.value, b.value), a.name
+
+    @pytest.mark.parametrize("nce", [True, False])
+    def test_features_pooled_once_per_run(self, small_data, monkeypatch, nce):
+        # Proposal features are frozen, so each record is pooled once per
+        # modality however many epochs run.
+        records, vocab = small_data
+        pool = contrastive.pool_features
+        calls = []
+        monkeypatch.setattr(
+            contrastive, "pool_features", lambda f: calls.append(1) or pool(f)
+        )
+        train(tiny_config(epochs=3, siamese_nce=nce), records, vocab)
+        assert len(calls) == (2 * len(records) if nce else 0)
 
     def test_empty_priors_make_depth_toggles_inert(self, small_data):
         records, vocab = small_data
