@@ -130,7 +130,7 @@ class ClassVocabulary:
         by_id: dict[int, dict] = {}
         for entry in entries:
             missing = f"vocabulary entry missing id: {entry!r}"
-            cid = as_int(require(entry, "id", missing), missing)
+            cid = as_int(as_number(require(entry, "id", missing), missing), missing)
             if cid in by_id:
                 raise ValidationError(f"duplicate class id {cid} in {path}")
             by_id[cid] = entry
@@ -329,8 +329,8 @@ def record_from_json(obj: dict, depth_map: DepthMap | None = None) -> ImageRecor
     if not isinstance(rid, str) or not rid:
         raise ValidationError(f"image_id must be a nonempty string: {rid!r}")
     bad_size = f"image {rid}: width/height missing or invalid"
-    width = as_int(obj.get("width"), bad_size)
-    height = as_int(obj.get("height"), bad_size)
+    width = as_int(as_number(obj.get("width"), bad_size), bad_size)
+    height = as_int(as_number(obj.get("height"), bad_size), bad_size)
     proposals = _floats_2d(obj.get("proposals"), rid, "proposals")
     rgb = _floats_2d(obj.get("rgb_features"), rid, "rgb_features")
     depth = _floats_2d(obj.get("depth_features"), rid, "depth_features")
@@ -349,7 +349,8 @@ def record_from_json(obj: dict, depth_map: DepthMap | None = None) -> ImageRecor
     labels = None
     if obj.get("labels") is not None:
         bad = f"image {rid}: labels must be integers"
-        labels = {as_int(x, bad) for x in as_type(obj["labels"], list, bad)}
+        raw = as_type(obj["labels"], list, bad)
+        labels = {as_int(as_number(x, bad), bad) for x in raw}
     gt_boxes = None
     if obj.get("gt_boxes") is not None:
         bad = f"image {rid}: gt_boxes entries must be [x1,y1,x2,y2,class_id]"
@@ -357,7 +358,8 @@ def record_from_json(obj: dict, depth_map: DepthMap | None = None) -> ImageRecor
         for entry in as_type(obj["gt_boxes"], list, bad):
             if not isinstance(entry, list) or len(entry) != 5:
                 raise ValidationError(bad)
-            gt_boxes.append((box_from_json(entry[:4], bad), as_int(entry[4], bad)))
+            cid = as_int(as_number(entry[4], bad), bad)
+            gt_boxes.append((box_from_json(entry[:4], bad), cid))
     return ImageRecord(
         image_id=rid,
         width=width,
@@ -401,8 +403,8 @@ def load_depth_maps(path: str | Path) -> dict[str, DepthMap]:
     for lineno, obj in read_jsonl(path, "depth maps"):
         bad = f"{path}: line {lineno}: bad depth map entry"
         rid = as_type(require(obj, "image_id", bad), str, bad)
-        width = as_int(obj.get("width"), bad)
-        height = as_int(obj.get("height"), bad)
+        width = as_int(as_number(obj.get("width"), bad), bad)
+        height = as_int(as_number(obj.get("height"), bad), bad)
         values = as_array(require(obj, "values", bad), bad)
         if width <= 0 or height <= 0 or values.size != width * height:
             raise ValidationError(bad)

@@ -142,9 +142,10 @@ def mil_chain(
     stream is fused after the RGB one. Each image's loss sums, over
     classes, the binary cross-entropy between its image probabilities
     (clamped before the logs) and its labels. With ``grad_scale`` nonzero,
-    gradients of ``grad_scale`` times each loss are accumulated into the
-    head parameters one image at a time, in stack order, so a stack leaves
-    the same bits in ``Param.grad`` as its images would one call each.
+    gradients of ``grad_scale`` times each loss are added into the head
+    parameters image by image in stack order (``numkit.add_in_order``), so
+    a stack leaves the same bits in ``Param.grad`` as its images would one
+    call each.
     Returns the per-image losses and the forward's ``ScorePack``.
     """
     streams = [(rgb_features, rgb_head)]
@@ -179,8 +180,7 @@ def mil_chain(
                 (head.w_cls, head.b_cls, d_cls),
             ):
                 dw, db = numkit.affine_backward(features, g)
-                for k in range(len(dw)):
-                    w.grad += s * dw[k]
-                    b.grad += s * db[k]
+                numkit.add_in_order(w.grad, s * dw)
+                numkit.add_in_order(b.grad, s * db)
 
     return losses.tolist(), pack

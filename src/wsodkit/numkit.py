@@ -1,8 +1,15 @@
 """Dense float64 building blocks: affine maps, softmaxes, SGD, checkpoints.
 
 Every differentiable operation is an explicit forward/backward pair; callers
-compose them in a fixed order and accumulate into ``Param.grad``. There is no
-tape. All arrays are plain numpy float64.
+compose them in a fixed order and accumulate into ``Param.grad``, a stack of
+per-image gradients through ``add_in_order``. There is no tape. All arrays
+are plain numpy float64.
+
+``SGD`` owns its parameters' storage: it copies every value and gradient
+into one flat buffer each and rebinds ``Param.value``/``Param.grad`` to
+views of them, so a step is a few whole-buffer operations. A ``Param``
+therefore belongs to one optimizer, and callers update its arrays in place
+rather than assigning new ones.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from wsodkit.errors import CheckpointError, OptimizerError, ShapeError
-from wsodkit.jsonio import as_array, as_int, as_type, read_json, require
+from wsodkit.jsonio import as_array, as_int, as_number, as_type, read_json, require
 
 # Probabilities are clamped to [LOG_EPS, 1 - LOG_EPS] before any log.
 LOG_EPS = 1e-7
@@ -48,6 +55,17 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"affine shapes do not conform: x {x.shape}, w {w.shape}, b {b.shape}"
         )
     return x @ w + b
+
+
+def add_in_order(total: np.ndarray, stack: np.ndarray) -> None:
+    """Add ``stack[0]``, ``stack[1]``, ... into ``total`` in place, in order.
+
+    Bitwise equal to ``for g in stack: total += g``. The one cumulative sum
+    adds strictly left to right; ``sum`` and ``add.reduce`` may add a stack
+    pairwise when its axis ends up innermost, which changes the bits.
+    """
+    both = np.concatenate((total[None], stack))
+    total[...] = np.add.accumulate(both, axis=0)[-1]
 
 
 def affine_backward(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +137,13 @@ class SGD:
     """Momentum SGD over a fixed parameter list.
 
     Each step applies ``v <- momentum * v - lr * grad; value <- value + v``
-    and zeroes the gradients. Non-finite gradients abort the step.
+    and zeroes the gradients. Non-finite gradients abort the step, which
+    then changes no value, gradient or velocity.
+
+    The optimizer keeps every parameter's value, gradient and velocity in
+    one flat buffer each, in parameter order; from construction on each
+    ``Param.value`` and ``Param.grad`` is a view into them. The update is
+    elementwise, so it gives the bits of one update per parameter.
     """
 
     def __init__(
@@ -132,17 +156,30 @@ class SGD:
         self.params = list(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.velocity = [np.zeros_like(p.value) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        self._value = np.zeros(sum(sizes))
+        self._grad = np.zeros_like(self._value)
+        self._velocity = np.zeros_like(self._value)
+        self.velocity = []
+        start = 0
+        for p, size in zip(self.params, sizes):
+            span, shape = slice(start, start + size), p.value.shape
+            self._value[span] = p.value.reshape(-1)
+            self._grad[span] = p.grad.reshape(-1)
+            p.value = self._value[span].reshape(shape)
+            p.grad = self._grad[span].reshape(shape)
+            self.velocity.append(self._velocity[span].reshape(shape))
+            start += size
 
     def step(self) -> None:
-        for p in self.params:
-            if not np.isfinite(p.grad).all():
-                raise OptimizerError(f"non-finite gradient for parameter {p.name!r}")
-        for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.value += v
-            p.grad[...] = 0.0
+        if not np.isfinite(self._grad).all():
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
+            raise OptimizerError(f"non-finite gradient for parameter {bad.name!r}")
+        v = self._velocity
+        v *= self.momentum
+        v -= self.lr * self._grad
+        self._value += v
+        self._grad[...] = 0.0
 
 
 def _format_float(v: float) -> str:
@@ -172,7 +209,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         bad = f"bad entry {name!r} in checkpoint {path}"
         raw_values = require(entry, "values", bad, CheckpointError)
         dims = as_type(entry.get("shape"), list, bad, CheckpointError)
-        shape = tuple(as_int(d, bad, CheckpointError) for d in dims)
+        shape = tuple(
+            as_int(as_number(d, bad, CheckpointError), bad, CheckpointError)
+            for d in dims
+        )
         values = as_array(raw_values, bad, CheckpointError)
         if min(shape, default=0) < 0 or values.size != math.prod(shape):
             raise CheckpointError(

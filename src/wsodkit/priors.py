@@ -21,7 +21,15 @@ import numpy as np
 from wsodkit.data import ClassVocabulary, ImageRecord, proposal_depths, tokenize
 from wsodkit.errors import ConfigError, DataError, ValidationError
 from wsodkit.evaluate import Detection, check_fraction
-from wsodkit.jsonio import as_finite, as_int, as_type, read_json, require, write_json
+from wsodkit.jsonio import (
+    as_finite,
+    as_int,
+    as_number,
+    as_type,
+    read_json,
+    require,
+    write_json,
+)
 
 DEFAULT_SCORE_THRESHOLD = 0.5
 DEFAULT_MIN_COUNT_WORD = 2
@@ -189,7 +197,8 @@ class FrozenPriors:
         both give the same ranges to the last bit.
         """
         bad = f"bad {what}"
-        min_count = as_int(require(obj, "min_count", bad), f"{bad}: min_count")
+        message = f"{bad}: min_count"
+        min_count = as_int(as_number(require(obj, "min_count", bad), message), message)
         if min_count < 1:
             raise ValidationError(f"{bad}: min_count must be >= 1, got {min_count}")
         by_class, by_class_word = {}, {}
@@ -199,9 +208,9 @@ class FrozenPriors:
             # Every entry is checked, also those below the threshold.
             for key, entry in entries.items():
                 where = f"{bad}: {section} entry {key!r}"
-                count = as_int(require(entry, "count", where), where)
-                std = as_finite(entry.get("std"), where)
-                mean = as_finite(entry.get("mean"), where)
+                count = as_int(as_number(require(entry, "count", where), where), where)
+                std = as_finite(as_number(entry.get("std"), where), where)
+                mean = as_finite(as_number(entry.get("mean"), where), where)
                 if count < 0 or std < 0:
                     raise ValidationError(f"{where}: count and std must be >= 0")
                 r = freeze_range(count, mean, std, threshold)

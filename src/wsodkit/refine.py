@@ -4,19 +4,23 @@ Mining turns the previous stage's per-proposal class scores into pseudo
 ground truth for each image label: candidates are optionally restricted to
 proposals whose depth mask admits the class, the best-scoring candidate
 seeds a cluster, and well-overlapping, well-scoring candidates join it.
-Refinement branches are per-proposal classifiers over C classes plus
-background, supervised by those pseudo boxes with the miner's confidence as
-the loss weight. ``refinement_chain`` scores a stack of same-R images in
-one call, as ``milhead.mil_chain`` does, and every image of the stack gets
-the bits it would get alone. Depth attention softens the same mask into a
-multiplier that halves out-of-range evidence on the path into the image
-prediction.
+``mine`` works on one image at a time and returns its ``PseudoBoxes`` as
+three flat arrays (class ids, proposal indices, scores) rather than one
+object per box. Refinement branches are per-proposal classifiers over C
+classes plus background, supervised by those pseudo boxes with the miner's
+confidence as the loss weight. ``refinement_chain`` scores a stack of
+same-R images in one call, as ``milhead.mil_chain`` does, and every image
+of the stack gets the bits it would get alone. Depth attention softens the
+same mask into a multiplier that halves out-of-range evidence on the path
+into the image prediction.
 
 Proposals are fixed for a whole run, so ``pair_iou`` builds a record's
-R x R proposal IoU block once, and ``mine`` and ``assign_targets`` read
-their IoU columns as slices of it. The IoU formula is elementwise, so a
-slice is bitwise equal to a direct kernel call. Records with more than
-``PAIR_IOU_MAX_R`` proposals get no block and call the kernel each time.
+R x R proposal IoU block once, and ``mine`` and ``assign_targets`` read it
+by rows: row j holds every proposal's IoU against proposal j. The IoU
+formula is elementwise and symmetric in its two boxes, so the block is
+bitwise symmetric and a row is bitwise equal to a direct kernel call's
+column. Records with more than ``PAIR_IOU_MAX_R`` proposals get no block
+and call the kernel each time.
 """
 
 from __future__ import annotations
@@ -69,21 +73,17 @@ class RefineBranch:
 
 @dataclass
 class PseudoBoxes:
-    """Mined pseudo ground truth: per class, (proposal index, score) pairs.
+    """Mined pseudo ground truth: entry j is box ``indices[j]`` of class
+    ``class_ids[j]``, with the miner's confidence ``scores[j]``.
 
-    The first entry of each class list is the seed (argmax candidate); the
-    rest are its cluster members in ascending proposal order.
+    Entries run class by class in ascending class id. Within a class the
+    seed (argmax candidate) comes first, then its cluster members in
+    ascending proposal order. Ids and indices are int64, scores float64.
     """
 
-    by_class: dict[int, list[tuple[int, float]]]
-
-    def flat(self) -> list[tuple[int, int, float]]:
-        """(class_id, proposal_index, score) triples in deterministic order."""
-        out = []
-        for cid in sorted(self.by_class):
-            for idx, s in self.by_class[cid]:
-                out.append((cid, idx, s))
-        return out
+    class_ids: np.ndarray
+    indices: np.ndarray
+    scores: np.ndarray
 
 
 def pair_iou(record: ImageRecord) -> np.ndarray | None:
@@ -91,15 +91,6 @@ def pair_iou(record: ImageRecord) -> np.ndarray | None:
     if record.num_proposals > PAIR_IOU_MAX_R:
         return None
     return kernels.iou_matrix(record.proposals, record.proposals)
-
-
-def _iou_columns(
-    record: ImageRecord, idx: list[int], block: np.ndarray | None
-) -> np.ndarray:
-    """IoU of every proposal against proposals ``idx``, as (R, len(idx))."""
-    if block is not None:
-        return block[:, idx]
-    return kernels.iou_matrix(record.proposals, record.proposals[idx])
 
 
 def mine(
@@ -125,28 +116,39 @@ def mine(
         raise ShapeError(f"scores must have shape (R, C), got {scores.shape}")
     if not labels:
         raise ShapeError("mine requires a nonempty label set")
-    by_class: dict[int, list[tuple[int, float]]] = {}
+    # Entries gather in lists and become arrays once: at the stock R=20 a
+    # label's pool is a handful of proposals, so per-class arrays would cost
+    # more than they carry.
+    class_ids, indices, values = [], [], []
     for c in sorted(labels):
         cand = None
         if mask is not None:
-            cand = np.flatnonzero(mask.column(c))
+            cand = mask.column(c).nonzero()[0]
             if cand.size == 0:
                 cand = None
         col = scores[:, c] if cand is None else scores[cand, c]
-        seed_pos = int(np.argmax(col))
+        seed_pos = int(col.argmax())
         seed = seed_pos if cand is None else int(cand[seed_pos])
         seed_score = float(col[seed_pos])
-        ious = _iou_columns(record, [seed], pair_ious)[:, 0]
+        if pair_ious is not None:
+            ious = pair_ious[seed]
+        else:
+            ious = kernels.iou_matrix(record.proposals, record.proposals[[seed]])[:, 0]
         if cand is not None:
             ious = ious[cand]
         join = (ious >= iou_thresh) & (col >= score_ratio * seed_score)
         join[seed_pos] = False
-        members = np.flatnonzero(join)
-        idxs = members if cand is None else cand[members]
-        by_class[c] = [(seed, seed_score)] + list(
-            zip(idxs.tolist(), col[members].tolist())
-        )
-    return PseudoBoxes(by_class=by_class)
+        members = join.nonzero()[0]
+        class_ids += [c] * (1 + members.size)
+        indices.append(seed)
+        indices += (members if cand is None else cand[members]).tolist()
+        values.append(seed_score)
+        values += col[members].tolist()
+    return PseudoBoxes(
+        class_ids=np.array(class_ids, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+        scores=np.array(values, dtype=np.float64),
+    )
 
 
 def assign_targets(
@@ -163,19 +165,26 @@ def assign_targets(
     takes that pseudo box's class and score as weight; otherwise it is
     background (class index C) and inherits the nearest pseudo box's score,
     or weight 1 when there are no pseudo boxes at all. ``pair_ious`` is the
-    record's ``pair_iou`` block, when it has one.
+    record's ``pair_iou`` block, when it has one; without it the kernel
+    builds the (R, k) block against the k pseudo boxes, which costs less
+    than its transpose at large R.
     """
     r = record.num_proposals
-    targets = np.full(r, num_classes, dtype=np.int64)
-    entries = pseudo.flat()
-    if not entries:
-        return targets, np.ones(r, dtype=np.float64)
-    cids, idxs, scores = zip(*entries)
-    ious = _iou_columns(record, list(idxs), pair_ious)
-    best = np.argmax(ious, axis=1)
-    hit = ious[np.arange(r), best] >= iou_thresh
-    targets[hit] = np.array(cids, dtype=np.int64)[best[hit]]
-    return targets, np.array(scores, dtype=np.float64)[best]
+    if pseudo.indices.size == 0:
+        return np.full(r, num_classes, dtype=np.int64), np.ones(r, dtype=np.float64)
+    rows = np.arange(r)
+    if pair_ious is not None:
+        ious = pair_ious[pseudo.indices]
+        best = ious.argmax(axis=0)
+        nearest = ious[best, rows]
+    else:
+        proposals = record.proposals
+        ious = kernels.iou_matrix(proposals, proposals[pseudo.indices])
+        best = ious.argmax(axis=1)
+        nearest = ious[rows, best]
+    targets = pseudo.class_ids[best]
+    targets[nearest < iou_thresh] = num_classes
+    return targets, pseudo.scores[best]
 
 
 def refinement_chain(
@@ -191,9 +200,10 @@ def refinement_chain(
     (B, R). Image b's loss is ``-(1/R) * sum_i w_i * log q_i[target_i]``
     with q the row softmax of the branch scores over C + 1 classes.
     Supervision weights are constants; with ``grad_scale`` nonzero,
-    gradients of ``grad_scale`` times each loss accumulate into the branch
-    parameters only, one image at a time in stack order, so a stack leaves
-    the same bits in ``Param.grad`` as its images would one call each.
+    gradients of ``grad_scale`` times each loss are added into the branch
+    parameters only, image by image in stack order
+    (``numkit.add_in_order``), so a stack leaves the same bits in
+    ``Param.grad`` as its images would one call each.
 
     Returns the per-image losses and q, the (B, R, C + 1) class
     probabilities.
@@ -206,20 +216,21 @@ def refinement_chain(
     r = features.shape[1]
     logits = numkit.affine(features, branch.w.value, branch.b.value)
     q = numkit.softmax_rows(logits)
-    stack, rows = np.ogrid[: q.shape[0], :r]
-    picked = q[stack, rows, targets]
+    # Flat position of each row's target in the contiguous (B, R, C + 1) q.
+    k = q.shape[-1]
+    at = np.arange(0, q.size, k) + targets.reshape(-1)
+    picked = q.reshape(-1)[at].reshape(targets.shape)
     losses = -(weights * numkit.log_clamped(picked)).sum(axis=-1) / r
     if grad_scale != 0.0:
         # Rows where the clamp binds contribute no gradient.
         live = numkit.dlog_clamped(picked) * picked
         coef = (weights * live) / r
         d_logits = q * coef[..., None]
-        d_logits[stack, rows, targets] -= coef
+        d_logits.reshape(-1)[at] -= coef.reshape(-1)
         d_logits *= grad_scale
         dw, db = numkit.affine_backward(features, d_logits)
-        for k in range(len(dw)):
-            branch.w.grad += dw[k]
-            branch.b.grad += db[k]
+        numkit.add_in_order(branch.w.grad, dw)
+        numkit.add_in_order(branch.b.grad, db)
     return losses.tolist(), q
 
 

@@ -9,8 +9,10 @@ images of a batch gets its MIL losses from one stacked ``mil_chain`` call
 of at most ``MIL_ROW_BUDGET`` proposal rows. The labelled images of the
 run then go through each refinement branch in one ``refinement_chain``
 call over the same feature stack, mined image by image from the previous
-stage's scores. Gradients and losses still accumulate image by image in
-batch order, so stacking changes no bit of a run. What is fixed for the
+stage's scores. Gradients and losses still add image by image in batch
+order (a stack's per-image gradients through one ``numkit.add_in_order``
+per parameter), so stacking changes no bit of a run. The optimizer keeps
+every parameter in one flat buffer and steps it whole. What is fixed for the
 whole run is built once per record: the depth masks, their attention
 multipliers, the proposal IoU blocks that mining slices and the pooled
 RGB and depth features that the contrastive loss reads. All
@@ -659,17 +661,12 @@ def mining_precision(
         gt_by_class: dict[int, list[np.ndarray]] = {}
         for box, cid in rec.gt_boxes:
             gt_by_class.setdefault(cid, []).append(box.as_array())
-        for cid, idx_score in pseudo.by_class.items():
-            gt_boxes = gt_by_class.get(cid)
-            for pidx, _ in idx_score:
-                total += 1
-                if not gt_boxes:
-                    continue
-                ious = kernels.iou_matrix(
-                    rec.proposals[pidx][None, :], np.stack(gt_boxes)
-                )[0]
-                if ious.max() >= 0.5:
-                    hits += 1
+        total += pseudo.indices.size
+        for cid, gt_boxes in gt_by_class.items():
+            rows = pseudo.indices[pseudo.class_ids == cid]
+            if rows.size:
+                ious = kernels.iou_matrix(rec.proposals[rows], np.stack(gt_boxes))
+                hits += int((ious.max(axis=1) >= 0.5).sum())
     return MiningReport(total=total, hits=hits)
 
 

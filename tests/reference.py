@@ -6,8 +6,9 @@ tautology. The package ships one forward path per component; the
 standalone pieces only tests call live here instead: the contrastive loss
 of a projected batch, box-pair IoU, the broadcast IoU matrix, greedy NMS
 one kept box at a time, pseudo-box mining and target assignment one
-proposal at a time, the finite-difference gradient check, and the
-detection writer that encodes each line as a dict through ``json.dumps``.
+proposal at a time, the momentum-SGD update one parameter at a time, the
+finite-difference gradient check, and the detection writer that encodes
+each line as a dict through ``json.dumps``.
 """
 
 import json
@@ -19,6 +20,7 @@ from wsodkit import fusion
 from wsodkit.data import Box
 from wsodkit.errors import WsodkitError
 from wsodkit.evaluate import Detection
+from wsodkit.refine import PseudoBoxes
 
 EPS = 1e-7
 
@@ -391,3 +393,25 @@ def assign_targets_loop(record, by_class, num_classes, iou_thresh):
         if ious[i, j] >= iou_thresh:
             targets[i] = entries[j][0]
     return targets, weights
+
+
+def pseudo_boxes(by_class):
+    """``PseudoBoxes`` from class id -> [(proposal index, score), ...],
+    flattened in ascending class id and list order, as ``refine.mine``
+    orders its arrays."""
+    entries = [(c, idx, s) for c in sorted(by_class) for idx, s in by_class[c]]
+    return PseudoBoxes(
+        class_ids=np.array([e[0] for e in entries], dtype=np.int64),
+        indices=np.array([e[1] for e in entries], dtype=np.int64),
+        scores=np.array([e[2] for e in entries], dtype=np.float64),
+    )
+
+
+def sgd_step_loop(values, grads, velocity, lr, momentum):
+    """Momentum SGD one parameter at a time over separate arrays, in place:
+    ``v <- momentum * v - lr * g; x <- x + v; g <- 0`` per parameter."""
+    for x, g, v in zip(values, grads, velocity):
+        v *= momentum
+        v -= lr * g
+        x += v
+        g[...] = 0.0

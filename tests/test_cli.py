@@ -566,6 +566,17 @@ SPLICE = st.tuples(st.sampled_from(("cut", "byte")), st.integers(0, 1 << 16))
 # Detection numbers of another JSON type, which float() would convert.
 @example(target="detections", mutation=((0, "box"), [True, "0", 2, 2]))
 @example(target="detections", mutation=((0, "score"), "0.5"))
+# Numbers given as JSON strings, which int() and float() would convert.
+@example(target="dataset", mutation=((0, "width"), "16"))
+@example(target="dataset", mutation=((0, "labels"), ["0"]))
+@example(target="dataset", mutation=((0, "gt_boxes", 0, 4), "0"))
+@example(target="sidecar", mutation=((0, "width"), "16"))
+@example(target="vocab", mutation=((0, "id"), "0"))
+@example(target="priors", mutation=(("min_count",), "2"))
+@example(target="priors", mutation=(("by_class", "0", "count"), "12"))
+@example(target="priors", mutation=(("by_class", "0", "mean"), "0.5"))
+@example(target="priors", mutation=(("by_class", "0", "std"), "0.25"))
+@example(target="checkpoint", mutation=(("rgb.det.w", "shape", 0), "2"))
 @settings(
     max_examples=200,
     deadline=None,

@@ -5,6 +5,7 @@ import pytest
 
 from wsodkit.errors import CheckpointError
 from wsodkit.model import ModelDims, ModelParams
+from wsodkit.numkit import SGD
 
 
 def dims(**kw):
@@ -150,6 +151,22 @@ class TestConsistency:
         model = ModelParams.create(dims(), np.random.default_rng(0))
         with pytest.raises(CheckpointError, match="classes"):
             model.check_against(feat_dim=5, num_classes=4)
+
+    def test_loaded_model_trains(self, tmp_path):
+        # The optimizer moves parameters into its own buffers; the loaded
+        # model's parameters must be the ones that step and save.
+        path = tmp_path / "model.ckpt"
+        ModelParams.create(dims(), np.random.default_rng(1)).save(path)
+        model = ModelParams.load(path)
+        loaded = [p.value.copy() for p in model.params()]
+        opt = SGD(model.params(), lr=0.5)
+        for p in model.params():
+            p.grad[...] = 1.0
+        opt.step()
+        for p, v in zip(model.params(), loaded):
+            assert p.value.tobytes() == (v - 0.5).tobytes(), p.name
+        model.save(path)
+        assert_models_equal(ModelParams.load(path), model)
 
     def test_inconsistent_shapes_detected(self, tmp_path):
         model = ModelParams.create(dims(), np.random.default_rng(0))

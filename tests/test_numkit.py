@@ -12,7 +12,7 @@ from wsodkit import numkit
 from wsodkit.errors import CheckpointError, OptimizerError, ShapeError
 from wsodkit.numkit import Param
 
-from reference import GradCheckError, grad_check
+from reference import GradCheckError, grad_check, sgd_step_loop
 
 
 class TestAffine:
@@ -223,6 +223,83 @@ class TestSGD:
         with pytest.raises(OptimizerError):
             opt.step()
         assert a.value[0] == 1.0
+        # After a good momentum step the velocity is nonzero; a refused step
+        # leaves values, gradients and velocity exactly as they were.
+        opt = numkit.SGD([a, b], lr=0.5, momentum=0.9)
+        a.grad[:] = 1.0
+        b.grad[:] = -2.0
+        opt.step()
+        a.grad[:] = 3.0
+        b.grad[:] = np.nan
+        before = [x.copy() for p in (a, b) for x in (p.value, p.grad)]
+        velocity = [v.copy() for v in opt.velocity]
+        with pytest.raises(OptimizerError, match="'b'"):
+            opt.step()
+        after = [x for p in (a, b) for x in (p.value, p.grad)]
+        assert [x.tobytes() for x in after] == [x.tobytes() for x in before]
+        assert [v.tobytes() for v in opt.velocity] == [v.tobytes() for v in velocity]
+        assert all(v.any() for v in velocity)
+
+    def test_first_bad_parameter_named(self):
+        shapes = [(2, 3), (0,), (4,), (1,)]
+        params = [Param(f"p{k}", np.ones(s)) for k, s in enumerate(shapes)]
+        opt = numkit.SGD(params, lr=0.1)
+        params[2].grad[3] = -np.inf
+        params[3].grad[0] = np.nan
+        with pytest.raises(OptimizerError, match="'p2'"):
+            opt.step()
+
+    def test_flat_step_matches_per_parameter_oracle(self, rng):
+        # Mixed shapes, an empty parameter and one group that never gets a
+        # gradient; several momentum steps with gradients of mixed scale.
+        shapes = [(3, 4), (5,), (1,), (2, 3, 2), (0,), (4, 1)]
+        params = [
+            Param(f"p{k}", rng.standard_normal(s)) for k, s in enumerate(shapes)
+        ]
+        values = [p.value.copy() for p in params]
+        grads = [np.zeros(s) for s in shapes]
+        velocity = [np.zeros(s) for s in shapes]
+        lr, momentum = 0.037, 0.9
+        opt = numkit.SGD(params, lr=lr, momentum=momentum)
+        assert [p.value.tobytes() for p in params] == [v.tobytes() for v in values]
+        for _ in range(6):
+            for k, p in enumerate(params):
+                if k == 1:
+                    continue
+                g = rng.standard_normal(p.value.shape) * 10.0 ** rng.integers(-8, 8)
+                p.grad[...] += g
+                grads[k] += g
+            opt.step()
+            sgd_step_loop(values, grads, velocity, lr, momentum)
+            for p, x, g, v, w in zip(params, values, grads, velocity, opt.velocity):
+                assert p.value.tobytes() == x.tobytes(), p.name
+                assert p.grad.tobytes() == g.tobytes(), p.name
+                assert w.tobytes() == v.tobytes(), p.name
+        assert not params[1].grad.any() and params[0].value.any()
+
+
+class TestAddInOrder:
+    def test_matches_sequential_adds_where_a_sum_does_not(self):
+        # A 1 ulp step only shows when the tiny terms first meet each other,
+        # as a pairwise sum over eleven rows lets them.
+        total = np.array([1.0])
+        stack = np.full((10, 1), 1e-16)
+        want = total.copy()
+        for g in stack:
+            want += g
+        pairwise = np.add.reduce(np.concatenate((total[None], stack)), axis=0)
+        assert want[0] == 1.0 and pairwise[0] != want[0]
+        numkit.add_in_order(total, stack)
+        assert total.tobytes() == want.tobytes()
+
+    def test_stack_of_matrices(self, rng):
+        total = rng.standard_normal((3, 2))
+        stack = rng.standard_normal((9, 3, 2)) * 10.0 ** rng.integers(-6, 6, (9, 1, 1))
+        want = total.copy()
+        for g in stack:
+            want += g
+        numkit.add_in_order(total, stack)
+        assert total.tobytes() == want.tobytes()
 
 
 class TestGradCheck:

@@ -10,7 +10,6 @@ from wsodkit.data import Box
 from wsodkit.errors import ShapeError
 from wsodkit.priors import DepthMask, DepthRange, FrozenPriors, depth_mask
 from wsodkit.refine import (
-    PseudoBoxes,
     RefineBranch,
     assign_targets,
     attention_multipliers,
@@ -19,7 +18,7 @@ from wsodkit.refine import (
 )
 
 from conftest import make_record
-from reference import assign_targets_loop, grad_check, mine_loop
+from reference import assign_targets_loop, grad_check, mine_loop, pseudo_boxes
 
 
 def stacked_record(rng, boxes, depths=None, **kw):
@@ -29,6 +28,16 @@ def stacked_record(rng, boxes, depths=None, **kw):
     if depths is not None:
         rec.proposal_depths[:] = depths
     return rec
+
+
+def by_class(pseudo):
+    """Mined arrays as class id -> [(proposal index, score), ...]."""
+    out = {}
+    for c, idx, score in zip(
+        pseudo.class_ids.tolist(), pseudo.indices.tolist(), pseudo.scores.tolist()
+    ):
+        out.setdefault(c, []).append((idx, score))
+    return out
 
 
 def mask_from_range(rec, lo, hi, num_classes=1):
@@ -49,7 +58,7 @@ class TestMine:
         scores = np.array([[0.9], [0.5], [0.99]])
         mask = mask_from_range(rec, 0.2, 0.4)
         pseudo = mine(rec, scores, {0}, mask=mask)
-        assert pseudo.by_class[0] == [(1, 0.5)]
+        assert by_class(pseudo)[0] == [(1, 0.5)]
 
     def test_no_mask_seed_is_argmax(self, rng):
         rec = stacked_record(
@@ -57,7 +66,7 @@ class TestMine:
         )
         scores = np.array([[0.9], [0.5], [0.99]])
         pseudo = mine(rec, scores, {0})
-        assert pseudo.by_class[0][0] == (2, 0.99)
+        assert by_class(pseudo)[0][0] == (2, 0.99)
 
     def test_empty_candidate_pool_falls_back(self, rng):
         # Mask admits nothing: mining reverts to the unfiltered pool.
@@ -69,7 +78,7 @@ class TestMine:
         mask = mask_from_range(rec, 0.1, 0.2)
         assert not mask.column(0).any()
         pseudo = mine(rec, np.array([[0.3], [0.7]]), {0}, mask=mask)
-        assert pseudo.by_class[0][0] == (1, 0.7)
+        assert by_class(pseudo)[0][0] == (1, 0.7)
 
     def test_cluster_requires_iou_and_score(self, rng):
         # Proposal 1 overlaps the seed at IoU 2/3; proposal 2 is disjoint.
@@ -79,27 +88,27 @@ class TestMine:
         )
         scores = np.array([[0.8], [0.5], [0.7]])
         got = mine(rec, scores, {0}, iou_thresh=0.5, score_ratio=0.5)
-        assert got.by_class[0] == [(0, 0.8), (1, 0.5)]
+        assert by_class(got)[0] == [(0, 0.8), (1, 0.5)]
         # Raising the score ratio ejects the neighbour.
         got = mine(rec, scores, {0}, iou_thresh=0.5, score_ratio=0.7)
-        assert got.by_class[0] == [(0, 0.8)]
+        assert by_class(got)[0] == [(0, 0.8)]
         # Raising the IoU bar does too.
         got = mine(rec, scores, {0}, iou_thresh=0.7, score_ratio=0.5)
-        assert got.by_class[0] == [(0, 0.8)]
+        assert by_class(got)[0] == [(0, 0.8)]
 
     def test_cluster_thresholds_inclusive(self, rng):
         rec = stacked_record(rng, [[0, 0, 10, 10], [0, 2, 10, 12]])
         scores = np.array([[0.8], [0.4]])
         got = mine(rec, scores, {0}, iou_thresh=2.0 / 3.0, score_ratio=0.5)
-        assert got.by_class[0] == [(0, 0.8), (1, 0.4)]
+        assert by_class(got)[0] == [(0, 0.8), (1, 0.4)]
 
     def test_one_entry_per_label(self, rng):
         rec = stacked_record(rng, [[0, 0, 10, 10], [20, 20, 30, 30]])
         scores = np.array([[0.9, 0.1], [0.2, 0.8]])
         pseudo = mine(rec, scores, {0, 1})
-        assert set(pseudo.by_class) == {0, 1}
-        assert pseudo.by_class[0][0] == (0, 0.9)
-        assert pseudo.by_class[1][0] == (1, 0.8)
+        assert set(by_class(pseudo)) == {0, 1}
+        assert by_class(pseudo)[0][0] == (0, 0.9)
+        assert by_class(pseudo)[1][0] == (1, 0.8)
 
     def test_empty_labels_rejected(self, rng):
         rec = stacked_record(rng, [[0, 0, 10, 10]])
@@ -111,10 +120,21 @@ class TestMine:
         with pytest.raises(ShapeError):
             mine(rec, np.array([[0.5]]), {0})
 
-    def test_flat_order_deterministic(self):
-        pseudo = PseudoBoxes({2: [(5, 0.6)], 0: [(1, 0.9), (3, 0.5)]})
-        assert pseudo.flat() == [(0, 1, 0.9), (0, 3, 0.5), (2, 5, 0.6)]
-        assert PseudoBoxes({1: []}).flat() == []
+    def test_flat_order_deterministic(self, rng):
+        # Classes ascend; within one the seed (proposal 2) leads and its
+        # members follow in ascending proposal order.
+        rec = stacked_record(
+            rng, [[0, 0, 10, 10], [0, 1, 10, 11], [0, 0, 10, 11], [50, 50, 60, 60]]
+        )
+        scores = np.array(
+            [[0.7, 0.0, 0.1], [0.6, 0.0, 0.2], [0.9, 0.0, 0.3], [0.1, 0.0, 0.6]]
+        )
+        pseudo = mine(rec, scores, {2, 0})
+        assert pseudo.class_ids.tolist() == [0, 0, 0, 2]
+        assert pseudo.indices.tolist() == [2, 0, 1, 3]
+        assert pseudo.scores.tolist() == [0.9, 0.7, 0.6, 0.6]
+        assert pseudo.class_ids.dtype == pseudo.indices.dtype == np.int64
+        assert pseudo.scores.dtype == np.float64
 
 
 class TestAssignTargets:
@@ -123,14 +143,14 @@ class TestAssignTargets:
         rec = stacked_record(
             rng, [[0, 0, 10, 10], [0, 2, 10, 12], [50, 50, 60, 60]]
         )
-        pseudo = PseudoBoxes({1: [(0, 0.9)]})
+        pseudo = pseudo_boxes({1: [(0, 0.9)]})
         targets, weights = assign_targets(rec, pseudo, num_classes=2)
         assert targets.tolist() == [1, 1, 2]
         assert np.allclose(weights, [0.9, 0.9, 0.9], atol=1e-15)
 
     def test_background_weight_defaults_to_one_when_no_pseudo(self, rng):
         rec = stacked_record(rng, [[0, 0, 10, 10], [20, 20, 30, 30]])
-        targets, weights = assign_targets(rec, PseudoBoxes({}), num_classes=3)
+        targets, weights = assign_targets(rec, pseudo_boxes({}), num_classes=3)
         assert targets.tolist() == [3, 3]
         assert weights.tolist() == [1.0, 1.0]
 
@@ -139,7 +159,7 @@ class TestAssignTargets:
             rng,
             [[0, 0, 10, 10], [100, 100, 110, 110], [0, 1, 10, 11]],
         )
-        pseudo = PseudoBoxes({0: [(0, 0.5)], 1: [(1, 0.8)]})
+        pseudo = pseudo_boxes({0: [(0, 0.5)], 1: [(1, 0.8)]})
         targets, weights = assign_targets(rec, pseudo, num_classes=2)
         # Proposal 2 overlaps pseudo box 0 far more than pseudo box 1.
         assert targets[2] == 0
@@ -148,7 +168,7 @@ class TestAssignTargets:
 
     def test_iou_threshold_controls_assignment(self, rng):
         rec = stacked_record(rng, [[0, 0, 10, 10], [0, 4, 10, 14]])
-        pseudo = PseudoBoxes({0: [(0, 0.7)]})
+        pseudo = pseudo_boxes({0: [(0, 0.7)]})
         # IoU(0, 1) = 60/140 = 3/7 < 0.5: background at the default bar.
         targets, weights = assign_targets(rec, pseudo, num_classes=1)
         assert targets.tolist() == [0, 1]
@@ -196,6 +216,26 @@ class TestPairIouCache:
             assert block.tobytes() == direct.tobytes()
         assert refine.pair_iou(make_record(rng, "r", num_proposals=bound + 1)) is None
 
+    def test_block_is_bitwise_symmetric(self, rng):
+        # Mining reads the block by rows where a direct call gives columns.
+        # Zero-area boxes and -0.0 beside 0.0 coordinates are the cases where
+        # max/min could pick a different zero in the two orders.
+        random = rng.uniform(0, 50, size=(20, 4))
+        random[:, 2:] += random[:, :2]
+        flat = random.copy()
+        flat[::3, 2] = flat[::3, 0]
+        flat[1::3, 3] = flat[1::3, 1]
+        signed = np.abs(random)
+        signed[:8, :2] = 0.0
+        signed[::2, :2] = -0.0
+        signed[::3, 2:] = signed[::3, :2] + [[4.0, 0.0]]
+        for boxes in (random, flat, signed):
+            rec = make_record(rng, "r", num_proposals=len(boxes))
+            rec.proposals[:] = boxes
+            block = refine.pair_iou(rec)
+            assert block.tobytes() == block.T.copy().tobytes()
+        assert np.signbit(signed[::2, :2]).all()
+
     def test_cached_block_matches_direct_kernel(self):
         # Any slice of the R x R block equals a direct kernel call bit for
         # bit, so the cache moves no pseudo box, target or weight. Records
@@ -207,13 +247,16 @@ class TestPairIouCache:
             block = kernels.iou_matrix(rec.proposals, rec.proposals)
             direct = mine(rec, scores, labels, mask, t, ratio)
             cached = mine(rec, scores, labels, mask, t, ratio, pair_ious=block)
-            assert cached.by_class == direct.by_class
-            assert direct.by_class == mine_loop(rec, scores, labels, mask, t, ratio)
+            oracle = mine_loop(rec, scores, labels, mask, t, ratio)
+            for f in ("class_ids", "indices", "scores"):
+                arrays = [getattr(p, f) for p in (direct, cached, pseudo_boxes(oracle))]
+                assert len({a.dtype for a in arrays}) == 1, f
+                assert len({a.tobytes() for a in arrays}) == 1, f
             got = assign_targets(rec, direct, 3, t)
             hit = assign_targets(rec, direct, 3, t, pair_ious=block)
-            want = assign_targets_loop(rec, direct.by_class, 3, t)
+            want = assign_targets_loop(rec, oracle, 3, t)
             for a, b, c in zip(got, hit, want):
-                assert a.dtype == c.dtype
+                assert a.dtype == b.dtype == c.dtype
                 assert a.tobytes() == b.tobytes() == c.tobytes()
         assert fallbacks and duplicates
 
@@ -297,8 +340,29 @@ class TestRefinementChain:
             for k in range(b)
         ]
         assert losses == [loss for one, _ in singles for loss in one]
-        assert np.array_equal(q, np.concatenate([one for _, one in singles]))
+        assert q.tobytes() == np.concatenate([one for _, one in singles]).tobytes()
         assert all(g.any() for g in grads)
+        for p, g in zip(branch.params(), grads):
+            assert p.grad.tobytes() == g.tobytes(), p.name
+
+    def test_long_single_class_stack_adds_in_order(self, rng):
+        # Eleven images, C=1, onto a nonzero gradient: each image's gradient
+        # still adds in stack order, one after another.
+        b, r, d = 11, 5, 3
+        branch = RefineBranch.create(0, rng, d, 1, 0.4)
+        x = rng.standard_normal((b, r, d)) * 10.0 ** rng.integers(-3, 4, (b, 1, 1))
+        targets = rng.integers(0, 2, size=(b, r))
+        weights = rng.uniform(0.1, 1.0, size=(b, r))
+        start = [rng.standard_normal(p.value.shape) for p in branch.params()]
+        for p, g in zip(branch.params(), start):
+            p.grad[...] = g
+        refinement_chain(x, branch, targets, weights, grad_scale=0.5)
+        grads = [p.grad.copy() for p in branch.params()]
+        for p, g in zip(branch.params(), start):
+            p.grad[...] = g
+        for k in range(b):
+            refinement_chain(x[k : k + 1], branch, targets[k : k + 1],
+                             weights[k : k + 1], grad_scale=0.5)
         for p, g in zip(branch.params(), grads):
             assert p.grad.tobytes() == g.tobytes(), p.name
 
