@@ -11,11 +11,13 @@ one IoU block between its detections, in score order, and all its truths.
 That block serves every IoU threshold and every view of the truth: the
 full set, a set with some boxes ignored, and each area bucket, which reads
 its own columns as truths and the row maximum over the rest as the
-ignored overlap. Greedy claims on the block run in array rounds, each
-resolving every detection up to the next claim. CorLoc asks, per class,
-on what fraction of the images containing the class the single most
-confident detection hits; each image's top detection and its best
-overlap are likewise found once for all thresholds.
+ignored overlap. Greedy claims run in array rounds over every (threshold,
+image) pair of a class and view at once, each round resolving every pair
+up to its next claim. NMS runs once per class, every image a group of one
+kernel call. CorLoc asks, per class, on what fraction of the images
+containing the class the single most confident detection hits; each
+image's top detection and its best overlap are likewise found once for
+all thresholds.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ _EXACT_INT = 2**53
 # Detection lines joined into one write: fewer writes than one per line,
 # without holding a whole file's text.
 _LINES_PER_WRITE = 1024
+# Elements of the largest padded IoU block the matcher builds for a set of
+# (threshold, image) pairs; an image whose own blocks need more gets a set alone.
+MATCH_ELEMENTS = 1 << 15
 
 
 def check_fraction(name: str, value: float, upper_open: bool = False) -> None:
@@ -76,15 +81,23 @@ class Detection:
     score: float
 
 
-def nms_detections(boxes: np.ndarray, scores: np.ndarray, thresh: float) -> np.ndarray:
-    """Greedy NMS over one image/class group, given as arrays.
+def nms_detections(
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    thresh: float,
+    groups: np.ndarray | None = None,
+) -> np.ndarray:
+    """Greedy NMS within each group of boxes, given as arrays.
 
-    ``boxes`` is (N, 4) and ``scores`` (N,). Returns the kept row indices
-    as int64, in descending-score order with ties going to the earlier
-    row; an empty group keeps nothing. Callers build objects only for the
-    rows it returns.
+    ``boxes`` is (N, 4), ``scores`` (N,) and ``groups`` (N,) integer group
+    ids, None for one group. Returns the kept row indices as int64, ordered
+    by group id and, within a group, by descending score with ties going to
+    the earlier row; an empty input keeps nothing. One call settles every
+    group at once: ``infer`` passes the (record, class) groups of a chunk
+    of records, ``evaluate`` one class with the image as the group. Callers
+    build objects only for the rows it returns.
     """
-    return kernels.nms(boxes, scores, thresh)
+    return kernels.nms(boxes, scores, thresh, groups)
 
 
 def _json_number(value) -> str:
@@ -216,27 +229,68 @@ class APResult:
     subsets: dict[str, "APResult"] = field(default_factory=dict)
 
 
-def _greedy_hits(ious: np.ndarray, iou_thresh: float) -> np.ndarray:
-    """Greedy matching on one image's (D, G) IoU block, rows in score order.
+def _size_buckets(
+    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]]:
+    """Group ``(pos, ious)`` blocks by their (D, G) rounded up to powers of two.
 
+    Blocks of one bucket share padded (D, G) arrays, so padding at most
+    doubles each side of a block, and one large image never widens the
+    blocks of small ones.
+    """
+    buckets: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+    for pos, ious in blocks:
+        size = tuple(1 << max(n - 1, 0).bit_length() for n in ious.shape)
+        buckets.setdefault(size, []).append((pos, ious))
+    return buckets
+
+
+def _lockstep_hits(
+    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+    thresholds: np.ndarray,
+    hit: np.ndarray,
+) -> None:
+    """Greedy matching of every (threshold, image) pair in lockstep rounds.
+
+    ``blocks`` holds, per image, its detections' positions in the ranking
+    and their (D, G) IoU block against its truths, rows in score order.
     Each row takes the unused truth it overlaps most (first on ties) and
     hits when that overlap reaches the threshold. Rows between two claims
-    see the same used set, so each round resolves every row up to the next
-    claim at once: at most G + 1 rounds instead of one step per row.
+    see the same used set, so in each round every pair takes its first open
+    row whose best unused truth reaches its threshold: at most G + 1 rounds.
+    Pairs share padded blocks within a size bucket, at most
+    ``MATCH_ELEMENTS`` elements a block unless one image's pairs need more.
+    Sets ``hit[k, pos]`` for threshold k.
     """
-    hits = np.zeros(len(ious), dtype=bool)
-    used = np.zeros(ious.shape[1], dtype=bool)
-    start = 0
-    while start < len(ious):
-        block = np.where(used, -1.0, ious[start:])
-        claim = np.flatnonzero(block.max(axis=1) >= iou_thresh)
-        if not claim.size:
-            break
-        row = start + int(claim[0])
-        hits[row] = True
-        used[int(np.argmax(block[claim[0]]))] = True
-        start = row + 1
-    return hits
+    nt = thresholds.size
+    for (d, g), items in _size_buckets(blocks).items():
+        per = max(1, MATCH_ELEMENTS // (nt * d * g))
+        for c0 in range(0, len(items), per):
+            chunk = items[c0 : c0 + per]
+            # Padding rows and columns never reach a threshold; used truths
+            # read -1, as in a one-pair-at-a-time sweep.
+            block = np.full((len(chunk), d, g), -np.inf)
+            for j, (_, ious) in enumerate(chunk):
+                block[j, : ious.shape[0], : ious.shape[1]] = ious
+            open_ious = np.repeat(block[None], nt, axis=0).reshape(-1, d, g)
+            t = np.repeat(thresholds, len(chunk))[:, None]
+            start = np.zeros(t.shape[0], dtype=np.intp)
+            hits = np.zeros((t.shape[0], d), dtype=bool)
+            live = np.arange(t.shape[0])
+            rows = np.arange(d)
+            while live.size:
+                best = open_ious[live].max(axis=2)
+                claim = (best >= t[live]) & (rows >= start[live, None])
+                found = claim.any(axis=1)
+                live = live[found]
+                row = claim[found].argmax(axis=1)
+                col = open_ious[live, row].argmax(axis=1)
+                hits[live, row] = True
+                open_ious[live, :, col] = -1.0
+                start[live] = row + 1
+            hits = hits.reshape(nt, len(chunk), d)
+            for j, (pos, _) in enumerate(chunk):
+                hit[:, pos] = hits[:, j, : pos.size]
 
 
 def _rank(
@@ -281,7 +335,8 @@ def _match(
     with the ranking, dropping detections absorbed by ignored truth (the
     columns outside the mask). The views read the blocks ``_rank`` built:
     IoU is elementwise, so a column subset equals the block against that
-    subset of the truths.
+    subset of the truths. Every (threshold, image) pair is matched in one
+    lockstep pass (``_lockstep_hits``).
     """
     # Per image: positions, IoU block against its eligible truths (None
     # without), best overlap with its ignored truths (None without).
@@ -298,16 +353,18 @@ def _match(
             block[:, inb] if inb.any() else None,
             None if inb.all() else block[:, ~inb].max(axis=1),
         ))
-    for t in iou_thresholds:
-        hit = np.zeros(num_dets, dtype=bool)
-        absorbed = np.zeros(num_dets, dtype=bool)
-        for pos, ious, ign_max in parts:
-            if ious is not None:
-                hit[pos] = _greedy_hits(ious, t)
-            if ign_max is not None:
-                absorbed[pos] = ~hit[pos] & (ign_max >= t)
-        keep = ~absorbed
-        yield hit[keep].astype(np.float64), (~hit[keep]).astype(np.float64)
+    thresholds = np.asarray(iou_thresholds, dtype=np.float64)
+    hit = np.zeros((thresholds.size, num_dets), dtype=bool)
+    _lockstep_hits(
+        [(pos, ious) for pos, ious, _ in parts if ious is not None], thresholds, hit
+    )
+    absorbed = np.zeros_like(hit)
+    for pos, _, ign_max in parts:
+        if ign_max is not None:
+            absorbed[:, pos] = ~hit[:, pos] & (ign_max >= thresholds[:, None])
+    for hit_t, absorbed_t in zip(hit, absorbed):
+        keep = ~absorbed_t
+        yield hit_t[keep].astype(np.float64), (~hit_t[keep]).astype(np.float64)
 
 
 def _ap_from_flags(
@@ -560,21 +617,21 @@ def evaluate(
         if d.class_id in dets_by_class:
             dets_by_class[d.class_id].append(d)
 
-    # NMS per image and class, preserving record-then-score order.
+    # NMS per image and class: one call per class, with each image's rank
+    # among the records as its group, keeps record-then-score order.
+    rank: dict[str, int] = {}
+    for rec in records:
+        rank.setdefault(rec.image_id, len(rank))
     kept_by_class: dict[int, list[Detection]] = {}
     for cid in class_ids:
-        grouped: dict[str, list[Detection]] = {}
-        for d in dets_by_class[cid]:
-            grouped.setdefault(d.image_id, []).append(d)
-        kept: list[Detection] = []
-        for rec in records:
-            group = grouped.get(rec.image_id)
-            if group:
-                boxes = np.array([d.box.as_list() for d in group], dtype=np.float64)
-                scores = np.array([d.score for d in group], dtype=np.float64)
-                keep = nms_detections(boxes, scores, nms_thresh)
-                kept.extend(group[i] for i in keep.tolist())
-        kept_by_class[cid] = kept
+        group = dets_by_class[cid]
+        keep = nms_detections(
+            np.array([d.box.as_list() for d in group], dtype=np.float64).reshape(-1, 4),
+            np.array([d.score for d in group], dtype=np.float64),
+            nms_thresh,
+            np.array([rank[d.image_id] for d in group], dtype=np.intp),
+        )
+        kept_by_class[cid] = [group[i] for i in keep.tolist()]
 
     ap: dict[int, dict[float, float]] = {c: {} for c in class_ids}
     counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}

@@ -119,8 +119,21 @@ def as_finite(value, message: str, error=ValidationError) -> float:
 
 
 def as_array(value, message: str, error=ValidationError) -> np.ndarray:
-    """A float64 array of nested JSON numbers (any shape, not checked)."""
+    """A float64 array of nested JSON numbers (any shape, not checked).
+
+    The array takes the dtype NumPy infers, and anything but an integer or
+    float array raises ``error``: strings, all-boolean lists, nulls, objects
+    and ragged nesting. Integers too large for int64 infer an object array,
+    which passes when every element is a number that a double holds. Gap:
+    NumPy infers float64 for booleans mixed with numbers, so ``[true, 2.0]``
+    loads as ``[1.0, 2.0]``.
+    """
     try:
-        return np.array(value, dtype=np.float64)
+        arr = np.array(value)
+        if arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
+            arr = arr.astype(np.float64)
     except _NOT_A_NUMBER as e:
         raise error(message) from e
+    if arr.dtype.kind not in "iuf":
+        raise error(message)
+    return arr.astype(np.float64, copy=False)

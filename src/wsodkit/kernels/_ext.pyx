@@ -1,8 +1,9 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled box-geometry kernels: pairwise IoU and greedy NMS.
+"""Compiled box-geometry kernel: pairwise IoU.
 
-Must stay semantically identical to wsodkit.kernels._py, which also holds
-the one box_mean_pool that serves both backends.
+Must stay bitwise identical to wsodkit.kernels._py.iou_matrix. The module
+_py also holds the one nms and the one box_mean_pool, which serve both
+backends.
 """
 
 import numpy as np
@@ -44,53 +45,3 @@ def iou_matrix(object boxes_a, object boxes_b):
                     area_a + (b[j, 2] - b[j, 0]) * (b[j, 3] - b[j, 1]) - inter
                 )
     return out
-
-
-def nms(object boxes, object scores, double thresh):
-    """Greedy NMS; kept indices in descending score order, stable ties.
-
-    Suppresses a box when its IoU with an already kept box exceeds thresh.
-    """
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] b = _as_boxes(boxes)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] s = np.ascontiguousarray(
-        scores, dtype=np.float64
-    )
-    if s.ndim != 1 or s.shape[0] != b.shape[0]:
-        raise ValueError("scores must have shape (n,)")
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] order = np.argsort(-s, kind="stable").astype(
-        np.int64
-    )
-    cdef Py_ssize_t n = b.shape[0]
-    cdef cnp.ndarray[cnp.uint8_t, ndim=1] suppressed = np.zeros(n, dtype=np.uint8)
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] keep = np.empty(n, dtype=np.int64)
-    cdef Py_ssize_t nkeep = 0
-    cdef Py_ssize_t a, c, i, j
-    cdef double ax1, ay1, ax2, ay2, area_i
-    cdef double ix1, iy1, ix2, iy2, iw, ih, inter, iou
-    for a in range(n):
-        i = order[a]
-        if suppressed[i]:
-            continue
-        keep[nkeep] = i
-        nkeep += 1
-        ax1 = b[i, 0]; ay1 = b[i, 1]; ax2 = b[i, 2]; ay2 = b[i, 3]
-        area_i = (ax2 - ax1) * (ay2 - ay1)
-        for c in range(a + 1, n):
-            j = order[c]
-            if suppressed[j]:
-                continue
-            ix1 = max(ax1, b[j, 0])
-            iy1 = max(ay1, b[j, 1])
-            ix2 = min(ax2, b[j, 2])
-            iy2 = min(ay2, b[j, 3])
-            iw = max(ix2 - ix1, 0.0)
-            ih = max(iy2 - iy1, 0.0)
-            inter = iw * ih
-            if inter > 0.0:
-                iou = inter / (
-                    area_i + (b[j, 2] - b[j, 0]) * (b[j, 3] - b[j, 1]) - inter
-                )
-                if iou > thresh:
-                    suppressed[j] = 1
-    return keep[:nkeep].copy()
-

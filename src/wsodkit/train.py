@@ -560,6 +560,11 @@ def train(
     return model, report
 
 
+# Candidate boxes per NMS call in ``infer``: each call takes as many whole
+# records as fit, so one call settles every (record, class) group of them.
+INFER_NMS_BOXES = 4096
+
+
 def infer(
     model: ModelParams,
     records: Sequence[ImageRecord],
@@ -572,39 +577,70 @@ def infer(
     Detection confidence is the combined (det x cls) probability of the
     proposal; boxes are the proposals themselves. Only detections scoring
     strictly above ``min_score`` are emitted, in record, class, NMS order.
-    Class-wise NMS runs on the proposal and score arrays, and objects are
-    built only for its survivors: one ``Box`` per proposal kept by any
-    class, shared by every class's ``Detection`` of it.
+    Class-wise NMS runs on the proposal and score arrays, one call per
+    chunk of records of at most ``INFER_NMS_BOXES`` candidates (a record
+    with more takes a call alone), with each (record, class) as a group.
+    Objects are built only for the survivors: one ``Box`` per proposal kept
+    by any class, shared by every class's ``Detection`` of it.
     """
     check_fraction("nms_thresh", nms_thresh)
     check_fraction("min_score", min_score)
     model.check_against(check_features(records))
     out: list[Detection] = []
+    chunk: list[tuple[ImageRecord, np.ndarray, np.ndarray, np.ndarray]] = []
+    size = 0
     for rec in records:
         conf = fusion.forward(rec, model.rgb_head, model.depth_head, mode).combined[0]
         # Greedy NMS settles every candidate above the floor before any at or
         # below it, so dropping those first leaves the survivors unchanged.
-        above = conf > min_score
-        kept: list[tuple[int, np.ndarray]] = []
+        cids, rows = np.nonzero((conf > min_score).T)
+        if chunk and size + rows.size > INFER_NMS_BOXES:
+            _emit_survivors(chunk, model.dims.num_classes, nms_thresh, out)
+            chunk, size = [], 0
+        chunk.append((rec, conf, rows, cids))
+        size += rows.size
+    if chunk:
+        _emit_survivors(chunk, model.dims.num_classes, nms_thresh, out)
+    return out
+
+
+def _emit_survivors(
+    chunk: Sequence[tuple[ImageRecord, np.ndarray, np.ndarray, np.ndarray]],
+    num_classes: int,
+    nms_thresh: float,
+    out: list[Detection],
+) -> None:
+    """NMS over a chunk's candidates in one call, then its detections.
+
+    Each chunk entry is a record, its (R, C) scores and its candidates'
+    proposal rows and class ids, class by class.
+    """
+    cand_boxes = [np.take(rec.proposals, rows, axis=0) for rec, _, rows, _ in chunk]
+    cand_scores = [conf[rows, cids] for _, conf, rows, cids in chunk]
+    groups = np.concatenate([j * num_classes + c[3] for j, c in enumerate(chunk)])
+    keep = nms_detections(
+        np.concatenate(cand_boxes), np.concatenate(cand_scores), nms_thresh, groups
+    )
+    # Survivors come record by record, class by class, in NMS order.
+    ends = np.searchsorted(groups[keep] // num_classes, np.arange(len(chunk) + 1))
+    starts = np.cumsum([0] + [rows.size for _, _, rows, _ in chunk])
+    for j, (rec, conf, rows, cids) in enumerate(chunk):
+        kept = keep[ends[j] : ends[j + 1]] - starts[j]
+        kept_rows, kept_cids = rows[kept], cids[kept]
         live = np.zeros(rec.num_proposals, dtype=bool)
-        for cid in range(model.dims.num_classes):
-            rows = np.flatnonzero(above[:, cid])
-            if rows.size:
-                rows = rows[
-                    nms_detections(rec.proposals[rows], conf[rows, cid], nms_thresh)
-                ]
-                kept.append((cid, rows))
-                live[rows] = True
+        live[kept_rows] = True
         # Boxes are frozen, so every class group shares one per proposal;
         # slot[i] is proposal i's place among the live ones.
         boxes = [Box(*row) for row in rec.proposals[live].tolist()]
         slot = np.cumsum(live) - 1
-        for cid, rows in kept:
-            out.extend(
-                Detection(rec.image_id, cid, boxes[k], score)
-                for k, score in zip(slot[rows].tolist(), conf[rows, cid].tolist())
+        out.extend(
+            Detection(rec.image_id, cid, boxes[k], score)
+            for cid, k, score in zip(
+                kept_cids.tolist(),
+                slot[kept_rows].tolist(),
+                conf[kept_rows, kept_cids].tolist(),
             )
-    return out
+        )
 
 
 @dataclass

@@ -7,8 +7,9 @@ standalone pieces only tests call live here instead: the contrastive loss
 of a projected batch, box-pair IoU, the broadcast IoU matrix, greedy NMS
 one kept box at a time, pseudo-box mining and target assignment one
 proposal at a time, the momentum-SGD update one parameter at a time, the
-finite-difference gradient check, and the detection writer that encodes
-each line as a dict through ``json.dumps``.
+finite-difference gradient check, the detection writer that encodes
+each line as a dict through ``json.dumps``, and greedy matching on one
+image's IoU block for one threshold at a time.
 """
 
 import json
@@ -147,6 +148,29 @@ def greedy_match(dets, gts_by_image, thresh, ignore_by_image=None):
         tp.append(0.0)
         fp.append(1.0)
     return tp, fp
+
+
+def greedy_hits(ious, iou_thresh):
+    """Greedy matching on one image's (D, G) IoU block, rows in score order.
+
+    Each row takes the unused truth it overlaps most (first on ties) and
+    hits when that overlap reaches the threshold. Rows between two claims
+    see the same used set, so each round resolves every row up to the next
+    claim at once: at most G + 1 rounds instead of one step per row.
+    """
+    hits = np.zeros(len(ious), dtype=bool)
+    used = np.zeros(ious.shape[1], dtype=bool)
+    start = 0
+    while start < len(ious):
+        block = np.where(used, -1.0, ious[start:])
+        claim = np.flatnonzero(block.max(axis=1) >= iou_thresh)
+        if not claim.size:
+            break
+        row = start + int(claim[0])
+        hits[row] = True
+        used[int(np.argmax(block[claim[0]]))] = True
+        start = row + 1
+    return hits
 
 
 def all_point_ap(dets, gts_by_image, thresh, ignore_by_image=None):

@@ -577,6 +577,17 @@ SPLICE = st.tuples(st.sampled_from(("cut", "byte")), st.integers(0, 1 << 16))
 @example(target="priors", mutation=(("by_class", "0", "mean"), "0.5"))
 @example(target="priors", mutation=(("by_class", "0", "std"), "0.25"))
 @example(target="checkpoint", mutation=(("rgb.det.w", "shape", 0), "2"))
+# Strings and all-boolean lists inside numeric arrays, which NumPy converts
+# when it is given the float64 dtype up front.
+@example(target="dataset", mutation=((0, "proposals", 0, 0), "1"))
+@example(target="dataset", mutation=((0, "rgb_features", 0, 0), "0.5"))
+@example(target="dataset", mutation=((0, "depth_features", 0), ["0.5", "1"]))
+@example(target="dataset", mutation=((0, "proposal_depths", 0), "0.5"))
+@example(target="dataset", mutation=((0, "proposal_depths"), [True, False] * 2))
+@example(target="sidecar", mutation=((0, "values", 0, 0), "0.5"))
+@example(target="sidecar", mutation=((0, "values"), [[True] * 16] * 16))
+@example(target="checkpoint", mutation=(("rgb.det.b", "values", 0), "0"))
+@example(target="checkpoint", mutation=(("rgb.det.b", "values"), [False] * 2))
 @settings(
     max_examples=200,
     deadline=None,

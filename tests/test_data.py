@@ -226,6 +226,30 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError, match="gt_boxes entries"):
             record_from_json(obj)
 
+    @pytest.mark.parametrize("field", ["proposals", "rgb_features", "depth_features"])
+    @pytest.mark.parametrize("value", ["1", None, [1]])
+    def test_array_entries_are_json_numbers(self, rng, field, value):
+        obj = record_to_json(make_record(rng))
+        obj[field][0][0] = value
+        with pytest.raises(ValidationError, match=f"{field} is not numeric"):
+            record_from_json(obj)
+
+    def test_all_boolean_depths_refused(self, rng):
+        obj = record_to_json(make_record(rng))
+        obj["proposal_depths"] = [True] * len(obj["proposal_depths"])
+        with pytest.raises(ValidationError, match="proposal_depths not numeric"):
+            record_from_json(obj)
+
+    def test_integers_past_int64_load_as_floats(self, rng):
+        # Too large for int64, NumPy infers an object array; the numbers in
+        # it still load, and one past a double's range is refused.
+        obj = record_to_json(make_record(rng))
+        obj["rgb_features"][0][0] = 10**20
+        assert record_from_json(obj).rgb_features[0, 0] == 1e20
+        obj["rgb_features"][0][0] = 10**400
+        with pytest.raises(ValidationError, match="rgb_features is not numeric"):
+            record_from_json(obj)
+
     def test_optional_fields_omitted(self, rng):
         rec = make_record(rng)
         obj = record_to_json(rec)

@@ -1,6 +1,7 @@
 """Detection metrics against literal-oracle reimplementations."""
 
 import dataclasses
+import importlib
 import json
 import math
 
@@ -28,6 +29,7 @@ from wsodkit.evaluate import (
 from conftest import make_record, random_boxes
 from reference import (
     all_point_ap,
+    greedy_hits,
     greedy_match,
     nms_sequential,
     save_detections_dumps,
@@ -336,6 +338,108 @@ class TestOneCallPerGrid:
         expected = [1.0 if t <= 0.7 else 0.0 for t in IOU_GRID]
         assert corloc([hit, miss], gts, IOU_GRID) == expected
         assert corloc([miss, hit], gts, IOU_GRID) == [0.0] * len(IOU_GRID)
+
+
+# The module, which the package shadows with its evaluate function.
+evaluate_module = importlib.import_module("wsodkit.evaluate")
+
+
+def iou_grid_block(r, d, g):
+    """A (D, G) IoU block on a grid of tenths, so values tie across columns."""
+    block = r.integers(0, 11, (d, g)) / 10.0
+    block[r.uniform(size=(d, g)) < 0.3] = 0.0
+    return block
+
+
+class TestLockstepMatcher:
+    """Every (threshold, image) pair at once equals one pair at a time."""
+
+    def check_blocks(self, blocks, thresholds):
+        num = sum(pos.size for pos, _ in blocks)
+        hit = np.zeros((len(thresholds), num), dtype=bool)
+        evaluate_module._lockstep_hits(blocks, np.asarray(thresholds), hit)
+        for k, t in enumerate(thresholds):
+            for pos, ious in blocks:
+                assert np.array_equal(hit[k, pos], greedy_hits(ious, t)), (t, ious)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(
+            st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=12
+        ),
+    )
+    def test_matches_one_pair_at_a_time(self, seed, shapes):
+        r = np.random.default_rng(seed)
+        order = r.permutation(sum(d for d, _ in shapes))
+        blocks, at = [], 0
+        for d, g in shapes:
+            pos = np.sort(order[at : at + d])
+            at += d
+            blocks.append((pos, iou_grid_block(r, d, g)))
+        self.check_blocks(blocks, (0.0,) + IOU_GRID + (1.0,))
+
+    def test_tiny_budget_splits_pairs(self, monkeypatch):
+        monkeypatch.setattr(evaluate_module, "MATCH_ELEMENTS", 8)
+        r = np.random.default_rng(5)
+        blocks, at = [], 0
+        for d, g in [(3, 2), (4, 2), (1, 1), (7, 5), (3, 2)]:
+            blocks.append((np.arange(at, at + d), iou_grid_block(r, d, g)))
+            at += d
+        self.check_blocks(blocks, IOU_GRID)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_area_views_with_ignore_match_oracle(self, seed):
+        # Images with several truths each, ignored boxes, and evaluate's
+        # area buckets as views: each bucket's AP equals the literal oracle
+        # with every other box of the image ignored.
+        r = np.random.default_rng(seed)
+        gts, ignored, dets = {}, {}, []
+        for i in range(8):
+            iid = f"i{i}"
+            truth = random_boxes(r, int(r.integers(2, 7)), size=300.0)
+            gts[iid], ignored[iid] = truth[1:], truth[:1]
+            for _ in range(int(r.integers(1, 12))):
+                base = truth[int(r.integers(len(truth)))]
+                box = np.clip(base + r.normal(0, 4.0, size=4), 0.0, None)
+                box[2:] = np.maximum(box[2:], box[:2] + 1.0)
+                dets.append(det(iid, box, float(r.choice([0.2, 0.5, 0.8]))))
+        buckets = evaluate_module._area_buckets(gts)
+        got = average_precision(
+            dets, gts, IOU_GRID, ignore_by_image=ignored, subsets=buckets
+        )
+        for k, t in enumerate(IOU_GRID):
+            tp, fp = greedy_match(dets, gts, t, ignored)
+            assert (got[k].tp, got[k].fp) == (sum(tp), sum(fp))
+            want = all_point_ap(dets, gts, t, ignored)
+            assert got[k].ap == pytest.approx(want, abs=1e-12)
+            for name, masks in buckets.items():
+                sub = {iid: g[masks[iid]] for iid, g in gts.items()}
+                if not sum(len(g) for g in sub.values()):
+                    assert name not in got[k].subsets
+                    continue
+                rest = {
+                    iid: np.concatenate([g[~masks[iid]], ignored[iid]])
+                    for iid, g in gts.items()
+                }
+                want = all_point_ap(dets, sub, t, rest)
+                assert got[k].subsets[name].ap == pytest.approx(want, abs=1e-12)
+        assert any(len(res.subsets) > 1 for res in got)
+
+    def test_skewed_image_parity_and_padding(self):
+        # One image with 2000 detections and 50 truths among 200 small ones.
+        r = np.random.default_rng(11)
+        blocks, at = [], 0
+        for d, g in [(2000, 50)] + [
+            (int(r.integers(1, 8)), int(r.integers(1, 4))) for _ in range(200)
+        ]:
+            blocks.append((np.arange(at, at + d), iou_grid_block(r, d, g)))
+            at += d
+        self.check_blocks(blocks, (0.5, 0.75, 0.95))
+        buckets = evaluate_module._size_buckets(blocks)
+        padded = sum(len(items) * d * g for (d, g), items in buckets.items())
+        assert padded <= 4 * sum(ious.size for _, ious in blocks)
+        assert buckets[(2048, 64)] == [blocks[0]]
 
 
 class TestMatcherCallCount:
