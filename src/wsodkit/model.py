@@ -1,7 +1,7 @@
 """The full trainable parameter set and its checkpoint format.
 
 Every run creates every parameter group (RGB head, depth head, shared
-projection, refinement branches) in one fixed order from the seeded
+projection, refinement branch) in one fixed order from the seeded
 generator, whatever the active toggles; disabled components simply never
 receive gradient. That keeps runs with different toggles bit-comparable on
 the parameters they share.
@@ -22,7 +22,6 @@ from wsodkit.numkit import Param
 from wsodkit.refine import RefineBranch
 
 DEFAULT_INIT_SCALE = 0.01
-MAX_REFINE_BRANCHES = 3
 
 
 @dataclass
@@ -30,7 +29,6 @@ class ModelDims:
     num_classes: int
     feat_dim: int
     proj_dim: int = 32
-    refine_branches: int = 1
 
 
 @dataclass
@@ -39,7 +37,7 @@ class ModelParams:
     rgb_head: HeadParams
     depth_head: HeadParams
     proj: ProjectionParams
-    refine: list[RefineBranch]
+    refine: RefineBranch
 
     @classmethod
     def create(
@@ -57,17 +55,12 @@ class ModelParams:
         proj = ProjectionParams.create(
             rng, dims.feat_dim, dims.proj_dim, init_scale, rho_init
         )
-        refine = [
-            RefineBranch.create(k, rng, dims.feat_dim, dims.num_classes, init_scale)
-            for k in range(dims.refine_branches)
-        ]
+        refine = RefineBranch.create(rng, dims.feat_dim, dims.num_classes, init_scale)
         return cls(dims=dims, rgb_head=rgb, depth_head=depth, proj=proj, refine=refine)
 
     def params(self) -> list[Param]:
         out = self.rgb_head.params() + self.depth_head.params() + self.proj.params()
-        for branch in self.refine:
-            out.extend(branch.params())
-        return out
+        return out + self.refine.params()
 
     def save(self, path: str | Path) -> None:
         numkit.save_checkpoint(self.params(), path)
@@ -117,7 +110,7 @@ def _shape_error(path, name: str, shape: tuple, expected) -> CheckpointError:
 
 
 def _stated_dims(values: dict[str, np.ndarray], path) -> ModelDims:
-    """The dims that ``rgb.det.w``, ``proj.w`` and the ``refine.{k}.w`` run state.
+    """The dims that ``rgb.det.w`` and ``proj.w`` state.
 
     Dims no file of this size could hold, or that the two matrices disagree
     on, are refused before a model is allocated from them, so a short file
@@ -133,22 +126,9 @@ def _stated_dims(values: dict[str, np.ndarray], path) -> ModelDims:
     (feat_dim, num_classes), (proj_rows, proj_dim) = shapes
     if proj_rows != feat_dim:
         raise _shape_error(path, "proj.w", shapes[1], (feat_dim, proj_dim))
-    branches = 0
-    while f"refine.{branches}.w" in values:
-        branches += 1
-    if branches > MAX_REFINE_BRANCHES:
-        raise CheckpointError(
-            f"checkpoint {path} has {branches} refinement branches, "
-            f"at most {MAX_REFINE_BRANCHES}"
-        )
     size = sum(v.size for v in values.values())
     if max(feat_dim, num_classes, proj_dim) > size:
         raise CheckpointError(
             f"checkpoint {path} states a dim above the {size} values it holds"
         )
-    return ModelDims(
-        num_classes=num_classes,
-        feat_dim=feat_dim,
-        proj_dim=proj_dim,
-        refine_branches=branches,
-    )
+    return ModelDims(num_classes=num_classes, feat_dim=feat_dim, proj_dim=proj_dim)

@@ -1,12 +1,12 @@
-"""Pseudo-box mining, instance refinement branches, and depth attention.
+"""Pseudo-box mining, the instance refinement branch, and depth attention.
 
-Mining turns the previous stage's per-proposal class scores into pseudo
-ground truth for each image label: candidates are optionally restricted to
+Mining turns the MIL head's per-proposal class scores into pseudo ground
+truth for each image label: candidates are optionally restricted to
 proposals whose depth mask admits the class, the best-scoring candidate
 seeds a cluster, and well-overlapping, well-scoring candidates join it.
 ``mine`` works on one image at a time and returns its ``PseudoBoxes`` as
 three flat arrays (class ids, proposal indices, scores) rather than one
-object per box. Refinement branches are per-proposal classifiers over C
+object per box. The refinement branch is a per-proposal classifier over C
 classes plus background, supervised by those pseudo boxes with the miner's
 confidence as the loss weight. ``refinement_chain`` scores a stack of
 same-R images in one call, as ``milhead.mil_chain`` does, and every image
@@ -40,31 +40,26 @@ DEFAULT_SCORE_RATIO = 0.5
 ATTENTION_MULTIPLIER = 0.5
 # Most proposals a record may have for ``pair_iou`` to cache its R x R IoU
 # block: 32 KB at the bound, 3.2 KB at the stock R=20. There the block
-# replaces the ~2.6 20x1 and 20xk kernel calls an image makes per epoch and
-# branch, each ~16-21 us of NumPy call overhead. One block at R=2000 would
+# replaces the ~2.6 20x1 and 20xk kernel calls an image makes per epoch,
+# each ~16-21 us of NumPy call overhead. One block at R=2000 would
 # take 32 MB and ~160 ms to build.
 PAIR_IOU_MAX_R = 64
 
 
 @dataclass
 class RefineBranch:
-    """One affine refinement head over C + 1 outputs (background last)."""
+    """The affine refinement head over C + 1 outputs (background last)."""
 
     w: Param
     b: Param
 
     @classmethod
     def create(
-        cls,
-        index: int,
-        rng: np.random.Generator,
-        feat_dim: int,
-        num_classes: int,
-        scale: float,
+        cls, rng: np.random.Generator, feat_dim: int, num_classes: int, scale: float
     ) -> "RefineBranch":
         return cls(
-            w=Param(f"refine.{index}.w", rng.normal(0.0, scale, (feat_dim, num_classes + 1))),
-            b=Param(f"refine.{index}.b", np.zeros(num_classes + 1)),
+            w=Param("refine.0.w", rng.normal(0.0, scale, (feat_dim, num_classes + 1))),
+            b=Param("refine.0.b", np.zeros(num_classes + 1)),
         )
 
     def params(self) -> list[Param]:
@@ -193,8 +188,8 @@ def refinement_chain(
     targets: np.ndarray,
     weights: np.ndarray,
     grad_scale: float = 0.0,
-) -> tuple[list[float], np.ndarray]:
-    """Weighted cross-entropy of one branch over a stack of same-R images.
+) -> list[float]:
+    """Weighted cross-entropy of the branch over a stack of same-R images.
 
     ``features`` is a (B, R, d) stack; ``targets`` and ``weights`` are
     (B, R). Image b's loss is ``-(1/R) * sum_i w_i * log q_i[target_i]``
@@ -231,7 +226,7 @@ def refinement_chain(
         dw, db = numkit.affine_backward(features, d_logits)
         numkit.add_in_order(branch.w.grad, dw)
         numkit.add_in_order(branch.b.grad, db)
-    return losses.tolist(), q
+    return losses.tolist()
 
 
 def attention_multipliers(

@@ -1,15 +1,15 @@
 """Run configuration, the training loop, inference, and the ablation driver.
 
 One optimizer step covers one batch of images: every image contributes its
-MIL loss (and, when refinement branches are active, its refinement loss),
+MIL loss (and, when the refinement branch is active, its refinement loss),
 and the whole batch contributes one contrastive loss when that toggle is
 on. The three terms are weighted, gradients accumulate across the batch,
 and a single momentum-SGD step follows. Each run of consecutive same-R
 images of a batch gets its MIL losses from one stacked ``mil_chain`` call
 of at most ``MIL_ROW_BUDGET`` proposal rows. The labelled images of the
-run then go through each refinement branch in one ``refinement_chain``
-call over the same feature stack, mined image by image from the previous
-stage's scores. Gradients and losses still add image by image in batch
+run are then mined image by image from the MIL head's scores and go
+through the refinement branch in one ``refinement_chain`` call over the
+same feature stack. Gradients and losses still add image by image in batch
 order (a stack's per-image gradients through one ``numkit.add_in_order``
 per parameter), so stacking changes no bit of a run. The optimizer keeps
 every parameter in one flat buffer and steps it whole. What is fixed for the
@@ -46,7 +46,7 @@ from wsodkit.evaluate import (
 )
 from wsodkit.fusion import FusionMode
 from wsodkit.jsonio import as_float, as_int, as_type, read_json, write_json
-from wsodkit.model import MAX_REFINE_BRANCHES, ModelDims, ModelParams
+from wsodkit.model import ModelDims, ModelParams
 from wsodkit.numkit import SGD
 from wsodkit.priors import DepthMask, FrozenPriors, depth_mask
 
@@ -65,7 +65,6 @@ MIL_ROW_BUDGET = 1024
 # Dotted config keys accepted in files and --set overrides.
 CONFIG_ALIASES = {
     "lr": "learning_rate",
-    "refine.branches": "refine_branches",
     "refine.iou_thresh": "refine_iou_thresh",
     "refine.score_ratio": "refine_score_ratio",
     "attention.enabled": "depth_attention",
@@ -114,7 +113,6 @@ class RunConfig:
     proj_dim: int = 32
     rho_init: float = 0.1
     init_scale: float = 0.01
-    refine_branches: int = 1
     refine_iou_thresh: float = 0.5
     refine_score_ratio: float = 0.5
     attention_multiplier: float = 0.5
@@ -148,8 +146,6 @@ class RunConfig:
             raise ConfigError("nce_batch must be >= 1")
         if not 1 <= self.proj_dim <= MAX_PROJ_DIM:
             raise ConfigError(f"proj_dim must be in 1..{MAX_PROJ_DIM}")
-        if not 0 <= self.refine_branches <= MAX_REFINE_BRANCHES:
-            raise ConfigError(f"refine_branches must be in 0..{MAX_REFINE_BRANCHES}")
         for name in (
             "refine_iou_thresh",
             "refine_score_ratio",
@@ -358,47 +354,42 @@ def _refinement_losses(
     model: ModelParams,
     records: Sequence[ImageRecord],
     features: np.ndarray,
-    sup: np.ndarray,
+    scores: np.ndarray,
     labels: Sequence[set[int]],
     masks: Sequence[DepthMask | None],
     pair_ious: Sequence[np.ndarray | None],
     config: RunConfig,
     grad_scale: float,
 ) -> list[float]:
-    """Mean loss of the refinement branches on each image of a stack.
+    """Loss of the refinement branch on each image of a stack.
 
     Every sequence argument holds one entry per image of a same-R stack of
     labelled images, in stack order: ``features`` is their (B, R, d) RGB
-    stack and ``sup`` the MIL head's (B, R, C) combined scores. Each branch
-    mines pseudo boxes per image from the previous stage's class scores,
-    scores the stack in one ``refinement_chain`` call, and accumulates the
+    stack and ``scores`` the MIL head's (B, R, C) combined scores. Each
+    image is mined for pseudo boxes from its scores, then the branch scores
+    the stack in one ``refinement_chain`` call and accumulates the
     gradients of ``grad_scale`` times each image's loss.
     """
     num_classes = model.dims.num_classes
-    img_ref = [0.0] * len(records)
-    for branch in model.refine:
-        targets, weights = [], []
-        for k, rec in enumerate(records):
-            pseudo = refine.mine(
-                rec,
-                sup[k],
-                labels[k],
-                masks[k],
-                iou_thresh=config.refine_iou_thresh,
-                score_ratio=config.refine_score_ratio,
-                pair_ious=pair_ious[k],
-            )
-            t, w = refine.assign_targets(
-                rec, pseudo, num_classes, config.refine_iou_thresh, pair_ious[k]
-            )
-            targets.append(t)
-            weights.append(w)
-        losses, q = refine.refinement_chain(
-            features, branch, np.stack(targets), np.stack(weights), grad_scale
+    targets, weights = [], []
+    for k, rec in enumerate(records):
+        pseudo = refine.mine(
+            rec,
+            scores[k],
+            labels[k],
+            masks[k],
+            iou_thresh=config.refine_iou_thresh,
+            score_ratio=config.refine_score_ratio,
+            pair_ious=pair_ious[k],
         )
-        img_ref = [acc + loss for acc, loss in zip(img_ref, losses)]
-        sup = q[..., :num_classes]
-    return [acc / len(model.refine) for acc in img_ref]
+        t, w = refine.assign_targets(
+            rec, pseudo, num_classes, config.refine_iou_thresh, pair_ious[k]
+        )
+        targets.append(t)
+        weights.append(w)
+    return refine.refinement_chain(
+        features, model.refine, np.stack(targets), np.stack(weights), grad_scale
+    )
 
 
 def train(
@@ -448,19 +439,14 @@ def train(
     seed = config.resolved_seed()
     rng = np.random.default_rng(seed)
     model = ModelParams.create(
-        ModelDims(
-            num_classes=num_classes,
-            feat_dim=feat_dim,
-            proj_dim=config.proj_dim,
-            refine_branches=config.refine_branches,
-        ),
+        ModelDims(num_classes=num_classes, feat_dim=feat_dim, proj_dim=config.proj_dim),
         rng,
         init_scale=config.init_scale,
         rho_init=config.rho_init,
     )
     opt = SGD(model.params(), config.learning_rate, config.momentum)
 
-    use_refine = config.refine_branches >= 1 and config.lambda_ref > 0.0
+    use_refine = config.lambda_ref > 0.0
     pair_ious = [refine.pair_iou(rec) for rec in records] if use_refine else None
     n = len(records)
     report = RunReport(config=config.to_json(), seed=seed)
@@ -509,7 +495,7 @@ def train(
                         [mine_masks[idx] for idx in ids],
                         [pair_ious[idx] for idx in ids],
                         config,
-                        config.lambda_ref / (bsz * len(model.refine)),
+                        config.lambda_ref / bsz,
                     ):
                         ref_sum += loss
             if use_nce:
@@ -664,7 +650,7 @@ def mining_precision(
 ) -> MiningReport:
     """Fraction of mined pseudo boxes overlapping a same-class true box.
 
-    Mining runs exactly as the first refinement branch would see it:
+    Mining runs exactly as the refinement branch sees it in training:
     supervising scores are the MIL head's combined probabilities under the
     training fusion mode, and the depth filter applies when the config
     enables it (requires priors).

@@ -46,8 +46,7 @@ def bare_mil_run(config, records, labels, num_classes):
     rng.normal(0.0, scale, (d, c))  # depth head, never trained here
     rng.normal(0.0, scale, (d, c))
     rng.normal(0.0, scale, (d, config.proj_dim))  # projection
-    for _ in range(config.refine_branches):
-        rng.normal(0.0, scale, (d, c + 1))  # refinement branches
+    rng.normal(0.0, scale, (d, c + 1))  # refinement branch
 
     v_wd = np.zeros_like(w_det)
     v_bd = np.zeros_like(b_det)

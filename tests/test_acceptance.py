@@ -143,14 +143,14 @@ def test_criterion_2_gradient_integrity():
 
             rec = make_record(r, "g", num_proposals=num_p, num_classes=num_c,
                               feat_dim=dim)
-            branch = RefineBranch.create(0, r, dim, num_c, 0.3)
+            branch = RefineBranch.create(r, dim, num_c, 0.3)
             targets = r.integers(0, num_c + 1, size=num_p)
             weights = r.uniform(0.1, 1.0, size=num_p)
 
             def f_ref():
-                [loss], _ = refinement_chain(rec.rgb_features[None], branch,
-                                             targets[None], weights[None],
-                                             grad_scale=1.0)
+                [loss] = refinement_chain(rec.rgb_features[None], branch,
+                                          targets[None], weights[None],
+                                          grad_scale=1.0)
                 return loss
 
             worst = max(worst, grad_check(f_ref, branch.params()))
@@ -163,7 +163,7 @@ def test_criterion_3_identity_reductions(tmp_path):
 
         # (a) zeroed depth heads: fused inference == rgb inference, bitwise.
         model = ModelParams.create(
-            ModelDims(3, 8, 16, 1), np.random.default_rng(3), init_scale=0.1
+            ModelDims(3, 8, 16), np.random.default_rng(3), init_scale=0.1
         )
         for p in model.depth_head.params():
             p.value[:] = 0.0

@@ -136,11 +136,13 @@ def test_gen_data_env_seed(tmp_path, capsys, monkeypatch):
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     data, vocab = gen_small(capsys, tmp_path)
     # The priors keys are not config: estimate-priors takes them as flags.
-    # The MIL squash and NCE denominator have one form each, so no switch.
+    # The MIL squash and NCE denominator have one form each, so no switch;
+    # refinement has one branch, so no count.
     for key in (
         "does_not_exist", "priors.score_threshold", "priors.min_count_word",
         "sigma_on_sum", "mil.sigma_on_sum",
         "nce_include_positive_in_sum", "nce.include_positive_in_sum",
+        "refine_branches", "refine.branches",
     ):
         code, _, err = run(
             capsys, "train",
@@ -175,6 +177,22 @@ def test_checkpoint_mismatch_exit_3(tmp_path, capsys):
         "--out", str(tmp_path / "x.jsonl"),
     )
     assert code == 3 and "feature dim" in err
+    # Checkpoints with two refinement branches or none do not fit the model.
+    entries = json.loads(ckpt.read_text(encoding="utf-8"))
+    two = {**entries, "refine.1.w": entries["refine.0.w"],
+           "refine.1.b": entries["refine.0.b"]}
+    none = {k: v for k, v in entries.items() if not k.startswith("refine.")}
+    for layout, message in (
+        (two, "unexpected entries: ['refine.1.b', 'refine.1.w']"),
+        (none, "missing 'refine.0.w'"),
+    ):
+        ckpt.write_text(json.dumps(layout), encoding="utf-8")
+        code, _, err = run(
+            capsys, "infer",
+            "--checkpoint", str(ckpt), "--data", str(data), "--vocab", str(vocab),
+            "--out", str(tmp_path / "x.jsonl"),
+        )
+        assert code == 3 and message in err
 
 
 @pytest.mark.parametrize(

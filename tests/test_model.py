@@ -9,7 +9,7 @@ from wsodkit.numkit import SGD
 
 
 def dims(**kw):
-    base = dict(num_classes=3, feat_dim=5, proj_dim=4, refine_branches=2)
+    base = dict(num_classes=3, feat_dim=5, proj_dim=4)
     base.update(kw)
     return ModelDims(**base)
 
@@ -33,20 +33,15 @@ class TestCreate:
         assert len(names) == len(set(names))
         assert "rgb.det.w" in names and "depth.cls.b" in names
         assert "proj.rho" in names
-        assert "refine.0.w" in names and "refine.1.b" in names
-        # 2 heads * 4 + projection 3 + 2 branches * 2
-        assert len(names) == 15
-
-    def test_branch_count_follows_dims(self):
-        model = ModelParams.create(dims(refine_branches=0), np.random.default_rng(0))
-        assert model.refine == []
-        assert len(model.params()) == 11
+        assert "refine.0.w" in names and "refine.0.b" in names
+        # 2 heads * 4 + projection 3 + one branch 2
+        assert len(names) == 13
 
     def test_shapes(self):
         model = ModelParams.create(dims(), np.random.default_rng(1))
         assert model.rgb_head.w_det.value.shape == (5, 3)
         assert model.proj.w.value.shape == (5, 4)
-        assert model.refine[0].w.value.shape == (5, 4)  # C + 1 outputs
+        assert model.refine.w.value.shape == (5, 4)  # C + 1 outputs
         assert model.proj.rho.value.shape == (1,)
 
     def test_rho_init_applied(self):
@@ -54,15 +49,6 @@ class TestCreate:
             dims(), np.random.default_rng(0), rho_init=0.25
         )
         assert model.proj.rho.value[0] == 0.25
-
-    def test_refine_branch_count_never_shifts_shared_draws(self):
-        # Heads and projection must not depend on how many branches follow.
-        a = ModelParams.create(dims(refine_branches=0), np.random.default_rng(9))
-        b = ModelParams.create(dims(refine_branches=3), np.random.default_rng(9))
-        for x, y in zip(a.rgb_head.params(), b.rgb_head.params()):
-            assert np.array_equal(x.value, y.value)
-        for x, y in zip(a.proj.params(), b.proj.params()):
-            assert np.array_equal(x.value, y.value)
 
 
 class TestCheckpoint:
@@ -89,12 +75,6 @@ class TestCheckpoint:
         model.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_zero_branches_round_trip(self, tmp_path):
-        model = ModelParams.create(dims(refine_branches=0), np.random.default_rng(2))
-        p = tmp_path / "model.ckpt"
-        model.save(p)
-        assert ModelParams.load(p).dims.refine_branches == 0
-
     def test_missing_group_rejected(self, tmp_path):
         model = ModelParams.create(dims(), np.random.default_rng(0))
         params = [p for p in model.params() if p.name != "depth.det.w"]
@@ -120,17 +100,32 @@ class TestCheckpoint:
         [
             ({"proj.w": (6, 4)}, r"'proj.w' has shape \(6, 4\), expected \(5, 4\)"),
             ({"rgb.det.w": (0, 10**9), "proj.w": (0, 4)}, "values it holds"),
-            ({"refine.2.w": (5, 4), "refine.3.w": (5, 4)}, "4 refinement branches"),
+            (
+                {"refine.2.w": (5, 4), "refine.3.w": (5, 4)},
+                r"unexpected entries: \['refine.2.w', 'refine.3.w'\]",
+            ),
+            # The layouts of two refinement branches and of none.
+            (
+                {"refine.1.w": (5, 4), "refine.1.b": (4,)},
+                r"unexpected entries: \['refine.1.b', 'refine.1.w'\]",
+            ),
+            ({"refine.0.w": None, "refine.0.b": None}, "missing 'refine.0.w'"),
         ],
     )
     def test_stated_dims_checked_before_allocation(self, tmp_path, changes, message):
         # Dims are refused before a model is created from them: a billion
-        # classes stated in a few bytes must not be allocated.
+        # classes stated in a few bytes must not be allocated. Entries a
+        # model of the stated dims lacks, or has beside them, are refused
+        # too; a None shape drops the entry.
         from wsodkit.numkit import Param, save_checkpoint
 
         model = ModelParams.create(dims(), np.random.default_rng(0))
         params = [p for p in model.params() if p.name not in changes]
-        params += [Param(name, np.zeros(shape)) for name, shape in changes.items()]
+        params += [
+            Param(name, np.zeros(shape))
+            for name, shape in changes.items()
+            if shape is not None
+        ]
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         with pytest.raises(CheckpointError, match=message):

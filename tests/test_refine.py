@@ -266,23 +266,25 @@ class TestRefinementChain:
         # Zero weights give uniform q over C+1=3 classes; unit supervision
         # weight on a single proposal yields exactly log 3.
         rec = make_record(rng, "r", num_proposals=1, feat_dim=4)
-        branch = RefineBranch.create(0, rng, 4, 2, 0.01)
+        branch = RefineBranch.create(rng, 4, 2, 0.01)
         branch.w.value[:] = 0.0
         branch.b.value[:] = 0.0
-        [loss], [q] = refinement_chain(
+        [loss] = refinement_chain(
             rec.rgb_features[None], branch, np.array([[0]]), np.array([[1.0]])
         )
         assert loss == pytest.approx(math.log(3.0), abs=1e-12)
-        assert np.allclose(q, 1.0 / 3.0, atol=1e-15)
 
     def test_weighted_mean_oracle(self, rng):
         rec = make_record(rng, "r", num_proposals=3, feat_dim=4)
-        branch = RefineBranch.create(0, rng, 4, 2, 0.3)
+        branch = RefineBranch.create(rng, 4, 2, 0.3)
         targets = np.array([0, 2, 1])
         weights = np.array([0.9, 1.0, 0.25])
-        [loss], [q] = refinement_chain(
+        [loss] = refinement_chain(
             rec.rgb_features[None], branch, targets[None], weights[None]
         )
+        logits = rec.rgb_features @ branch.w.value + branch.b.value
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        q = e / e.sum(axis=1, keepdims=True)
         manual = -sum(
             w * math.log(q[i, t]) for i, (t, w) in enumerate(zip(targets, weights))
         ) / 3.0
@@ -290,20 +292,20 @@ class TestRefinementChain:
 
     def test_zero_weights_zero_loss(self, rng):
         rec = make_record(rng, "r", num_proposals=2, feat_dim=4)
-        branch = RefineBranch.create(0, rng, 4, 2, 0.3)
-        [loss], _ = refinement_chain(
+        branch = RefineBranch.create(rng, 4, 2, 0.3)
+        [loss] = refinement_chain(
             rec.rgb_features[None], branch, np.array([[0, 1]]), np.zeros((1, 2))
         )
         assert loss == 0.0
 
     def test_gradients_finite_difference(self, rng):
         rec = make_record(rng, "r", num_proposals=5, feat_dim=4)
-        branch = RefineBranch.create(0, rng, 4, 3, 0.4)
+        branch = RefineBranch.create(rng, 4, 3, 0.4)
         targets = np.array([0, 3, 1, 2, 3])
         weights = rng.uniform(0.1, 1.0, size=5)
 
         def f():
-            [loss], _ = refinement_chain(
+            [loss] = refinement_chain(
                 rec.rgb_features[None], branch, targets[None], weights[None],
                 grad_scale=1.0,
             )
@@ -313,7 +315,7 @@ class TestRefinementChain:
 
     def test_grad_scale_zero_no_accumulation(self, rng):
         rec = make_record(rng, "r", num_proposals=2, feat_dim=4)
-        branch = RefineBranch.create(0, rng, 4, 2, 0.3)
+        branch = RefineBranch.create(rng, 4, 2, 0.3)
         for p in branch.params():
             p.zero_grad()
         refinement_chain(
@@ -324,13 +326,13 @@ class TestRefinementChain:
 
     def test_stack_equals_single_image_calls(self, rng):
         b, r, d, c = 3, 6, 4, 2
-        branch = RefineBranch.create(0, rng, d, c, 0.4)
+        branch = RefineBranch.create(rng, d, c, 0.4)
         x = rng.standard_normal((b, r, d))
         targets = rng.integers(0, c + 1, size=(b, r))
         weights = rng.uniform(0.1, 1.0, size=(b, r))
         for p in branch.params():
             p.zero_grad()
-        losses, q = refinement_chain(x, branch, targets, weights, grad_scale=0.25)
+        losses = refinement_chain(x, branch, targets, weights, grad_scale=0.25)
         grads = [p.grad.copy() for p in branch.params()]
         for p in branch.params():
             p.zero_grad()
@@ -339,8 +341,7 @@ class TestRefinementChain:
                              weights[k : k + 1], grad_scale=0.25)
             for k in range(b)
         ]
-        assert losses == [loss for one, _ in singles for loss in one]
-        assert q.tobytes() == np.concatenate([one for _, one in singles]).tobytes()
+        assert losses == [loss for one in singles for loss in one]
         assert all(g.any() for g in grads)
         for p, g in zip(branch.params(), grads):
             assert p.grad.tobytes() == g.tobytes(), p.name
@@ -349,7 +350,7 @@ class TestRefinementChain:
         # Eleven images, C=1, onto a nonzero gradient: each image's gradient
         # still adds in stack order, one after another.
         b, r, d = 11, 5, 3
-        branch = RefineBranch.create(0, rng, d, 1, 0.4)
+        branch = RefineBranch.create(rng, d, 1, 0.4)
         x = rng.standard_normal((b, r, d)) * 10.0 ** rng.integers(-3, 4, (b, 1, 1))
         targets = rng.integers(0, 2, size=(b, r))
         weights = rng.uniform(0.1, 1.0, size=(b, r))
@@ -368,7 +369,7 @@ class TestRefinementChain:
 
     def test_unstacked_features_rejected(self, rng):
         rec = make_record(rng, "r", num_proposals=2, feat_dim=4)
-        branch = RefineBranch.create(0, rng, 4, 2, 0.3)
+        branch = RefineBranch.create(rng, 4, 2, 0.3)
         with pytest.raises(ShapeError):
             refinement_chain(rec.rgb_features, branch, np.array([0, 1]), np.ones(2))
 

@@ -82,7 +82,7 @@ class TestRunConfig:
             dict(lambda_nce=float("nan")),
             dict(nce_batch=0),
             dict(proj_dim=0),
-            dict(refine_branches=4),
+            dict(lambda_ref=-1.0),
             dict(refine_iou_thresh=1.5),
             dict(min_score=1.0),
             dict(min_score=float("nan")),
@@ -102,7 +102,7 @@ class TestRunConfig:
             dict(epochs=True),
             dict(nce_batch=8.0),
             dict(proj_dim=False),
-            dict(refine_branches=1.5),
+            dict(seed=1.5),
             dict(seed="3"),
             dict(seed=np.int64(3)),
             dict(fusion="no"),
@@ -141,7 +141,6 @@ class TestRunConfig:
         "alias,field,value,expected",
         [
             ("lr", "learning_rate", "0.5", 0.5),
-            ("refine.branches", "refine_branches", "2", 2),
             ("refine.iou_thresh", "refine_iou_thresh", "0.6", 0.6),
             ("refine.score_ratio", "refine_score_ratio", "0.3", 0.3),
             ("attention.enabled", "depth_attention", "true", True),
@@ -289,7 +288,6 @@ class TestTrainBasics:
         cfg = tiny_config(
             epochs=1,
             siamese_nce=True,
-            refine_branches=1,
             lambda_mil=2.0,
             lambda_nce=0.5,
             lambda_ref=0.25,
@@ -408,7 +406,7 @@ class TestDeterminismAndReductions:
         assert np.array_equal(model.rgb_head.b_cls.value, ref_params["b_cls"])
         # Everything else never received gradient.
         fresh = ModelParams.create(
-            ModelDims(3, 8, cfg.proj_dim, cfg.refine_branches),
+            ModelDims(3, 8, cfg.proj_dim),
             np.random.default_rng(cfg.seed),
             init_scale=cfg.init_scale,
             rho_init=cfg.rho_init,
@@ -459,8 +457,8 @@ class TestDeterminismAndReductions:
         self, rng, small_vocab, monkeypatch, tmp_path
     ):
         # The labelled images of a same-R run share one refinement_chain
-        # call per branch, over three branches; an unlabelled image and
-        # images above the IoU cache bound ride along. The run must write
+        # call; an unlabelled image and images above the IoU cache bound
+        # ride along. The run must write
         # the bytes of a run that scores one image per call.
         big = refine.PAIR_IOU_MAX_R + 6
         sizes = (9,) * 8 + (big,) * 4 + (9,) * 6
@@ -471,8 +469,8 @@ class TestDeterminismAndReductions:
         recs[2].labels = set()
         priors = FrozenPriors({0: DepthRange(0.2, 0.7), 2: DepthRange(0.5, 1.0)}, {})
         cfg = tiny_config(
-            epochs=3, nce_batch=6, refine_branches=3, siamese_nce=True,
-            fusion=True, depth_oicr=True, depth_attention=True,
+            epochs=3, nce_batch=6, siamese_nce=True, fusion=True,
+            depth_oicr=True, depth_attention=True,
         )
         stack_sizes = []
         chain = refine.refinement_chain
@@ -671,7 +669,7 @@ class TestMiningPrecision:
 
     def zero_model(self):
         model = ModelParams.create(
-            ModelDims(num_classes=2, feat_dim=4, proj_dim=3, refine_branches=1),
+            ModelDims(num_classes=2, feat_dim=4, proj_dim=3),
             np.random.default_rng(0),
         )
         for p in model.params():
