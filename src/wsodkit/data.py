@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -32,6 +33,10 @@ from wsodkit.jsonio import (
 )
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+# The largest finite float, as a NumPy scalar: a float32 compares with it
+# without a cast that overflows, and an integer too large for a float fails
+# the comparison or raises OverflowError, as it fails math.isfinite.
+_LARGEST = np.float64(sys.float_info.max)
 
 
 def tokenize(text: str) -> list[str]:
@@ -49,6 +54,17 @@ class Box:
     y2: float
 
     def __post_init__(self) -> None:
+        # A valid box passes one chained comparison per axis; NaN fails every
+        # comparison. Anything else, including a comparison that raises, gets
+        # the checks below, which name the problem as they always have.
+        try:
+            if (
+                0.0 <= self.x1 < self.x2 <= _LARGEST
+                and 0.0 <= self.y1 < self.y2 <= _LARGEST
+            ):
+                return
+        except (TypeError, ValueError, OverflowError):
+            pass
         vals = (self.x1, self.y1, self.x2, self.y2)
         if not all(math.isfinite(v) for v in vals):
             raise ValidationError(f"box has non-finite coordinates: {vals}")

@@ -13,15 +13,19 @@ full set, a set with some boxes ignored, and each area bucket, which reads
 its own columns as truths and the row maximum over the rest as the
 ignored overlap. Greedy claims run in array rounds over every (threshold,
 image) pair of a class and view at once, each round resolving every pair
-up to its next claim. NMS runs once per class, every image a group of one
-kernel call. CorLoc asks, per class, on what fraction of the images
-containing the class the single most confident detection hits; each
-image's top detection and its best overlap are likewise found once for
-all thresholds.
+up to its next claim. ``evaluate`` reads each detection's fields once,
+into columns (``detection_columns``): image index, class, boxes and
+scores. Each class then takes its slice of rows: one NMS call, every image
+a group, and AP and CorLoc read the slice's arrays. CorLoc asks, per
+class, on what fraction of the images containing the class the single
+most confident detection hits; each image's top detection, found from a
+sort of the arrays, and its best overlap are likewise found once for all
+thresholds.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -79,6 +83,79 @@ class Detection:
     class_id: int
     box: Box
     score: float
+
+
+@dataclass(frozen=True)
+class DetectionColumns:
+    """A detection set as arrays, row i from the i-th detection.
+
+    ``image`` holds each row's index into ``image_ids``, ``label`` its
+    class's index into the class ids the columns were built for (-1 for
+    any other class), ``boxes`` the (N, 4) float64 corners and ``scores``
+    the (N,) float64 scores.
+    """
+
+    image_ids: list[str]
+    image: np.ndarray
+    label: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def take(self, rows: np.ndarray) -> DetectionColumns:
+        """The rows ``rows`` selects, in its order."""
+        return DetectionColumns(
+            self.image_ids,
+            self.image[rows],
+            self.label[rows],
+            self.boxes[rows],
+            self.scores[rows],
+        )
+
+
+def detection_columns(
+    dets: Sequence[Detection],
+    image_ids: Iterable[str] | None = None,
+    class_ids: Sequence[int] = (),
+) -> DetectionColumns:
+    """A detection set's columns, each field read once per detection.
+
+    ``image_ids`` lists the known images, the first of equal ids giving
+    the index; a detection of any other image is a ValidationError. None
+    lists the detections' own images in order of first appearance. Class
+    ids match ``class_ids`` as Python compares them. Coordinates and scores
+    convert to float64 as ``np.array`` converts them.
+    """
+    iids = [d.image_id for d in dets]
+    known = dict.fromkeys(iids if image_ids is None else image_ids)
+    index = {iid: k for k, iid in enumerate(known)}
+    try:
+        image = np.fromiter(map(index.__getitem__, iids), np.intp, len(iids))
+    except KeyError as e:
+        raise ValidationError(
+            f"detection references unknown image {e.args[0]!r}"
+        ) from None
+    labels = {cid: k for k, cid in enumerate(class_ids)}
+    boxes = [d.box for d in dets]
+    corners = [
+        [b.x1 for b in boxes],
+        [b.y1 for b in boxes],
+        [b.x2 for b in boxes],
+        [b.y2 for b in boxes],
+    ]
+    return DetectionColumns(
+        list(index),
+        image,
+        np.fromiter(
+            map(labels.get, [d.class_id for d in dets], itertools.repeat(-1)),
+            np.intp,
+            len(iids),
+        ),
+        np.array(corners, dtype=np.float64).T,
+        np.array([d.score for d in dets], dtype=np.float64),
+    )
 
 
 def nms_detections(
@@ -150,10 +227,11 @@ def save_detections(dets: Iterable[Detection], path: str | Path) -> None:
                     box, "[" + ", ".join(map(_json_number, coords)) + "]"
                 )
             # int() and float() return exact ints and floats, which format as
-            # json.dumps formats them.
+            # json.dumps formats them: a finite float as its repr.
+            score_text = repr(score) if math.isfinite(score) else json.dumps(score)
             lines.append(
                 f'{{"image_id": {id_text}, "box": {cached[1]}, "class_id": {cid}, '
-                f'"score": {_json_number(score)}}}\n'
+                f'"score": {score_text}}}\n'
             )
             if len(lines) == _LINES_PER_WRITE:
                 fh.write("".join(lines))
@@ -294,7 +372,7 @@ def _lockstep_hits(
 
 
 def _rank(
-    dets: Sequence[Detection], truths_by_image: Mapping[str, np.ndarray]
+    dets: DetectionColumns, truths_by_image: Mapping[str, np.ndarray]
 ) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """Rank detections once by descending score (stable ties).
 
@@ -302,19 +380,17 @@ def _rank(
     detections' positions in the ranking (ascending) and their IoU block
     against all its truths, rows in score order.
     """
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    boxes = np.array([d.box.as_list() for d in dets], dtype=np.float64)[order]
-    image_ids: dict[str, int] = {}
-    image_of = np.array(
-        [image_ids.setdefault(d.image_id, len(image_ids)) for d in dets]
-    )[order]
-    # Group k holds the sorted positions, ascending, of the k-th image in
-    # image_ids.
+    order = np.argsort(-dets.scores, kind="stable")
+    boxes = dets.boxes[order]
+    image_of = dets.image[order]
+    # Each group holds the sorted positions, ascending, of one image.
     by_image = np.argsort(image_of, kind="stable")
     groups = np.split(by_image, np.flatnonzero(np.diff(image_of[by_image])) + 1)
     blocks = []
-    for iid, pos in zip(image_ids, groups):
+    for pos in groups:
+        if not pos.size:
+            continue
+        iid = dets.image_ids[image_of[pos[0]]]
         truths = truths_by_image.get(iid)
         if truths is not None and len(truths):
             blocks.append((iid, pos, kernels.iou_matrix(boxes[pos], truths)))
@@ -392,7 +468,7 @@ def _ap_from_flags(
 
 
 def average_precision(
-    dets: Sequence[Detection],
+    dets: DetectionColumns,
     gts_by_image: Mapping[str, np.ndarray],
     iou_thresholds: Sequence[float],
     eleven_point: bool = False,
@@ -401,6 +477,7 @@ def average_precision(
 ) -> list[APResult]:
     """Single-class AP over any number of images, one result per threshold.
 
+    ``dets`` are one class's detections as columns (``detection_columns``).
     ``gts_by_image`` maps image id to an (G, 4) array of this class's
     boxes. Detections matching only ``ignore_by_image`` boxes are dropped
     from the curve instead of counting as false positives. ``subsets``
@@ -453,29 +530,32 @@ def average_precision(
 
 
 def corloc(
-    dets: Sequence[Detection],
+    dets: DetectionColumns,
     gts_by_image: Mapping[str, np.ndarray],
     iou_thresholds: Sequence[float],
 ) -> list[float]:
     """Fraction of class-bearing images whose top detection hits, per threshold.
 
-    ``dets`` are one class's raw detections (no NMS or score floor needed:
-    only the most confident one per image is consulted; score ties keep
-    the earliest detection). Images with no detection count as misses.
+    ``dets`` are one class's raw detections as columns (no NMS or score
+    floor needed: only the most confident one per image is consulted;
+    score ties keep the earliest detection, and a NaN score ranks last).
+    Images with no detection count as misses.
     """
     images = [iid for iid, g in gts_by_image.items() if len(g)]
     if not images:
         raise ValidationError("CorLoc undefined with no class-bearing images")
-    best: dict[str, Detection] = {}
-    for d in dets:
-        cur = best.get(d.image_id)
-        if cur is None or d.score > cur.score:
-            best[d.image_id] = d
+    # Rows by image, then by descending score with ties in row order: each
+    # image's first row is its top detection.
+    order = np.lexsort((-dets.scores, dets.image))
+    image_of = dets.image[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = image_of[1:] != image_of[:-1]
+    top = dict(zip([dets.image_ids[k] for k in image_of[first]], order[first]))
     # Each image's top detection's best overlap with its truths.
     top_iou = np.array([
-        kernels.iou_matrix(best[iid].box.as_array()[None, :], gts_by_image[iid]).max()
+        kernels.iou_matrix(dets.boxes[top[iid]][None, :], gts_by_image[iid]).max()
         for iid in images
-        if iid in best
+        if iid in top
     ])
     return [int(np.count_nonzero(top_iou >= t)) / len(images) for t in iou_thresholds]
 
@@ -586,13 +666,15 @@ def evaluate(
 ) -> EvalReport:
     """Score detections against record ground truth.
 
-    CorLoc reads the raw detections; AP sees them after per-image,
-    per-class NMS. Classes with no ground-truth box anywhere are excluded
-    from every mean. Area buckets partition ground truth by box area at
-    ``AREA_SMALL_MAX`` and ``AREA_MEDIUM_MAX``; detections over an
-    out-of-bucket object are discarded rather than penalized. IoU
-    thresholds must lie in [0, 1], at least one, with distinct keys at
-    two decimals (the report's keys); anything else is a ConfigError.
+    The detections become columns once; a detection of an image outside
+    ``records`` is a ValidationError. CorLoc reads each class's raw rows;
+    AP sees them after per-image NMS. Classes with no ground-truth box
+    anywhere are excluded from every mean. Area buckets partition ground
+    truth by box area at ``AREA_SMALL_MAX`` and ``AREA_MEDIUM_MAX``;
+    detections over an out-of-bucket object are discarded rather than
+    penalized. IoU thresholds must lie in [0, 1], at least one, with
+    distinct keys at two decimals (the report's keys); anything else is a
+    ConfigError.
     """
     check_fraction("nms_thresh", nms_thresh)
     if not len(iou_thresholds):
@@ -606,32 +688,12 @@ def evaluate(
         )
     if not any(rec.gt_boxes for rec in records):
         raise ValidationError("evaluation requires ground-truth boxes")
-    known = {rec.image_id for rec in records}
-    for d in dets:
-        if d.image_id not in known:
-            raise ValidationError(f"detection references unknown image {d.image_id!r}")
     gts, class_ids = _gt_index(records)
-
-    dets_by_class: dict[int, list[Detection]] = {c: [] for c in class_ids}
-    for d in dets:
-        if d.class_id in dets_by_class:
-            dets_by_class[d.class_id].append(d)
-
-    # NMS per image and class: one call per class, with each image's rank
-    # among the records as its group, keeps record-then-score order.
-    rank: dict[str, int] = {}
-    for rec in records:
-        rank.setdefault(rec.image_id, len(rank))
-    kept_by_class: dict[int, list[Detection]] = {}
-    for cid in class_ids:
-        group = dets_by_class[cid]
-        keep = nms_detections(
-            np.array([d.box.as_list() for d in group], dtype=np.float64).reshape(-1, 4),
-            np.array([d.score for d in group], dtype=np.float64),
-            nms_thresh,
-            np.array([rank[d.image_id] for d in group], dtype=np.intp),
-        )
-        kept_by_class[cid] = [group[i] for i in keep.tolist()]
+    # One column build for the whole set; an image's index among the
+    # records is its NMS group, which keeps record-then-score order.
+    cols = detection_columns(dets, [rec.image_id for rec in records], class_ids)
+    by_class = np.argsort(cols.label, kind="stable")
+    bounds = np.searchsorted(cols.label[by_class], np.arange(len(class_ids) + 1))
 
     ap: dict[int, dict[float, float]] = {c: {} for c in class_ids}
     counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}
@@ -639,15 +701,18 @@ def evaluate(
     per_bucket: dict[str, dict[float, list[float]]] = {
         b: {t: [] for t in thresholds} for b in AREA_BUCKETS
     }
-    for cid in class_ids:
+    for k, cid in enumerate(class_ids):
+        # The class's rows, in detection order.
+        group = cols.take(by_class[bounds[k] : bounds[k + 1]])
+        keep = nms_detections(group.boxes, group.scores, nms_thresh, group.image)
         results = average_precision(
-            kept_by_class[cid],
+            group.take(keep),
             gts[cid],
             thresholds,
             eleven_point,
             subsets=_area_buckets(gts[cid]),
         )
-        fractions = corloc(dets_by_class[cid], gts[cid], thresholds)
+        fractions = corloc(group, gts[cid], thresholds)
         for t, res, frac in zip(thresholds, results, fractions):
             ap[cid][t] = res.ap
             counts[cid][t] = (res.tp, res.fp, res.n_gt)

@@ -4,6 +4,11 @@ and the one writer of its indented JSON outputs.
 Each converter keeps Python's own conversion for the values it accepts and
 raises the caller's error class and message for any other, including the
 ``Infinity`` and ``1e999`` that json reads and ``int()`` cannot convert.
+
+``read_jsonl`` decodes each line with one module-level decoder's
+``raw_decode``, without the type, BOM and whitespace checks ``json.loads``
+wraps around the same scan. A line it cannot take whole goes through
+``json.loads`` again, so a bad line's error keeps json's own text.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from wsodkit.errors import DataError, ParseError, ValidationError
 # Deep nesting, such as ten thousand "[", makes json.loads recurse too far.
 _UNPARSABLE = (ValueError, RecursionError)
 _NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+# json.loads's decoder, called without its wrapper: the lines are stripped,
+# so a value that ends where its line ends is what json.loads returns.
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 
 def read_json(path: str | Path, what: str, error=DataError, malformed=ParseError):
@@ -55,9 +63,16 @@ def read_jsonl(path: str | Path, what: str, error=DataError) -> Iterator[tuple]:
                 if not line:
                     raise ParseError(f"{path}: line {lineno}: empty line")
                 try:
-                    obj = json.loads(line)
-                except _UNPARSABLE as e:
-                    raise ParseError(f"{path}: line {lineno}: {e}") from e
+                    obj, end = _RAW_DECODE(line)
+                except _UNPARSABLE:
+                    end = -1
+                if end != len(line):
+                    # A BOM, extra data or a bad value: json.loads raises
+                    # for the line, with its own message.
+                    try:
+                        obj = json.loads(line)
+                    except _UNPARSABLE as e:
+                        raise ParseError(f"{path}: line {lineno}: {e}") from e
                 yield lineno, obj
         except UnicodeDecodeError as e:
             raise ParseError(f"{path}: not UTF-8 after line {lineno}: {e}") from e

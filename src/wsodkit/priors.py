@@ -352,9 +352,10 @@ def estimate_priors(
 ) -> tuple[PriorStats, FrozenPriors, CoverageReport]:
     """One pass over predictions: accumulate, freeze, and report coverage.
 
-    Predictions referencing unknown image ids raise DataError. The coverage
-    fractions replay the accepted observations against the frozen
-    class-level ranges.
+    Predictions referencing unknown image ids raise DataError, whatever
+    their score. One at or below ``score_threshold`` is skipped there,
+    before ``accumulate``, which would drop it too. The coverage fractions
+    replay the accepted observations against the frozen class-level ranges.
     """
     check_fraction("score_threshold", score_threshold)
     by_id = {rec.image_id: rec for rec in records}
@@ -364,6 +365,8 @@ def estimate_priors(
         rec = by_id.get(pred.image_id)
         if rec is None:
             raise DataError(f"prediction references unknown image {pred.image_id!r}")
+        if pred.score <= score_threshold:
+            continue
         depth = accumulate(stats, pred, rec, score_threshold)
         if depth is not None:
             accepted.append((pred.class_id, depth))

@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from wsodkit.data import Box, ClassVocabulary, ImageRecord
 from wsodkit.milhead import HeadParams
 from wsodkit.numkit import Param
+
+
+# Lines json.loads refuses, by what is wrong with them. The JSONL readers
+# must refuse each with json's own message.
+UNPARSABLE_LINES = {
+    "second-value": '{"a": 1} {"b": 2}',
+    "trailing-comma": '{"a": 1},',
+    "bom": '\ufeff{"a": 1}',
+    "unterminated": '{"a": 1',
+    "deep-nesting": "[" * 10_000,
+}
+
+
+def json_error(line: str, lineno: int) -> str:
+    """A pattern for the whole error ``json.loads`` gives for ``line``,
+    as a JSONL reader reports it at ``lineno``."""
+    try:
+        json.loads(line)
+    except (ValueError, RecursionError) as e:
+        return re.escape(f"line {lineno}: {e}") + r"\Z"
+    raise AssertionError(f"json.loads accepts {line!r}")
 
 
 def random_boxes(rng: np.random.Generator, n: int, size: float = 100.0) -> np.ndarray:

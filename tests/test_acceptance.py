@@ -20,7 +20,13 @@ import pytest
 
 from wsodkit.contrastive import nce_chain
 from wsodkit.data import Box
-from wsodkit.evaluate import Detection, IOU_GRID, average_precision, corloc
+from wsodkit.evaluate import (
+    Detection,
+    IOU_GRID,
+    average_precision,
+    corloc,
+    detection_columns,
+)
 from wsodkit.fusion import FusionMode
 from wsodkit.milhead import HeadParams, mil_chain
 from wsodkit.model import ModelDims, ModelParams
@@ -233,8 +239,9 @@ def test_criterion_4_evaluator_oracle():
                 continue
             usable += 1
             tps = []
-            results = average_precision(dets, gts, IOU_GRID)
-            fractions = corloc(dets, gts, IOU_GRID)
+            cols = detection_columns(dets)
+            results = average_precision(cols, gts, IOU_GRID)
+            fractions = corloc(cols, gts, IOU_GRID)
             for thresh, res, frac in zip(IOU_GRID, results, fractions):
                 tps.append(res.tp)
                 # Same sum, different grouping: envelope integration vs the

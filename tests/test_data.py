@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from wsodkit.errors import (
     ParseError,
     ValidationError,
 )
-from conftest import make_record
+from conftest import UNPARSABLE_LINES, json_error, make_record
 
 
 class TestTokenize:
@@ -42,25 +44,70 @@ class TestTokenize:
         assert tokenize("  ... ") == []
 
 
+def box_error(problem, coords):
+    """A pattern for the whole message Box gives for ``coords``."""
+    text = {
+        "non-finite": "box has non-finite coordinates",
+        "negative": "box has negative coordinates",
+        "degenerate": "degenerate box",
+    }[problem]
+    return re.escape(f"{text}: {tuple(coords)}") + r"\Z"
+
+
+def nan_at(i):
+    coords = [1.0, 2.0, 4.0, 6.5]
+    coords[i] = math.nan
+    return coords
+
+
 class TestBox:
+    # The edges of what a box accepts: signed zeros, integers, huge floats.
+    VALID = [
+        [-0.0, -0.0, 1.0, 1.0],
+        [0, 0, 3, 4],
+        [0.0, 1.0, 1e308, 2.0],
+        [0.0, 0.0, 1.0, 1e308],
+    ]
+    # Each rejected box with the problem its message names. NaN makes every
+    # comparison false, so it is reported as non-finite before any sign.
+    INVALID = [
+        *[("non-finite", nan_at(i)) for i in range(4)],
+        ("non-finite", [0.0, 0.0, np.inf, 4.0]),
+        ("non-finite", [0.0, -np.inf, 4.0, 4.0]),
+        ("non-finite", [math.nan, -1.0, 4.0, 4.0]),
+        ("negative", [-1.0, 0.0, 4.0, 4.0]),
+        ("negative", [0.0, -1e-300, 4.0, 4.0]),
+        ("degenerate", [4.0, 2.0, 4.0, 6.0]),
+        ("degenerate", [1.0, 6.0, 4.0, 2.0]),
+    ]
+
     def test_valid(self):
         b = Box(1.0, 2.0, 4.0, 6.5)
         assert b.area() == pytest.approx(13.5)
         assert b.as_list() == [1.0, 2.0, 4.0, 6.5]
+        for coords in self.VALID:
+            assert Box(*coords).as_list() == coords
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValidationError, match="degenerate"):
-            Box(4.0, 2.0, 4.0, 6.0)
-        with pytest.raises(ValidationError):
-            Box(1.0, 6.0, 4.0, 2.0)
+        self.check_rejected("degenerate")
 
     def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            Box(-1.0, 0.0, 4.0, 4.0)
+        self.check_rejected("negative")
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValidationError):
-            Box(0.0, 0.0, np.inf, 4.0)
+        self.check_rejected("non-finite")
+        # What math.isfinite cannot convert raises its own error, unchanged.
+        with pytest.raises(OverflowError, match="int too large to convert"):
+            Box(0, 0, 10**400, 1)
+        with pytest.raises(TypeError, match="must be real number, not NoneType"):
+            Box(0, 0, None, 1)
+
+    def check_rejected(self, problem):
+        cases = [coords for p, coords in self.INVALID if p == problem]
+        assert cases
+        for coords in cases:
+            with pytest.raises(ValidationError, match=box_error(problem, coords)):
+                Box(*coords)
 
 
 class TestVocabulary:
@@ -270,7 +317,7 @@ class TestJsonRoundTrip:
 
 class TestLoadDataset:
     def _write(self, path, lines):
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def test_single_record(self, tmp_path, rng):
         path = tmp_path / "d.jsonl"
@@ -281,9 +328,10 @@ class TestLoadDataset:
     def test_malformed_line_number(self, tmp_path, rng):
         path = tmp_path / "d.jsonl"
         good = json.dumps(record_to_json(make_record(rng)))
-        self._write(path, [good, "{oops"])
-        with pytest.raises(ParseError, match="line 2"):
-            load_dataset(path)
+        for bad in ["{oops", *UNPARSABLE_LINES.values()]:
+            self._write(path, [good, bad])
+            with pytest.raises(ParseError, match=json_error(bad, 2)):
+                load_dataset(path)
 
     def test_degenerate_box_reported(self, tmp_path, rng):
         rec = make_record(rng)

@@ -19,6 +19,7 @@ from wsodkit.evaluate import (
     EvalReport,
     average_precision,
     corloc,
+    detection_columns,
     evaluate,
     format_table,
     load_detections,
@@ -26,7 +27,7 @@ from wsodkit.evaluate import (
     save_detections,
 )
 
-from conftest import make_record, random_boxes
+from conftest import UNPARSABLE_LINES, json_error, make_record, random_boxes
 from reference import (
     all_point_ap,
     greedy_hits,
@@ -111,7 +112,8 @@ class TestIou:
 class TestAveragePrecision:
     def test_single_hit_perfect(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
-        res = average_precision([det("a", [0, 0, 10, 10], 0.9)], gts, [0.5])[0]
+        dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
+        res = average_precision(dets, gts, [0.5])[0]
         assert res.ap == pytest.approx(1.0, abs=1e-12)
         assert (res.tp, res.fp, res.n_gt) == (1, 1 - 1, 1)
 
@@ -122,7 +124,7 @@ class TestAveragePrecision:
             det("a", [50, 50, 60, 60], 0.9),
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(dets, gts, [0.5])[0]
+        res = average_precision(detection_columns(dets), gts, [0.5])[0]
         assert res.ap == pytest.approx(0.5, abs=1e-12)
 
     def test_duplicate_detection_is_fp(self):
@@ -131,7 +133,7 @@ class TestAveragePrecision:
             det("a", [0, 0, 10, 10], 0.9),
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(dets, gts, [0.5])[0]
+        res = average_precision(detection_columns(dets), gts, [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
         assert res.ap == pytest.approx(1.0, abs=1e-12)
 
@@ -139,18 +141,20 @@ class TestAveragePrecision:
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         loose = det("a", [0, 0, 12, 10], 0.9)  # IoU 5/6
         tight = det("a", [0, 0, 10, 10], 0.5)
-        res = average_precision([tight, loose], gts, [0.5])[0]
+        res = average_precision(detection_columns([tight, loose]), gts, [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
 
     def test_no_detections_zero(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
-        res = average_precision([], gts, [0.5])[0]
+        res = average_precision(detection_columns([]), gts, [0.5])[0]
         assert res.ap == 0.0 and res.n_gt == 1
 
     def test_no_gt_rejected(self):
         with pytest.raises(ValidationError):
             average_precision(
-                [det("a", [0, 0, 1, 1], 0.5)], {"a": np.zeros((0, 4))}, [0.5]
+                detection_columns([det("a", [0, 0, 1, 1], 0.5)]),
+                {"a": np.zeros((0, 4))},
+                [0.5],
             )
 
     def test_eleven_point_differs_from_all_point(self):
@@ -159,7 +163,7 @@ class TestAveragePrecision:
         gts = {
             "a": np.array([[0.0, 0.0, 10.0, 10.0], [50.0, 50.0, 60.0, 60.0]])
         }
-        dets = [det("a", [0, 0, 10, 10], 0.9)]
+        dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
         assert average_precision(dets, gts, [0.5])[0].ap == (
             pytest.approx(0.5, abs=1e-12)
         )
@@ -174,7 +178,8 @@ class TestAveragePrecision:
             det("a", [50, 50, 60, 60], 0.9),  # absorbed, not an FP
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(dets, gts, [0.5], ignore_by_image=ignore)[0]
+        cols = detection_columns(dets)
+        res = average_precision(cols, gts, [0.5], ignore_by_image=ignore)[0]
         assert (res.tp, res.fp) == (1, 0)
         assert res.ap == pytest.approx(1.0, abs=1e-12)
 
@@ -185,9 +190,9 @@ class TestAveragePrecision:
         if n_gt == 0:
             return
         for thresh in (0.3, 0.5, 0.75):
-            got = average_precision(dets, gts, [thresh])[0]
+            got = average_precision(detection_columns(dets), gts, [thresh])[0]
             assert got.ap == pytest.approx(all_point_ap(dets, gts, thresh), abs=1e-12)
-            assert corloc(dets, gts, [thresh])[0] == pytest.approx(
+            assert corloc(detection_columns(dets), gts, [thresh])[0] == pytest.approx(
                 top1_corloc(dets, gts, thresh), abs=1e-12
             )
 
@@ -196,7 +201,8 @@ class TestAveragePrecision:
         dets, gts = random_scenario(seed, num_images=3)
         if sum(len(g) for g in gts.values()) == 0:
             return
-        tps = [res.tp for res in average_precision(dets, gts, IOU_GRID)]
+        results = average_precision(detection_columns(dets), gts, IOU_GRID)
+        tps = [res.tp for res in results]
         assert all(a >= b for a, b in zip(tps, tps[1:]))
 
 
@@ -206,8 +212,9 @@ class TestIgnoreAwareMatching:
     def test_matches_oracle(self, seed, use_ignore):
         dets, gts, ignored = ignore_scenario(seed)
         ign = ignored if use_ignore else None
+        cols = detection_columns(dets)
         for thresh in (0.3, 0.5, 0.75):
-            got = average_precision(dets, gts, [thresh], ignore_by_image=ign)[0]
+            got = average_precision(cols, gts, [thresh], ignore_by_image=ign)[0]
             tp, fp = greedy_match(dets, gts, thresh, ign)
             assert (got.tp, got.fp) == (sum(tp), sum(fp))
             assert got.ap == pytest.approx(
@@ -233,7 +240,8 @@ class TestIgnoreAwareMatching:
             det("a", [0, 0, 10, 10], 0.8),
             det("b", [60, 60, 70, 70], 0.7),  # overlaps nothing: still an FP
         ]
-        res = average_precision(dets, gts, [0.5], ignore_by_image=ignore)[0]
+        cols = detection_columns(dets)
+        res = average_precision(cols, gts, [0.5], ignore_by_image=ignore)[0]
         assert (res.tp, res.fp) == (1, 1)
 
     def test_threshold_is_inclusive_for_truth_and_ignored(self):
@@ -244,7 +252,8 @@ class TestIgnoreAwareMatching:
             det("a", [0, 0, 20, 10], 0.9),
             det("a", [50, 50, 70, 60], 0.8),
         ]
-        res = average_precision(dets, gts, [0.5], ignore_by_image=ignore)[0]
+        cols = detection_columns(dets)
+        res = average_precision(cols, gts, [0.5], ignore_by_image=ignore)[0]
         assert (res.tp, res.fp) == (1, 0)
         assert greedy_match(dets, gts, 0.5, ignore) == ([1.0], [0.0])
 
@@ -262,10 +271,11 @@ class TestTruthSubsets:
             for name, frac in (("none", 0.0), ("some", 0.5), ("all", 1.0))
         }
         ign = ignored if use_ignore else None
+        cols = detection_columns(dets)
         got = average_precision(
-            dets, gts, IOU_GRID, ignore_by_image=ign, subsets=subsets
+            cols, gts, IOU_GRID, ignore_by_image=ign, subsets=subsets
         )
-        plain = average_precision(dets, gts, IOU_GRID, ignore_by_image=ign)
+        plain = average_precision(cols, gts, IOU_GRID, ignore_by_image=ign)
         fields = lambda res: (res.ap, res.tp, res.fp, res.n_gt)
         assert [fields(res) for res in got] == [fields(res) for res in plain]
         empty = np.zeros((0, 4))
@@ -280,7 +290,7 @@ class TestTruthSubsets:
             if not sum(len(g) for g in sub_gts.values()):
                 assert all(name not in res.subsets for res in got)
                 continue
-            want = average_precision(dets, sub_gts, IOU_GRID, ignore_by_image=rest)
+            want = average_precision(cols, sub_gts, IOU_GRID, ignore_by_image=rest)
             assert [fields(res.subsets[name]) for res in got] == [
                 fields(res) for res in want
             ]
@@ -290,7 +300,8 @@ class TestOneCallPerGrid:
     """One call over IOU_GRID equals the literal oracles at every threshold."""
 
     def check_ap(self, dets, gts, ign=None):
-        results = average_precision(dets, gts, IOU_GRID, ignore_by_image=ign)
+        cols = detection_columns(dets)
+        results = average_precision(cols, gts, IOU_GRID, ignore_by_image=ign)
         assert len(results) == len(IOU_GRID)
         for t, res in zip(IOU_GRID, results):
             tp, fp = greedy_match(dets, gts, t, ign)
@@ -300,7 +311,7 @@ class TestOneCallPerGrid:
             ), t
 
     def check_corloc(self, dets, gts):
-        assert corloc(dets, gts, IOU_GRID) == pytest.approx(
+        assert corloc(detection_columns(dets), gts, IOU_GRID) == pytest.approx(
             [top1_corloc(dets, gts, t) for t in IOU_GRID], abs=1e-12
         )
 
@@ -323,7 +334,9 @@ class TestOneCallPerGrid:
         _, gts, ignored = ignore_scenario(0)
         for ign in (None, ignored):
             self.check_ap([], gts, ign)
-            results = average_precision([], gts, IOU_GRID, ignore_by_image=ign)
+            results = average_precision(
+                detection_columns([]), gts, IOU_GRID, ignore_by_image=ign
+            )
             assert all(r.ap == 0.0 for r in results)
         self.check_corloc([], gts)
 
@@ -336,8 +349,9 @@ class TestOneCallPerGrid:
             self.check_ap(dets, gts)
             self.check_corloc(dets, gts)
         expected = [1.0 if t <= 0.7 else 0.0 for t in IOU_GRID]
-        assert corloc([hit, miss], gts, IOU_GRID) == expected
-        assert corloc([miss, hit], gts, IOU_GRID) == [0.0] * len(IOU_GRID)
+        assert corloc(detection_columns([hit, miss]), gts, IOU_GRID) == expected
+        missed = corloc(detection_columns([miss, hit]), gts, IOU_GRID)
+        assert missed == [0.0] * len(IOU_GRID)
 
 
 # The module, which the package shadows with its evaluate function.
@@ -406,7 +420,11 @@ class TestLockstepMatcher:
                 dets.append(det(iid, box, float(r.choice([0.2, 0.5, 0.8]))))
         buckets = evaluate_module._area_buckets(gts)
         got = average_precision(
-            dets, gts, IOU_GRID, ignore_by_image=ignored, subsets=buckets
+            detection_columns(dets),
+            gts,
+            IOU_GRID,
+            ignore_by_image=ignored,
+            subsets=buckets,
         )
         for k, t in enumerate(IOU_GRID):
             tp, fp = greedy_match(dets, gts, t, ignored)
@@ -531,7 +549,8 @@ class TestCorloc:
             det("a", [0, 0, 10, 10], 0.9),
             det("b", [50, 50, 60, 60], 0.9),
         ]
-        assert corloc(dets, gts, [0.5])[0] == pytest.approx(0.5, abs=1e-12)
+        got = corloc(detection_columns(dets), gts, [0.5])[0]
+        assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_only_top_scorer_counts(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
@@ -539,25 +558,36 @@ class TestCorloc:
             det("a", [50, 50, 60, 60], 0.9),  # top-1 misses
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        assert corloc(dets, gts, [0.5])[0] == 0.0
+        assert corloc(detection_columns(dets), gts, [0.5])[0] == 0.0
 
     def test_score_tie_keeps_earliest(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         hit = det("a", [0, 0, 10, 10], 0.9)
         miss = det("a", [50, 50, 60, 60], 0.9)
-        assert corloc([hit, miss], gts, [0.5])[0] == 1.0
-        assert corloc([miss, hit], gts, [0.5])[0] == 0.0
+        assert corloc(detection_columns([hit, miss]), gts, [0.5])[0] == 1.0
+        assert corloc(detection_columns([miss, hit]), gts, [0.5])[0] == 0.0
+        # The tied pair behind a lower score of its image and among another
+        # image's rows: the earliest of the tie still wins.
+        gts["b"] = gts["a"]
+        low, other = det("a", [0, 0, 10, 10], 0.5), det("b", [0, 0, 10, 10], 0.9)
+        for dets, want in (
+            ([low, other, hit, other, miss], 1.0),
+            ([low, other, miss, other, hit], 0.5),
+        ):
+            assert corloc(detection_columns(dets), gts, [0.5])[0] == want
+            assert top1_corloc(dets, gts, 0.5) == want
 
     def test_image_without_detection_misses(self):
         gts = {
             "a": np.array([[0.0, 0.0, 10.0, 10.0]]),
             "b": np.array([[0.0, 0.0, 10.0, 10.0]]),
         }
-        assert corloc([det("a", [0, 0, 10, 10], 0.9)], gts, [0.5])[0] == 0.5
+        dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
+        assert corloc(dets, gts, [0.5])[0] == 0.5
 
     def test_no_class_images_rejected(self):
         with pytest.raises(ValidationError):
-            corloc([], {"a": np.zeros((0, 4))}, [0.5])
+            corloc(detection_columns([]), {"a": np.zeros((0, 4))}, [0.5])
 
 
 class TestNmsDetections:
@@ -674,6 +704,7 @@ class TestDetectionIO:
 
     @given(dets=detection_lists())
     @example(dets=[det("a", [0, 0, 1, 1], s) for s in (math.nan, math.inf, -math.inf)])
+    @example(dets=[det("a", [0, 0, 1, 1], s) for s in (-0.0, 5e-324, 1e308)])
     @settings(
         max_examples=50,
         deadline=None,
@@ -782,6 +813,9 @@ class TestDetectionIO:
         ({"class_id": 3}, ValidationError, "line 2: class 3 outside 0..2"),
         ({"class_id": 2**53 + 1}, ValidationError, "line 2: class 9007199254740993 "),
         ({"class_id": -1.0}, ValidationError, "line 2: class -1 outside"),
+    ] + [
+        pytest.param(line, ParseError, json_error(line, 2), id=name)
+        for name, line in UNPARSABLE_LINES.items()
     ]
 
     @pytest.mark.parametrize("bad, error, message", BAD_LINES)
