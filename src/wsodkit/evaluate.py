@@ -9,18 +9,17 @@ available). The matcher works per image, as the COCO API's
 ``evaluateImg`` does: the detections are ranked once and each image gets
 one IoU block between its detections, in score order, and all its truths.
 That block serves every IoU threshold and every view of the truth: the
-full set, a set with some boxes ignored, and each area bucket, which reads
-its own columns as truths and the row maximum over the rest as the
-ignored overlap. Greedy claims run in array rounds over every (threshold,
-image) pair of a class and view at once, each round resolving every pair
-up to its next claim. ``evaluate`` reads each detection's fields once,
-into columns (``detection_columns``): image index, class, boxes and
-scores. Each class then takes its slice of rows: one NMS call, every image
-a group, and AP and CorLoc read the slice's arrays. CorLoc asks, per
-class, on what fraction of the images containing the class the single
-most confident detection hits; each image's top detection, found from a
-sort of the arrays, and its best overlap are likewise found once for all
-thresholds.
+full set, and each area bucket, which reads its own columns as truths and
+the row maximum over the rest as the ignored overlap. Greedy claims run in
+array rounds over every (threshold, image) pair of a class and view at
+once, each round resolving every pair up to its next claim. ``evaluate``
+reads each detection's fields once, into columns (``detection_columns``):
+image index, class, boxes and scores. Each class then takes its slice of
+rows: one NMS call, every image a group, and AP and CorLoc read the
+slice's arrays. CorLoc asks, per class, on what fraction of the images
+containing the class the single most confident detection hits; each
+image's top detection, found from a sort of the arrays, and its best
+overlap are likewise found once for all thresholds.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ AREA_BUCKETS = ("small", "medium", "large")
 # holds exactly, which need no conversion.
 _NUMBER = frozenset((int, float))
 _EXACT_INT = 2**53
-# Detection lines joined into one write: fewer writes than one per line,
-# without holding a whole file's text.
-_LINES_PER_WRITE = 1024
 # Elements of the largest padded IoU block the matcher builds for a set of
 # (threshold, image) pairs; an image whose own blocks need more gets a set alone.
 MATCH_ELEMENTS = 1 << 15
@@ -202,7 +198,6 @@ def save_detections(dets: Iterable[Detection], path: str | Path) -> None:
     ``Box`` share its text.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        lines: list[str] = []
         last_id, id_text = None, ""
         # Keyed by identity, so -0.0 and 0.0 or 1 and 1.0 never share text;
         # each entry holds its box, so that the id is not reused while the
@@ -229,14 +224,10 @@ def save_detections(dets: Iterable[Detection], path: str | Path) -> None:
             # int() and float() return exact ints and floats, which format as
             # json.dumps formats them: a finite float as its repr.
             score_text = repr(score) if math.isfinite(score) else json.dumps(score)
-            lines.append(
+            fh.write(
                 f'{{"image_id": {id_text}, "box": {cached[1]}, "class_id": {cid}, '
                 f'"score": {score_text}}}\n'
             )
-            if len(lines) == _LINES_PER_WRITE:
-                fh.write("".join(lines))
-                lines.clear()
-        fh.write("".join(lines))
 
 
 def load_detections(
@@ -472,54 +463,30 @@ def average_precision(
     gts_by_image: Mapping[str, np.ndarray],
     iou_thresholds: Sequence[float],
     eleven_point: bool = False,
-    ignore_by_image: Mapping[str, np.ndarray] | None = None,
     subsets: Mapping[str, Mapping[str, np.ndarray]] | None = None,
 ) -> list[APResult]:
     """Single-class AP over any number of images, one result per threshold.
 
     ``dets`` are one class's detections as columns (``detection_columns``).
     ``gts_by_image`` maps image id to an (G, 4) array of this class's
-    boxes. Detections matching only ``ignore_by_image`` boxes are dropped
-    from the curve instead of counting as false positives. ``subsets``
-    names subsets of the truth, each a map from image id to a boolean mask
-    over that image's rows of ``gts_by_image``; each result's ``subsets``
-    then holds the AP against a subset's truth alone, the rest ignored,
-    for every subset holding any. The detections are ranked once and each
-    image gets one IoU block, which the full truth and every subset share.
+    boxes, all of them truth. ``subsets`` names subsets of the truth, each
+    a map from image id to a boolean mask over that image's rows of
+    ``gts_by_image``; each result's ``subsets`` then holds the AP against a
+    subset's truth alone, for every subset holding any. The rest of the
+    truth is ignored there: a detection matching only ignored boxes is
+    dropped from that curve instead of counting as a false positive. The
+    detections are ranked once and each image gets one IoU block, which
+    the full truth and every subset share.
     """
     n_gt = sum(len(g) for g in gts_by_image.values())
     if n_gt <= 0:
         raise ValidationError("AP undefined for a class with no ground truth")
-    truths, eligible, views = gts_by_image, None, dict(subsets or {})
-    if ignore_by_image is not None:
-        # An image's ignored boxes become truth columns after its own, and
-        # every view leaves them out.
-        truths = {}
-        for iid in {**gts_by_image, **ignore_by_image}:
-            rows = [gts_by_image.get(iid), ignore_by_image.get(iid)]
-            rows = [a for a in rows if a is not None and len(a)]
-            if rows:
-                truths[iid] = np.concatenate(rows)
-        extra = {
-            iid: len(t) - len(gts_by_image.get(iid, ())) for iid, t in truths.items()
-        }
-        eligible = {
-            iid: np.arange(len(t)) < len(t) - extra[iid] for iid, t in truths.items()
-        }
-        views = {
-            name: {
-                iid: np.pad(mask, (0, extra[iid]))
-                for iid, mask in masks.items()
-                if iid in truths
-            }
-            for name, masks in views.items()
-        }
-    blocks = _rank(dets, truths)
+    blocks = _rank(dets, gts_by_image)
     results = [
         _ap_from_flags(tp, fp, n_gt, eleven_point)
-        for tp, fp in _match(len(dets), blocks, eligible, iou_thresholds)
+        for tp, fp in _match(len(dets), blocks, None, iou_thresholds)
     ]
-    for name, masks in views.items():
+    for name, masks in (subsets or {}).items():
         n_sub = sum(int(np.count_nonzero(m)) for m in masks.values())
         if n_sub <= 0:
             continue

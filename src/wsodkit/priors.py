@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from wsodkit.data import ClassVocabulary, ImageRecord, proposal_depths, tokenize
-from wsodkit.errors import ConfigError, DataError, ValidationError
+from wsodkit.errors import ConfigError, DataError, DegenerateRegionError
+from wsodkit.errors import ValidationError
 from wsodkit.evaluate import Detection, check_fraction
 from wsodkit.jsonio import (
     as_finite,
@@ -146,13 +147,6 @@ class PriorStats:
             for tok in set(tokenize(caption)):
                 key = (int(class_id), tok)
                 self.by_class_word.setdefault(key, RunningMoments()).add(depth)
-
-    def merge(self, other: "PriorStats") -> None:
-        for cid, m in other.by_class.items():
-            self.by_class.setdefault(cid, RunningMoments()).merge(m)
-        for key, m in other.by_class_word.items():
-            self.by_class_word.setdefault(key, RunningMoments()).merge(m)
-        self.skipped_boxes += other.skipped_boxes
 
     def to_json(self) -> dict:
         """Moments (not ranges), so that thresholds can change at load."""
@@ -283,26 +277,22 @@ def _resolve_depth(pred: Detection, record: ImageRecord) -> float | None:
     if diffs[hit] <= BOX_MATCH_ATOL:
         return float(record.proposal_depths[hit])
     if record.depth_map is not None:
-        return float(proposal_depths(record.depth_map, box[None, :])[0])
+        try:
+            return float(proposal_depths(record.depth_map, box[None, :])[0])
+        except DegenerateRegionError:
+            return None
     return None
 
 
-def accumulate(
-    stats: PriorStats,
-    pred: Detection,
-    record: ImageRecord,
-    score_threshold: float = DEFAULT_SCORE_THRESHOLD,
-) -> float | None:
-    """Fold one prediction into the statistics.
+def accumulate(stats: PriorStats, pred: Detection, record: ImageRecord) -> float | None:
+    """Fold one prediction into the statistics, whatever its score.
 
-    Only predictions scoring strictly above the threshold count. Boxes
-    whose depth cannot be resolved (outside the image, or matching no
-    proposal when there is no depth map to pool from) are skipped and
-    tallied in ``stats.skipped_boxes``. Returns the accepted depth, or
-    None when the prediction did not contribute.
+    Boxes whose depth cannot be resolved (past the image's edge, matching
+    no proposal when there is no depth map to pool from, or covering no
+    pixel centre of the map) are skipped and tallied in
+    ``stats.skipped_boxes``. Returns the accepted depth, or None when the
+    prediction did not contribute.
     """
-    if pred.score <= score_threshold:
-        return None
     depth = _resolve_depth(pred, record)
     if depth is None:
         stats.skipped_boxes += 1
@@ -353,9 +343,10 @@ def estimate_priors(
     """One pass over predictions: accumulate, freeze, and report coverage.
 
     Predictions referencing unknown image ids raise DataError, whatever
-    their score. One at or below ``score_threshold`` is skipped there,
-    before ``accumulate``, which would drop it too. The coverage fractions
-    replay the accepted observations against the frozen class-level ranges.
+    their score. Only predictions scoring strictly above
+    ``score_threshold`` reach ``accumulate``. The coverage fractions replay
+    the accepted observations against the frozen class-level ranges, which
+    every class with an accepted depth has (``MIN_COUNT_CLASS`` is 1).
     """
     check_fraction("score_threshold", score_threshold)
     by_id = {rec.image_id: rec for rec in records}
@@ -367,21 +358,16 @@ def estimate_priors(
             raise DataError(f"prediction references unknown image {pred.image_id!r}")
         if pred.score <= score_threshold:
             continue
-        depth = accumulate(stats, pred, rec, score_threshold)
+        depth = accumulate(stats, pred, rec)
         if depth is not None:
             accepted.append((pred.class_id, depth))
     frozen = stats.freeze()
     report = CoverageReport(accepted=len(accepted), skipped=stats.skipped_boxes)
     for cid in sorted(stats.by_class):
         m = stats.by_class[cid]
-        rng = frozen.by_class.get(cid)
+        rng = frozen.by_class[cid]
         values = [d for c, d in accepted if c == cid]
-        inside = (
-            sum(1 for d in values if rng is not None and rng.contains(d))
-            / len(values)
-            if values
-            else 0.0
-        )
+        inside = sum(1 for d in values if rng.contains(d)) / len(values)
         report.rows.append(
             CoverageRow(
                 class_id=cid,

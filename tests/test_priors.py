@@ -158,16 +158,6 @@ class TestPriorStats:
         with pytest.raises(ConfigError, match="min_count_word"):
             PriorStats(min_count_word=0)
 
-    def test_merge(self):
-        a, b = PriorStats(min_count_word=1), PriorStats(min_count_word=1)
-        a.add_observation(0, 0.2, "table")
-        b.add_observation(0, 0.4, "table")
-        b.skipped_boxes = 3
-        a.merge(b)
-        assert a.by_class[0].count == 2
-        assert a.by_class_word[(0, "table")].count == 2
-        assert a.skipped_boxes == 3
-
     def test_save_load_round_trip(self, tmp_path):
         stats = PriorStats(min_count_word=2)
         for d in (0.2, 0.4):
@@ -301,14 +291,6 @@ class TestAccumulate:
     def det(self, rec, box, score, class_id=0):
         return Detection(rec.image_id, class_id, box, score)
 
-    def test_threshold_is_strict(self, rng):
-        rec = make_record(rng, "a", num_proposals=2)
-        stats = PriorStats(min_count_word=1)
-        box = Box(*rec.proposals[0])
-        assert accumulate(stats, self.det(rec, box, 0.5), rec, 0.5) is None
-        assert accumulate(stats, self.det(rec, box, 0.5001), rec, 0.5) is not None
-        assert stats.by_class[0].count == 1
-
     def test_matching_proposal_uses_stored_depth(self, rng):
         rec = make_record(
             rng, "a", num_proposals=2, depths=np.array([0.33, 0.77])
@@ -333,6 +315,12 @@ class TestAccumulate:
         stats = PriorStats(min_count_word=1)
         got = accumulate(stats, self.det(rec, Box(1.0, 1.0, 9.0, 9.0), 0.9), rec)
         assert got == pytest.approx(0.42, abs=1e-12)
+        # Between pixel centres: no depth to pool, so skipped, not raised.
+        speck = self.det(rec, Box(1.1, 1.1, 1.2, 1.2), 0.9)
+        assert accumulate(stats, speck, rec) is None
+        assert stats.skipped_boxes == 1 and stats.by_class[0].count == 1
+        _, _, coverage = estimate_priors([rec], [speck])
+        assert (coverage.accepted, coverage.skipped) == (0, 1)
 
     def test_out_of_image_box_skipped(self, rng):
         rec = make_record(rng, "a", size=50.0)
@@ -364,6 +352,10 @@ class TestEstimatePriors:
 
     def test_pipeline_counts_and_ranges(self, rng):
         recs, preds = self.build(rng)
+        # The floor is strict: 0.5001 counts, 0.5 (on the far 0.9 proposal)
+        # does not.
+        preds[0] = dataclasses.replace(preds[0], score=0.5001)
+        preds.append(Detection(recs[0].image_id, 0, Box(*recs[0].proposals[3]), 0.5))
         stats, frozen, report = estimate_priors(
             recs, preds, score_threshold=0.5, min_count_word=2
         )
