@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError (and its
-subclasses) -> 3. Everything else is a programming error and propagates.
+``cli.main`` maps these onto exit codes: DataError and its subclasses -> 3,
+ConfigError and every other WsodkitError -> 2. The others are ShapeError,
+OptimizerError and the bare WsodkitError that a projection of near-zero
+norm raises. Any other exception is a programming error and propagates.
 """
 
 

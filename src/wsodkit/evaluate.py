@@ -396,14 +396,14 @@ def _match(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Greedy matching of ranked detections against one view of the truth.
 
-    ``eligible`` maps an image to a boolean mask over its truth columns
-    (an image it lacks has none eligible); None makes every truth
-    eligible. Yields, per threshold, tp and fp indicator arrays aligned
-    with the ranking, dropping detections absorbed by ignored truth (the
-    columns outside the mask). The views read the blocks ``_rank`` built:
-    IoU is elementwise, so a column subset equals the block against that
-    subset of the truths. Every (threshold, image) pair is matched in one
-    lockstep pass (``_lockstep_hits``).
+    ``eligible`` maps every image of ``blocks`` to a boolean mask over its
+    truth columns; None makes every truth eligible. Yields, per threshold,
+    tp and fp indicator arrays aligned with the ranking, dropping
+    detections absorbed by ignored truth (the columns outside the mask).
+    The views read the blocks ``_rank`` built: IoU is elementwise, so a
+    column subset equals the block against that subset of the truths.
+    Every (threshold, image) pair is matched in one lockstep pass
+    (``_lockstep_hits``).
     """
     # Per image: positions, IoU block against its eligible truths (None
     # without), best overlap with its ignored truths (None without).
@@ -412,9 +412,7 @@ def _match(
         if eligible is None:
             parts.append((pos, block, None))
             continue
-        inb = eligible.get(iid)
-        if inb is None:
-            inb = np.zeros(block.shape[1], dtype=bool)
+        inb = eligible[iid]
         parts.append((
             pos,
             block[:, inb] if inb.any() else None,
@@ -470,13 +468,13 @@ def average_precision(
     ``dets`` are one class's detections as columns (``detection_columns``).
     ``gts_by_image`` maps image id to an (G, 4) array of this class's
     boxes, all of them truth. ``subsets`` names subsets of the truth, each
-    a map from image id to a boolean mask over that image's rows of
-    ``gts_by_image``; each result's ``subsets`` then holds the AP against a
-    subset's truth alone, for every subset holding any. The rest of the
-    truth is ignored there: a detection matching only ignored boxes is
-    dropped from that curve instead of counting as a false positive. The
-    detections are ranked once and each image gets one IoU block, which
-    the full truth and every subset share.
+    a map that must hold, for every image of ``gts_by_image``, a boolean
+    mask over that image's rows; each result's ``subsets`` then holds the
+    AP against a subset's truth alone, for every subset holding any. The
+    rest of the truth is ignored there: a detection matching only ignored
+    boxes is dropped from that curve instead of counting as a false
+    positive. The detections are ranked once and each image gets one IoU
+    block, which the full truth and every subset share.
     """
     n_gt = sum(len(g) for g in gts_by_image.values())
     if n_gt <= 0:

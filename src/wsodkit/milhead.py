@@ -127,32 +127,24 @@ def label_vector(labels: set[int], num_classes: int) -> np.ndarray:
 
 
 def mil_chain(
-    rgb_features: np.ndarray,
-    rgb_head: HeadParams,
+    streams: Sequence[tuple[np.ndarray, HeadParams]],
     labels: Sequence[set[int]],
-    depth_features: np.ndarray | None = None,
-    depth_head: HeadParams | None = None,
     attention: np.ndarray | None = None,
     grad_scale: float = 0.0,
 ) -> tuple[list[float], ScorePack]:
     """MIL losses of a stack of same-R images: ``forward``, BCE, backward.
 
-    Features are (B, R, d) stacks and ``labels`` holds one label set per
-    image. When ``depth_features``/``depth_head`` are given, the depth
-    stream is fused after the RGB one. Each image's loss sums, over
-    classes, the binary cross-entropy between its image probabilities
-    (clamped before the logs) and its labels. With ``grad_scale`` nonzero,
-    gradients of ``grad_scale`` times each loss are added into the head
+    ``streams`` and ``attention`` are ``forward``'s: (B, R, d) feature
+    stacks, each with its head, fused in the order given. ``labels`` holds
+    one label set per image. Each image's loss sums, over classes, the
+    binary cross-entropy between its image probabilities (clamped before
+    the logs) and its labels. With ``grad_scale`` nonzero, gradients of
+    ``grad_scale`` times each loss are added into every stream's head
     parameters image by image in stack order (``numkit.add_in_order``), so
     a stack leaves the same bits in ``Param.grad`` as its images would one
     call each.
     Returns the per-image losses and the forward's ``ScorePack``.
     """
-    streams = [(rgb_features, rgb_head)]
-    if depth_features is not None:
-        if depth_head is None:
-            raise ShapeError("depth features given without a depth head")
-        streams.append((depth_features, depth_head))
     pack = forward(streams, attention)
     image_prob = pack.image_prob
     if len(labels) != image_prob.shape[0]:

@@ -35,9 +35,6 @@ class Param:
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape})"
 
@@ -142,8 +139,9 @@ class SGD:
 
     The optimizer keeps every parameter's value, gradient and velocity in
     one flat buffer each, in parameter order; from construction on each
-    ``Param.value`` and ``Param.grad`` is a view into them. The update is
-    elementwise, so it gives the bits of one update per parameter.
+    ``Param.value`` and ``Param.grad`` is a view into the first two, and
+    ``velocity`` is the third. The update is elementwise, so it gives the
+    bits of one update per parameter.
     """
 
     def __init__(
@@ -159,8 +157,7 @@ class SGD:
         sizes = [p.value.size for p in self.params]
         self._value = np.zeros(sum(sizes))
         self._grad = np.zeros_like(self._value)
-        self._velocity = np.zeros_like(self._value)
-        self.velocity = []
+        self.velocity = np.zeros_like(self._value)
         start = 0
         for p, size in zip(self.params, sizes):
             span, shape = slice(start, start + size), p.value.shape
@@ -168,14 +165,13 @@ class SGD:
             self._grad[span] = p.grad.reshape(-1)
             p.value = self._value[span].reshape(shape)
             p.grad = self._grad[span].reshape(shape)
-            self.velocity.append(self._velocity[span].reshape(shape))
             start += size
 
     def step(self) -> None:
         if not np.isfinite(self._grad).all():
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise OptimizerError(f"non-finite gradient for parameter {bad.name!r}")
-        v = self._velocity
+        v = self.velocity
         v *= self.momentum
         v -= self.lr * self._grad
         self._value += v

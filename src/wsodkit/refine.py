@@ -155,19 +155,16 @@ def assign_targets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-proposal refinement targets and weights.
 
-    Each proposal matches the pseudo box it overlaps most (ties keep the
-    first in class-then-index order). At IoU >= ``iou_thresh`` the proposal
-    takes that pseudo box's class and score as weight; otherwise it is
-    background (class index C) and inherits the nearest pseudo box's score,
-    or weight 1 when there are no pseudo boxes at all. ``pair_ious`` is the
-    record's ``pair_iou`` block, when it has one; without it the kernel
-    builds the (R, k) block against the k pseudo boxes, which costs less
-    than its transpose at large R.
+    ``pseudo`` holds at least one box, as ``mine`` yields for a nonempty
+    label set. Each proposal matches the pseudo box it overlaps most (ties
+    keep the first in class-then-index order). At IoU >= ``iou_thresh`` the
+    proposal takes that pseudo box's class and score as weight; otherwise
+    it is background (class index C) and inherits that box's score.
+    ``pair_ious`` is the record's ``pair_iou`` block, when it has one;
+    without it the kernel builds the (R, k) block against the k pseudo
+    boxes, which costs less than its transpose at large R.
     """
-    r = record.num_proposals
-    if pseudo.indices.size == 0:
-        return np.full(r, num_classes, dtype=np.int64), np.ones(r, dtype=np.float64)
-    rows = np.arange(r)
+    rows = np.arange(record.num_proposals)
     if pair_ious is not None:
         ious = pair_ious[pseudo.indices]
         best = ious.argmax(axis=0)

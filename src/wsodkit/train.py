@@ -245,12 +245,7 @@ class EpochLosses:
     total: float
 
     def to_json(self) -> dict:
-        return {
-            "mil": self.mil,
-            "nce": self.nce,
-            "refine": self.refine,
-            "total": self.total,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -430,7 +425,7 @@ def train(
     labels = resolve_labels(records, vocab, config.label_source)
     masks = _record_masks(records, priors, num_classes, config)
     attention = None
-    if config.depth_attention and masks is not None:
+    if config.depth_attention:
         attention = [
             refine.attention_multipliers(m, config.attention_multiplier) for m in masks
         ]
@@ -464,16 +459,13 @@ def train(
             for chunk in _same_r_runs(records, batch):
                 stack = [records[idx] for idx in chunk]
                 rgb = np.stack([rec.rgb_features for rec in stack])
+                streams = [(rgb, model.rgb_head)]
+                if config.fusion:
+                    depth = np.stack([rec.depth_features for rec in stack])
+                    streams.append((depth, model.depth_head))
                 mil_losses, pack = milhead.mil_chain(
-                    rgb,
-                    model.rgb_head,
+                    streams,
                     [labels[idx] for idx in chunk],
-                    depth_features=(
-                        np.stack([rec.depth_features for rec in stack])
-                        if config.fusion
-                        else None
-                    ),
-                    depth_head=model.depth_head if config.fusion else None,
                     attention=(
                         np.stack([attention[idx] for idx in chunk])
                         if attention is not None
@@ -659,7 +651,9 @@ def mining_precision(
         raise ConfigError("depth-filtered mining needs frozen priors")
     labels = resolve_labels(records, vocab, config.label_source)
     num_classes = len(vocab)
-    masks = _record_masks(records, priors, num_classes, config)
+    masks = [None] * len(records)
+    if config.depth_oicr:
+        masks = _record_masks(records, priors, num_classes, config)
     total = 0
     hits = 0
     for idx, rec in enumerate(records):
@@ -671,12 +665,11 @@ def mining_precision(
             model.depth_head,
             FusionMode.FUSED if config.fusion else FusionMode.RGB_ONLY,
         )
-        mask = masks[idx] if (masks is not None and config.depth_oicr) else None
         pseudo = refine.mine(
             rec,
             pack.combined[0],
             labels[idx],
-            mask=mask,
+            mask=masks[idx],
             iou_thresh=config.refine_iou_thresh,
             score_ratio=config.refine_score_ratio,
         )
@@ -721,20 +714,22 @@ def run_ablation(
 ) -> AblationResult:
     """Train and evaluate the component ladder plus the bare baseline.
 
-    Every row restarts from the same seed with only its toggles flipped;
-    rows touching depth require priors.
+    Every row restarts from the same seed with only its toggles flipped.
+    The depth rows need priors and every row needs ground truth to evaluate
+    on, so both are checked before the first row trains.
     """
+    if priors is None:
+        raise ConfigError("ablation needs depth priors; run estimate-priors first")
+    targets = eval_records if eval_records is not None else records
+    if not any(rec.gt_boxes for rec in targets):
+        raise DataError("ablation needs ground-truth boxes to evaluate")
     result = AblationResult()
     for name, toggles in ABLATION_ROWS:
-        updates = {t: False for t in TOGGLE_NAMES}
-        updates.update({t: True for t in toggles})
-        cfg = base.with_updates(**updates)
+        cfg = base.with_updates(**{t: t in toggles for t in TOGGLE_NAMES})
         if log is not None:
             log(f"[{name}] training with toggles {sorted(toggles) or ['none']}")
         _, report = train(
             cfg, records, vocab, priors=priors, eval_records=eval_records
         )
-        if report.eval_report is None:
-            raise DataError("ablation needs ground-truth boxes to evaluate")
         result.rows.append((name, tuple(toggles), report.eval_report))
     return result

@@ -260,7 +260,7 @@ def grad_check(f, params, eps=1e-5):
 
     def f_zeroed():
         for p in params:
-            p.zero_grad()
+            p.grad[...] = 0.0
         return f()
 
     loss = float(f_zeroed())

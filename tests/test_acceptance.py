@@ -128,8 +128,7 @@ def test_criterion_2_gradient_integrity():
 
             def f_mil():
                 [loss], _ = mil_chain(
-                    xv[None], rgb, [labels],
-                    depth_features=xd[None], depth_head=depth, grad_scale=1.0,
+                    [(xv[None], rgb), (xd[None], depth)], [labels], grad_scale=1.0
                 )
                 return loss
 

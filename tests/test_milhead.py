@@ -153,9 +153,9 @@ def loss_at(probs, labels):
     """
     probs = np.array(probs)
     c = probs.size
-    x, head = score_stream(np.zeros((1, c)), np.zeros((1, c)))
+    stream = score_stream(np.zeros((1, c)), np.zeros((1, c)))
     logits = np.log(probs / (1.0 - probs))
-    [loss], pack = mil_chain(x, head, [labels], attention=c * logits[None, None, :])
+    [loss], pack = mil_chain([stream], [labels], attention=c * logits[None, None, :])
     assert np.allclose(pack.image_prob[0], probs, atol=1e-15)
     return loss
 
@@ -179,7 +179,7 @@ class TestMilLoss:
             stream = score_stream(
                 rng.standard_normal((4, 3)) * 4, rng.standard_normal((4, 3)) * 4
             )
-            [loss_all_neg], _ = mil_chain(*stream, [set()])
+            [loss_all_neg], _ = mil_chain([stream], [set()])
             assert loss_all_neg >= 3 * math.log(2.0) - 1e-9
 
     def test_label_vector(self):
@@ -190,7 +190,7 @@ class TestMilChain:
     def test_loss_matches_manual_pipeline(self, rng):
         head = make_head(rng, feat_dim=6, num_classes=3)
         x = rng.standard_normal((5, 6))
-        [loss], pack = mil_chain(x[None], head, [{0, 2}])
+        [loss], pack = mil_chain([(x[None], head)], [{0, 2}])
         det = x @ head.w_det.value + head.b_det.value
         cls = x @ head.w_cls.value + head.b_cls.value
         ed = np.exp(det - det.max(axis=0, keepdims=True))
@@ -208,7 +208,7 @@ class TestMilChain:
         x = rng.standard_normal((5, 4))
 
         def f():
-            [loss], _ = mil_chain(x[None], head, [{1}], grad_scale=1.0)
+            [loss], _ = mil_chain([(x[None], head)], [{1}], grad_scale=1.0)
             return loss
 
         assert grad_check(f, head.params()) < 1e-6
@@ -222,12 +222,7 @@ class TestMilChain:
 
         def f():
             [loss], _ = mil_chain(
-                xv[None],
-                rgb_head,
-                [{0, 2}],
-                depth_features=xd[None],
-                depth_head=depth_head,
-                grad_scale=1.0,
+                [(xv[None], rgb_head), (xd[None], depth_head)], [{0, 2}], grad_scale=1.0
             )
             return loss
 
@@ -240,7 +235,7 @@ class TestMilChain:
 
         def f():
             [loss], _ = mil_chain(
-                x[None], head, [{0}], attention=att[None], grad_scale=1.0
+                [(x[None], head)], [{0}], attention=att[None], grad_scale=1.0
             )
             return loss
 
@@ -252,8 +247,8 @@ class TestMilChain:
         head = make_head(rng, feat_dim=4, num_classes=2)
         x = rng.standard_normal((4, 4))
         att = np.full((4, 2), 0.5)
-        [loss_att], pack_att = mil_chain(x[None], head, [{0}], attention=att[None])
-        [loss_plain], pack_plain = mil_chain(x[None], head, [{0}])
+        [loss_att], pack_att = mil_chain([(x[None], head)], [{0}], attention=att[None])
+        [loss_plain], pack_plain = mil_chain([(x[None], head)], [{0}])
         attended = pack_att.attended
         assert np.allclose(pack_att.combined, pack_plain.combined, atol=1e-15)
         assert np.allclose(attended, pack_plain.combined * 0.5, atol=1e-15)
@@ -268,12 +263,12 @@ class TestMilChain:
         head = make_head(rng, feat_dim=3, num_classes=2)
         x = rng.standard_normal((3, 3))
         for p in head.params():
-            p.zero_grad()
-        mil_chain(x[None], head, [{0}], grad_scale=1.0)
+            p.grad[...] = 0.0
+        mil_chain([(x[None], head)], [{0}], grad_scale=1.0)
         g1 = [p.grad.copy() for p in head.params()]
         for p in head.params():
-            p.zero_grad()
-        mil_chain(x[None], head, [{0}], grad_scale=0.25)
+            p.grad[...] = 0.0
+        mil_chain([(x[None], head)], [{0}], grad_scale=0.25)
         for a, p in zip(g1, head.params()):
             assert np.allclose(p.grad, 0.25 * a, atol=1e-15)
 
@@ -281,8 +276,8 @@ class TestMilChain:
         head = make_head(rng)
         x = rng.standard_normal((2, 4))
         for p in head.params():
-            p.zero_grad()
-        mil_chain(x[None], head, [{0}])
+            p.grad[...] = 0.0
+        mil_chain([(x[None], head)], [{0}])
         assert all(not p.grad.any() for p in head.params())
 
 
@@ -304,22 +299,20 @@ class TestStackedChain:
         fused = mode == "fused"
 
         def run(lo, hi):
+            streams = [(xv[lo:hi], rgb)] + ([(xd[lo:hi], depth)] if fused else [])
             return mil_chain(
-                xv[lo:hi],
-                rgb,
+                streams,
                 labels[lo:hi],
-                depth_features=xd[lo:hi] if fused else None,
-                depth_head=depth if fused else None,
                 attention=att[lo:hi] if mode == "attention" else None,
                 grad_scale=0.125,
             )
 
         for p in params:
-            p.zero_grad()
+            p.grad[...] = 0.0
         losses, pack = run(0, b)
         grads = [p.grad.copy() for p in params]
         for p in params:
-            p.zero_grad()
+            p.grad[...] = 0.0
         singles = [run(k, k + 1) for k in range(b)]
         assert losses == [loss for one, _ in singles for loss in one]
         for f in dataclasses.fields(pack):
@@ -348,17 +341,17 @@ class TestStackedChain:
 
         def run(lo, hi):
             return mil_chain(
-                xv[lo:hi], rgb, labels[lo:hi], xd[lo:hi], depth, grad_scale=0.25
+                [(xv[lo:hi], rgb), (xd[lo:hi], depth)], labels[lo:hi], grad_scale=0.25
             )
 
         per_image = []
         for k in range(b):
             for p in params:
-                p.zero_grad()
+                p.grad[...] = 0.0
             run(k, k + 1)
             per_image.append([p.grad.copy() for p in params])
         for p in params:
-            p.zero_grad()
+            p.grad[...] = 0.0
         run(0, b)
         pairwise = 0
         for j, p in enumerate(params):
@@ -377,4 +370,4 @@ class TestStackedChain:
     def test_label_count_must_match_stack(self, rng):
         head = make_head(rng)
         with pytest.raises(ShapeError):
-            mil_chain(rng.standard_normal((2, 3, 4)), head, [{0}])
+            mil_chain([(rng.standard_normal((2, 3, 4)), head)], [{0}])

@@ -232,13 +232,14 @@ class TestSGD:
         a.grad[:] = 3.0
         b.grad[:] = np.nan
         before = [x.copy() for p in (a, b) for x in (p.value, p.grad)]
-        velocity = [v.copy() for v in opt.velocity]
+        velocity = opt.velocity.copy()
         with pytest.raises(OptimizerError, match="'b'"):
             opt.step()
         after = [x for p in (a, b) for x in (p.value, p.grad)]
         assert [x.tobytes() for x in after] == [x.tobytes() for x in before]
-        assert [v.tobytes() for v in opt.velocity] == [v.tobytes() for v in velocity]
-        assert all(v.any() for v in velocity)
+        assert opt.velocity.tobytes() == velocity.tobytes()
+        # One velocity entry per parameter, in parameter order.
+        assert all(v.any() for v in np.split(velocity, 2))
 
     def test_first_bad_parameter_named(self):
         shapes = [(2, 3), (0,), (4,), (1,)]
@@ -271,10 +272,11 @@ class TestSGD:
                 grads[k] += g
             opt.step()
             sgd_step_loop(values, grads, velocity, lr, momentum)
-            for p, x, g, v, w in zip(params, values, grads, velocity, opt.velocity):
+            for p, x, g in zip(params, values, grads):
                 assert p.value.tobytes() == x.tobytes(), p.name
                 assert p.grad.tobytes() == g.tobytes(), p.name
-                assert w.tobytes() == v.tobytes(), p.name
+            flat = np.concatenate([v.reshape(-1) for v in velocity])
+            assert opt.velocity.tobytes() == flat.tobytes()
         assert not params[1].grad.any() and params[0].value.any()
 
 

@@ -148,12 +148,6 @@ class TestAssignTargets:
         assert targets.tolist() == [1, 1, 2]
         assert np.allclose(weights, [0.9, 0.9, 0.9], atol=1e-15)
 
-    def test_background_weight_defaults_to_one_when_no_pseudo(self, rng):
-        rec = stacked_record(rng, [[0, 0, 10, 10], [20, 20, 30, 30]])
-        targets, weights = assign_targets(rec, pseudo_boxes({}), num_classes=3)
-        assert targets.tolist() == [3, 3]
-        assert weights.tolist() == [1.0, 1.0]
-
     def test_best_overlap_wins_between_classes(self, rng):
         rec = stacked_record(
             rng,
@@ -317,7 +311,7 @@ class TestRefinementChain:
         rec = make_record(rng, "r", num_proposals=2, feat_dim=4)
         branch = RefineBranch.create(rng, 4, 2, 0.3)
         for p in branch.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         refinement_chain(
             rec.rgb_features[None], branch, np.array([[0, 2]]), np.ones((1, 2))
         )
@@ -331,11 +325,11 @@ class TestRefinementChain:
         targets = rng.integers(0, c + 1, size=(b, r))
         weights = rng.uniform(0.1, 1.0, size=(b, r))
         for p in branch.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         losses = refinement_chain(x, branch, targets, weights, grad_scale=0.25)
         grads = [p.grad.copy() for p in branch.params()]
         for p in branch.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         singles = [
             refinement_chain(x[k : k + 1], branch, targets[k : k + 1],
                              weights[k : k + 1], grad_scale=0.25)

@@ -434,9 +434,9 @@ class TestDeterminismAndReductions:
         stack_sizes = []
         chain = milhead.mil_chain
 
-        def counted(features, *args, **kwargs):
-            stack_sizes.append(len(features))
-            return chain(features, *args, **kwargs)
+        def counted(streams, *args, **kwargs):
+            stack_sizes.append(len(streams[0][0]))
+            return chain(streams, *args, **kwargs)
 
         monkeypatch.setattr(milhead, "mil_chain", counted)
         runs = []
@@ -743,15 +743,28 @@ class TestAblation:
         for name, _ in ABLATION_ROWS:
             assert name in text
 
-    def test_requires_ground_truth(self, rng, small_vocab):
-        recs = [
+    def test_requires_ground_truth(self, rng, small_data, monkeypatch):
+        # Missing truth, in the training or the evaluation records, and
+        # missing priors are found before the first rung trains.
+        calls = []
+        monkeypatch.setattr(TRAIN, "train", lambda *a, **k: calls.append(a))
+        records, vocab = small_data
+        bare = [
             make_record(rng, f"i{k}", labels={k % 3}, with_gt=False)
             for k in range(6)
         ]
-        with pytest.raises(DataError):
-            run_ablation(
-                tiny_config(epochs=1), recs, small_vocab, priors=FrozenPriors({}, {})
-            )
+        priors = FrozenPriors({}, {})
+        for data, eval_records, given, error in (
+            (bare, None, priors, DataError),
+            (records, bare, priors, DataError),
+            (records, None, None, ConfigError),
+        ):
+            with pytest.raises(error):
+                run_ablation(
+                    tiny_config(epochs=1), data, vocab,
+                    priors=given, eval_records=eval_records,
+                )
+        assert calls == []
 
     def test_save(self, small_data, tmp_path):
         records, vocab = small_data
