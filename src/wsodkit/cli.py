@@ -72,18 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "extract-labels", help="materialize caption-derived labels into a dataset"
     )
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_data_args(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser(
         "estimate-priors", help="fit per-class depth ranges from detections"
     )
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_data_args(p)
     p.add_argument("--predictions", required=True, help="detections JSONL")
     p.add_argument("--out", required=True, help="priors JSON to write")
-    p.add_argument("--depth-maps", default=None, help="optional depth-map JSONL")
     p.add_argument("--score-threshold", type=float, default=DEFAULT_SCORE_THRESHOLD)
     p.add_argument("--min-count-word", type=int, default=DEFAULT_MIN_COUNT_WORD)
 
@@ -94,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="run a trained detector over a dataset")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_data_args(p)
     p.add_argument("--out", required=True, help="detections JSONL to write")
     p.add_argument(
         "--inference-mode",
@@ -107,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score stored detections against a dataset")
     p.add_argument("--detections", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_data_args(p)
     p.add_argument("--report-out", default=None)
     p.add_argument("--nms-thresh", type=float, default=DEFAULT_NMS_THRESH)
     p.add_argument("--eleven-point", action="store_true")
@@ -119,13 +114,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_training_args(p: argparse.ArgumentParser) -> None:
-    """Inputs and config options shared by train and ablation."""
+def _add_data_args(p: argparse.ArgumentParser) -> None:
+    """The dataset inputs of every command that loads one (``_load_data``)."""
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
+    p.add_argument("--depth-maps", default=None, help="optional depth-map JSONL")
+
+
+def _add_training_args(p: argparse.ArgumentParser) -> None:
+    """Inputs and config options shared by train and ablation."""
+    _add_data_args(p)
     p.add_argument("--priors", default=None)
     p.add_argument("--eval-data", default=None)
-    p.add_argument("--depth-maps", default=None)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument(
@@ -141,8 +141,7 @@ def _add_training_args(p: argparse.ArgumentParser) -> None:
 def _load_data(args):
     """Vocabulary, records of ``--data`` and the optional depth-map sidecar."""
     vocab = ClassVocabulary.from_file(args.vocab)
-    sidecar = getattr(args, "depth_maps", None)
-    depth_maps = load_depth_maps(sidecar) if sidecar else None
+    depth_maps = load_depth_maps(args.depth_maps) if args.depth_maps else None
     return vocab, load_dataset(args.data, vocab, depth_maps), depth_maps
 
 

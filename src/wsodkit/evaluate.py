@@ -15,11 +15,16 @@ array rounds over every (threshold, image) pair of a class and view at
 once, each round resolving every pair up to its next claim. ``evaluate``
 reads each detection's fields once, into columns (``detection_columns``):
 image index, class, boxes and scores. Each class then takes its slice of
-rows: one NMS call, every image a group, and AP and CorLoc read the
-slice's arrays. CorLoc asks, per class, on what fraction of the images
-containing the class the single most confident detection hits; each
-image's top detection, found from a sort of the arrays, and its best
-overlap are likewise found once for all thresholds.
+rows: one NMS call, every image a group, and one ranking of the survivors
+(``rank``) that AP and CorLoc both read.
+
+CorLoc asks, per class, on what fraction of the images containing the
+class the single most confident detection hits. That detection is row 0 of
+its image's block in the ranking, and its best overlap there serves every
+threshold. Ranking the survivors rather than the raw rows changes nothing:
+NMS always keeps each image's first box (highest score, the earlier row on
+ties, NaN last), which is also the first box a ranking of the raw rows
+gives.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ def check_fraction(name: str, value: float, upper_open: bool = False) -> None:
         raise ConfigError(f"{name} must lie in [0, {bound}, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Detection:
     """One scored box prediction for one image and class."""
 
@@ -362,14 +367,29 @@ def _lockstep_hits(
                 hit[:, pos] = hits[:, j, : pos.size]
 
 
-def _rank(
-    dets: DetectionColumns, truths_by_image: Mapping[str, np.ndarray]
-) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Rank detections once by descending score (stable ties).
+@dataclass(frozen=True)
+class Ranking:
+    """One class's detections, ranked once by descending score (stable ties).
 
-    Returns, per image holding both detections and truth, its id, its
-    detections' positions in the ranking (ascending) and their IoU block
-    against all its truths, rows in score order.
+    ``blocks`` holds, per image holding both detections and truth, its id,
+    its detections' positions in the ranking (ascending) and their IoU block
+    against all its truths, rows in score order: row 0 is the image's most
+    confident detection. ``size`` counts the ranked detections and
+    ``truths`` is the class's truth by image, as ``rank`` was given it.
+    """
+
+    blocks: list[tuple[str, np.ndarray, np.ndarray]]
+    size: int
+    truths: Mapping[str, np.ndarray]
+
+
+def rank(dets: DetectionColumns, gts_by_image: Mapping[str, np.ndarray]) -> Ranking:
+    """Rank one class's detections against its truth, for AP and CorLoc.
+
+    ``dets`` are the class's detections as columns (``detection_columns``),
+    and ``gts_by_image`` maps image id to an (G, 4) array of its boxes.
+    Every image gets one IoU block, which serves every threshold, every
+    truth subset and CorLoc.
     """
     order = np.argsort(-dets.scores, kind="stable")
     boxes = dets.boxes[order]
@@ -382,33 +402,32 @@ def _rank(
         if not pos.size:
             continue
         iid = dets.image_ids[image_of[pos[0]]]
-        truths = truths_by_image.get(iid)
+        truths = gts_by_image.get(iid)
         if truths is not None and len(truths):
             blocks.append((iid, pos, kernels.iou_matrix(boxes[pos], truths)))
-    return blocks
+    return Ranking(blocks, len(dets), gts_by_image)
 
 
 def _match(
-    num_dets: int,
-    blocks: Sequence[tuple[str, np.ndarray, np.ndarray]],
+    ranked: Ranking,
     eligible: Mapping[str, np.ndarray] | None,
     iou_thresholds: Sequence[float],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Greedy matching of ranked detections against one view of the truth.
 
-    ``eligible`` maps every image of ``blocks`` to a boolean mask over its
-    truth columns; None makes every truth eligible. Yields, per threshold,
-    tp and fp indicator arrays aligned with the ranking, dropping
+    ``eligible`` maps every image of the ranking's blocks to a boolean mask
+    over its truth columns; None makes every truth eligible. Yields, per
+    threshold, tp and fp indicator arrays aligned with the ranking, dropping
     detections absorbed by ignored truth (the columns outside the mask).
-    The views read the blocks ``_rank`` built: IoU is elementwise, so a
-    column subset equals the block against that subset of the truths.
-    Every (threshold, image) pair is matched in one lockstep pass
+    The views read the ranking's blocks: IoU is elementwise, so a column
+    subset equals the block against that subset of the truths. Every
+    (threshold, image) pair is matched in one lockstep pass
     (``_lockstep_hits``).
     """
     # Per image: positions, IoU block against its eligible truths (None
     # without), best overlap with its ignored truths (None without).
     parts = []
-    for iid, pos, block in blocks:
+    for iid, pos, block in ranked.blocks:
         if eligible is None:
             parts.append((pos, block, None))
             continue
@@ -419,7 +438,7 @@ def _match(
             None if inb.all() else block[:, ~inb].max(axis=1),
         ))
     thresholds = np.asarray(iou_thresholds, dtype=np.float64)
-    hit = np.zeros((thresholds.size, num_dets), dtype=bool)
+    hit = np.zeros((thresholds.size, ranked.size), dtype=bool)
     _lockstep_hits(
         [(pos, ious) for pos, ious, _ in parts if ious is not None], thresholds, hit
     )
@@ -457,72 +476,53 @@ def _ap_from_flags(
 
 
 def average_precision(
-    dets: DetectionColumns,
-    gts_by_image: Mapping[str, np.ndarray],
+    ranked: Ranking,
     iou_thresholds: Sequence[float],
     eleven_point: bool = False,
     subsets: Mapping[str, Mapping[str, np.ndarray]] | None = None,
 ) -> list[APResult]:
     """Single-class AP over any number of images, one result per threshold.
 
-    ``dets`` are one class's detections as columns (``detection_columns``).
-    ``gts_by_image`` maps image id to an (G, 4) array of this class's
-    boxes, all of them truth. ``subsets`` names subsets of the truth, each
-    a map that must hold, for every image of ``gts_by_image``, a boolean
-    mask over that image's rows; each result's ``subsets`` then holds the
-    AP against a subset's truth alone, for every subset holding any. The
-    rest of the truth is ignored there: a detection matching only ignored
-    boxes is dropped from that curve instead of counting as a false
-    positive. The detections are ranked once and each image gets one IoU
-    block, which the full truth and every subset share.
+    ``ranked`` is one class's ranking (``rank``), all of whose truth counts.
+    ``subsets`` names subsets of the truth, each a map that must hold, for
+    every image of the ranking's truth, a boolean mask over that image's
+    rows; each result's ``subsets`` then holds the AP against a subset's
+    truth alone, for every subset holding any. The rest of the truth is
+    ignored there: a detection matching only ignored boxes is dropped from
+    that curve instead of counting as a false positive. The full truth and
+    every subset read the ranking's IoU blocks.
     """
-    n_gt = sum(len(g) for g in gts_by_image.values())
+    n_gt = sum(len(g) for g in ranked.truths.values())
     if n_gt <= 0:
         raise ValidationError("AP undefined for a class with no ground truth")
-    blocks = _rank(dets, gts_by_image)
     results = [
         _ap_from_flags(tp, fp, n_gt, eleven_point)
-        for tp, fp in _match(len(dets), blocks, None, iou_thresholds)
+        for tp, fp in _match(ranked, None, iou_thresholds)
     ]
     for name, masks in (subsets or {}).items():
         n_sub = sum(int(np.count_nonzero(m)) for m in masks.values())
         if n_sub <= 0:
             continue
-        flags = _match(len(dets), blocks, masks, iou_thresholds)
+        flags = _match(ranked, masks, iou_thresholds)
         for res, (tp, fp) in zip(results, flags):
             res.subsets[name] = _ap_from_flags(tp, fp, n_sub, eleven_point)
     return results
 
 
-def corloc(
-    dets: DetectionColumns,
-    gts_by_image: Mapping[str, np.ndarray],
-    iou_thresholds: Sequence[float],
-) -> list[float]:
+def corloc(ranked: Ranking, iou_thresholds: Sequence[float]) -> list[float]:
     """Fraction of class-bearing images whose top detection hits, per threshold.
 
-    ``dets`` are one class's raw detections as columns (no NMS or score
-    floor needed: only the most confident one per image is consulted;
-    score ties keep the earliest detection, and a NaN score ranks last).
-    Images with no detection count as misses.
+    ``ranked`` is one class's ranking (``rank``) of its raw detections or of
+    its NMS survivors, which give the same answer: only each image's most
+    confident detection is consulted (score ties keep the earliest
+    detection, and a NaN score ranks last). That detection's IoU row is row
+    0 of its image's block. Images with no detection count as misses.
     """
-    images = [iid for iid, g in gts_by_image.items() if len(g)]
+    images = sum(1 for g in ranked.truths.values() if len(g))
     if not images:
         raise ValidationError("CorLoc undefined with no class-bearing images")
-    # Rows by image, then by descending score with ties in row order: each
-    # image's first row is its top detection.
-    order = np.lexsort((-dets.scores, dets.image))
-    image_of = dets.image[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = image_of[1:] != image_of[:-1]
-    top = dict(zip([dets.image_ids[k] for k in image_of[first]], order[first]))
-    # Each image's top detection's best overlap with its truths.
-    top_iou = np.array([
-        kernels.iou_matrix(dets.boxes[top[iid]][None, :], gts_by_image[iid]).max()
-        for iid in images
-        if iid in top
-    ])
-    return [int(np.count_nonzero(top_iou >= t)) / len(images) for t in iou_thresholds]
+    top_iou = np.array([block[0].max() for _, _, block in ranked.blocks])
+    return [int(np.count_nonzero(top_iou >= t)) / images for t in iou_thresholds]
 
 
 @dataclass
@@ -632,9 +632,10 @@ def evaluate(
     """Score detections against record ground truth.
 
     The detections become columns once; a detection of an image outside
-    ``records`` is a ValidationError. CorLoc reads each class's raw rows;
-    AP sees them after per-image NMS. Classes with no ground-truth box
-    anywhere are excluded from every mean. Area buckets partition ground
+    ``records`` is a ValidationError. Each class's rows go through
+    per-image NMS, and one ranking of the survivors serves AP and CorLoc
+    (CorLoc's answer is that of the raw rows). Classes with no ground-truth
+    box anywhere are excluded from every mean. Area buckets partition ground
     truth by box area at ``AREA_SMALL_MAX`` and ``AREA_MEDIUM_MAX``;
     detections over an out-of-bucket object are discarded rather than
     penalized. IoU thresholds must lie in [0, 1], at least one, with
@@ -670,14 +671,11 @@ def evaluate(
         # The class's rows, in detection order.
         group = cols.take(by_class[bounds[k] : bounds[k + 1]])
         keep = nms_detections(group.boxes, group.scores, nms_thresh, group.image)
+        ranked = rank(group.take(keep), gts[cid])
         results = average_precision(
-            group.take(keep),
-            gts[cid],
-            thresholds,
-            eleven_point,
-            subsets=_area_buckets(gts[cid]),
+            ranked, thresholds, eleven_point, subsets=_area_buckets(gts[cid])
         )
-        fractions = corloc(group, gts[cid], thresholds)
+        fractions = corloc(ranked, thresholds)
         for t, res, frac in zip(thresholds, results, fractions):
             ap[cid][t] = res.ap
             counts[cid][t] = (res.tp, res.fp, res.n_gt)

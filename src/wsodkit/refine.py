@@ -197,8 +197,7 @@ def refinement_chain(
     (``numkit.add_in_order``), so a stack leaves the same bits in
     ``Param.grad`` as its images would one call each.
 
-    Returns the per-image losses and q, the (B, R, C + 1) class
-    probabilities.
+    Returns the per-image losses, in stack order.
     """
     if features.ndim != 3 or targets.shape != features.shape[:2]:
         raise ShapeError(

@@ -13,12 +13,12 @@ same feature stack. Gradients and losses still add image by image in batch
 order (a stack's per-image gradients through one ``numkit.add_in_order``
 per parameter), so stacking changes no bit of a run. The optimizer keeps
 every parameter in one flat buffer and steps it whole. What is fixed for the
-whole run is built once per record: the depth masks, their attention
-multipliers, the proposal IoU blocks that mining slices and the pooled
-RGB and depth features that the contrastive loss reads. All
-randomness flows through one seeded generator whose draw order does not
-depend on the toggles, so runs differing only in disabled components stay
-bit-comparable.
+whole run is built once per record: the depth masks (only when depth mining
+or depth attention reads them), their attention multipliers, the proposal
+IoU blocks that mining slices and the pooled RGB and depth features that
+the contrastive loss reads. All randomness flows through one seeded
+generator whose draw order does not depend on the toggles, so runs
+differing only in disabled components stay bit-comparable.
 """
 
 from __future__ import annotations
@@ -313,12 +313,10 @@ def check_features(records: Sequence[ImageRecord]) -> int:
 
 def _record_masks(
     records: Sequence[ImageRecord],
-    priors: FrozenPriors | None,
+    priors: FrozenPriors,
     num_classes: int,
     config: RunConfig,
-):
-    if priors is None:
-        return None
+) -> list[DepthMask]:
     return [
         depth_mask(rec, priors, num_classes, use_caption=config.caption_priors)
         for rec in records
@@ -423,7 +421,9 @@ def train(
             [contrastive.pool_features(rec.depth_features) for rec in records]
         )
     labels = resolve_labels(records, vocab, config.label_source)
-    masks = _record_masks(records, priors, num_classes, config)
+    masks = None
+    if config.depth_oicr or config.depth_attention:
+        masks = _record_masks(records, priors, num_classes, config)
     attention = None
     if config.depth_attention:
         attention = [

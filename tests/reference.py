@@ -191,14 +191,20 @@ def all_point_ap(dets, gts_by_image, thresh, ignore_by_image=None):
 
 
 def top1_corloc(dets, gts_by_image, thresh):
-    """Literal CorLoc: the single best-scoring detection per image."""
+    """Literal CorLoc: the single best-scoring detection per image.
+
+    Ties go to the earliest detection and NaN scores rank last.
+    """
     images = [iid for iid, g in gts_by_image.items() if len(g)]
     hits = 0
     for iid in images:
         cands = [d for d in dets if d.image_id == iid]
         if not cands:
             continue
-        top = max(enumerate(cands), key=lambda t: (t[1].score, -t[0]))[1]
+        top = max(
+            enumerate(cands),
+            key=lambda t: (not math.isnan(t[1].score), t[1].score, -t[0]),
+        )[1]
         if any(iou(top.box, Box(*g)) >= thresh for g in gts_by_image[iid]):
             hits += 1
     return hits / len(images)

@@ -26,6 +26,7 @@ from wsodkit.evaluate import (
     average_precision,
     corloc,
     detection_columns,
+    rank,
 )
 from wsodkit.fusion import FusionMode
 from wsodkit.milhead import HeadParams, mil_chain
@@ -238,9 +239,9 @@ def test_criterion_4_evaluator_oracle():
                 continue
             usable += 1
             tps = []
-            cols = detection_columns(dets)
-            results = average_precision(cols, gts, IOU_GRID)
-            fractions = corloc(cols, gts, IOU_GRID)
+            ranked = rank(detection_columns(dets), gts)
+            results = average_precision(ranked, IOU_GRID)
+            fractions = corloc(ranked, IOU_GRID)
             for thresh, res, frac in zip(IOU_GRID, results, fractions):
                 tps.append(res.tp)
                 # Same sum, different grouping: envelope integration vs the

@@ -348,8 +348,8 @@ def test_bad_option_exit_2(tmp_path, capsys, command, option, message):
     assert code == 2 and message in err
 
 
-def test_eval_data_uses_depth_map_sidecar(tmp_path, capsys):
-    data, vocab = gen_small(capsys, tmp_path)
+def sidecar_layout(data, tmp_path):
+    """A copy of ``data`` without proposal depths, and a depth-map sidecar."""
     no_depths = tmp_path / "nd.jsonl"
     sidecar = tmp_path / "dm.jsonl"
     with open(no_depths, "w") as nd, open(sidecar, "w") as dm:
@@ -362,6 +362,12 @@ def test_eval_data_uses_depth_map_sidecar(tmp_path, capsys):
                 "image_id": obj["image_id"], "width": obj["width"],
                 "height": obj["height"], "values": values,
             }) + "\n")
+    return no_depths, sidecar
+
+
+def test_eval_data_uses_depth_map_sidecar(tmp_path, capsys):
+    data, vocab = gen_small(capsys, tmp_path)
+    no_depths, sidecar = sidecar_layout(data, tmp_path)
     code, _, err = run(
         capsys, "train",
         "--data", str(no_depths), "--vocab", str(vocab),
@@ -369,6 +375,39 @@ def test_eval_data_uses_depth_map_sidecar(tmp_path, capsys):
         "--set", "epochs=1", "--quiet",
     )
     assert code == 0, err
+
+
+def test_dataset_commands_read_depth_map_sidecar(tmp_path, capsys):
+    # infer and evaluate read no proposal depths, so either layout of one
+    # dataset gives the same detections and the same table.
+    data, vocab = gen_small(capsys, tmp_path)
+    no_depths, sidecar = sidecar_layout(data, tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--vocab", str(vocab),
+        "--set", "epochs=1", "--quiet", "--checkpoint-out", str(ckpt),
+    )
+    assert code == 0, err
+    outputs = {}
+    layouts = {
+        "inline": ["--data", str(data)],
+        "sidecar": ["--data", str(no_depths), "--depth-maps", str(sidecar)],
+    }
+    for name, layout in layouts.items():
+        inputs = [*layout, "--vocab", str(vocab)]
+        dets = tmp_path / f"dets-{name}.jsonl"
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(ckpt), *inputs,
+            "--out", str(dets), "--min-score", "0.0",
+        )
+        assert code == 0, err
+        code, table, err = run(capsys, "evaluate", "--detections", str(dets), *inputs)
+        assert code == 0, err
+        labeled = tmp_path / f"labeled-{name}.jsonl"
+        code, _, err = run(capsys, "extract-labels", *inputs, "--out", str(labeled))
+        assert code == 0, err
+        outputs[name] = (dets.read_bytes(), table)
+    assert outputs["sidecar"] == outputs["inline"]
 
 
 class _Missing:

@@ -24,6 +24,7 @@ from wsodkit.evaluate import (
     format_table,
     load_detections,
     nms_detections,
+    rank,
     save_detections,
 )
 
@@ -110,9 +111,9 @@ def ignoring(gts, ignored):
 def ap_ignoring(cols, gts, ignored, thresholds):
     """AP against ``gts`` with ``ignored`` (None for none) ignored."""
     if ignored is None:
-        return average_precision(cols, gts, thresholds)
+        return average_precision(rank(cols, gts), thresholds)
     truth, rows = ignoring(gts, ignored)
-    results = average_precision(cols, truth, thresholds, subsets={"truth": rows})
+    results = average_precision(rank(cols, truth), thresholds, subsets={"truth": rows})
     return [res.subsets["truth"] for res in results]
 
 
@@ -133,7 +134,7 @@ class TestAveragePrecision:
     def test_single_hit_perfect(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
-        res = average_precision(dets, gts, [0.5])[0]
+        res = average_precision(rank(dets, gts), [0.5])[0]
         assert res.ap == pytest.approx(1.0, abs=1e-12)
         assert (res.tp, res.fp, res.n_gt) == (1, 1 - 1, 1)
 
@@ -144,7 +145,7 @@ class TestAveragePrecision:
             det("a", [50, 50, 60, 60], 0.9),
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(detection_columns(dets), gts, [0.5])[0]
+        res = average_precision(rank(detection_columns(dets), gts), [0.5])[0]
         assert res.ap == pytest.approx(0.5, abs=1e-12)
 
     def test_duplicate_detection_is_fp(self):
@@ -153,7 +154,7 @@ class TestAveragePrecision:
             det("a", [0, 0, 10, 10], 0.9),
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(detection_columns(dets), gts, [0.5])[0]
+        res = average_precision(rank(detection_columns(dets), gts), [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
         assert res.ap == pytest.approx(1.0, abs=1e-12)
 
@@ -161,21 +162,19 @@ class TestAveragePrecision:
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         loose = det("a", [0, 0, 12, 10], 0.9)  # IoU 5/6
         tight = det("a", [0, 0, 10, 10], 0.5)
-        res = average_precision(detection_columns([tight, loose]), gts, [0.5])[0]
+        res = average_precision(rank(detection_columns([tight, loose]), gts), [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
 
     def test_no_detections_zero(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
-        res = average_precision(detection_columns([]), gts, [0.5])[0]
+        res = average_precision(rank(detection_columns([]), gts), [0.5])[0]
         assert res.ap == 0.0 and res.n_gt == 1
 
     def test_no_gt_rejected(self):
+        cols = detection_columns([det("a", [0, 0, 1, 1], 0.5)])
+        ranked = rank(cols, {"a": np.zeros((0, 4))})
         with pytest.raises(ValidationError):
-            average_precision(
-                detection_columns([det("a", [0, 0, 1, 1], 0.5)]),
-                {"a": np.zeros((0, 4))},
-                [0.5],
-            )
+            average_precision(ranked, [0.5])
 
     def test_eleven_point_differs_from_all_point(self):
         # One of two truths found: all-point gives 0.5, the 11-point grid
@@ -184,10 +183,10 @@ class TestAveragePrecision:
             "a": np.array([[0.0, 0.0, 10.0, 10.0], [50.0, 50.0, 60.0, 60.0]])
         }
         dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
-        assert average_precision(dets, gts, [0.5])[0].ap == (
+        assert average_precision(rank(dets, gts), [0.5])[0].ap == (
             pytest.approx(0.5, abs=1e-12)
         )
-        assert average_precision(dets, gts, [0.5], eleven_point=True)[0].ap == (
+        assert average_precision(rank(dets, gts), [0.5], eleven_point=True)[0].ap == (
             pytest.approx(6.0 / 11.0, abs=1e-12)
         )
 
@@ -209,10 +208,11 @@ class TestAveragePrecision:
         n_gt = sum(len(g) for g in gts.values())
         if n_gt == 0:
             return
+        ranked = rank(detection_columns(dets), gts)
         for thresh in (0.3, 0.5, 0.75):
-            got = average_precision(detection_columns(dets), gts, [thresh])[0]
+            got = average_precision(ranked, [thresh])[0]
             assert got.ap == pytest.approx(all_point_ap(dets, gts, thresh), abs=1e-12)
-            assert corloc(detection_columns(dets), gts, [thresh])[0] == pytest.approx(
+            assert corloc(ranked, [thresh])[0] == pytest.approx(
                 top1_corloc(dets, gts, thresh), abs=1e-12
             )
 
@@ -221,7 +221,7 @@ class TestAveragePrecision:
         dets, gts = random_scenario(seed, num_images=3)
         if sum(len(g) for g in gts.values()) == 0:
             return
-        results = average_precision(detection_columns(dets), gts, IOU_GRID)
+        results = average_precision(rank(detection_columns(dets), gts), IOU_GRID)
         tps = [res.tp for res in results]
         assert all(a >= b for a, b in zip(tps, tps[1:]))
 
@@ -296,9 +296,9 @@ class TestTruthSubsets:
             }
             for name, frac in (("none", 0.0), ("some", 0.5), ("all", 1.0))
         }
-        cols = detection_columns(dets)
-        got = average_precision(cols, truth, IOU_GRID, subsets=subsets)
-        plain = average_precision(cols, truth, IOU_GRID)
+        ranked = rank(detection_columns(dets), truth)
+        got = average_precision(ranked, IOU_GRID, subsets=subsets)
+        plain = average_precision(ranked, IOU_GRID)
         fields = lambda res: (res.ap, res.tp, res.fp, res.n_gt)
         assert [fields(res) for res in got] == [fields(res) for res in plain]
         for name, masks in subsets.items():
@@ -331,7 +331,7 @@ class TestOneCallPerGrid:
             ), t
 
     def check_corloc(self, dets, gts):
-        assert corloc(detection_columns(dets), gts, IOU_GRID) == pytest.approx(
+        assert corloc(rank(detection_columns(dets), gts), IOU_GRID) == pytest.approx(
             [top1_corloc(dets, gts, t) for t in IOU_GRID], abs=1e-12
         )
 
@@ -367,8 +367,8 @@ class TestOneCallPerGrid:
             self.check_ap(dets, gts)
             self.check_corloc(dets, gts)
         expected = [1.0 if t <= 0.7 else 0.0 for t in IOU_GRID]
-        assert corloc(detection_columns([hit, miss]), gts, IOU_GRID) == expected
-        missed = corloc(detection_columns([miss, hit]), gts, IOU_GRID)
+        assert corloc(rank(detection_columns([hit, miss]), gts), IOU_GRID) == expected
+        missed = corloc(rank(detection_columns([miss, hit]), gts), IOU_GRID)
         assert missed == [0.0] * len(IOU_GRID)
 
 
@@ -442,8 +442,7 @@ class TestLockstepMatcher:
             for name, masks in evaluate_module._area_buckets(truth).items()
         }
         got = average_precision(
-            detection_columns(dets),
-            truth,
+            rank(detection_columns(dets), truth),
             IOU_GRID,
             subsets={"truth": rows, **buckets},
         )
@@ -568,7 +567,7 @@ class TestCorloc:
             det("a", [0, 0, 10, 10], 0.9),
             det("b", [50, 50, 60, 60], 0.9),
         ]
-        got = corloc(detection_columns(dets), gts, [0.5])[0]
+        got = corloc(rank(detection_columns(dets), gts), [0.5])[0]
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_only_top_scorer_counts(self):
@@ -577,14 +576,14 @@ class TestCorloc:
             det("a", [50, 50, 60, 60], 0.9),  # top-1 misses
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        assert corloc(detection_columns(dets), gts, [0.5])[0] == 0.0
+        assert corloc(rank(detection_columns(dets), gts), [0.5])[0] == 0.0
 
     def test_score_tie_keeps_earliest(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         hit = det("a", [0, 0, 10, 10], 0.9)
         miss = det("a", [50, 50, 60, 60], 0.9)
-        assert corloc(detection_columns([hit, miss]), gts, [0.5])[0] == 1.0
-        assert corloc(detection_columns([miss, hit]), gts, [0.5])[0] == 0.0
+        assert corloc(rank(detection_columns([hit, miss]), gts), [0.5])[0] == 1.0
+        assert corloc(rank(detection_columns([miss, hit]), gts), [0.5])[0] == 0.0
         # The tied pair behind a lower score of its image and among another
         # image's rows: the earliest of the tie still wins.
         gts["b"] = gts["a"]
@@ -593,7 +592,7 @@ class TestCorloc:
             ([low, other, hit, other, miss], 1.0),
             ([low, other, miss, other, hit], 0.5),
         ):
-            assert corloc(detection_columns(dets), gts, [0.5])[0] == want
+            assert corloc(rank(detection_columns(dets), gts), [0.5])[0] == want
             assert top1_corloc(dets, gts, 0.5) == want
 
     def test_image_without_detection_misses(self):
@@ -602,11 +601,44 @@ class TestCorloc:
             "b": np.array([[0.0, 0.0, 10.0, 10.0]]),
         }
         dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
-        assert corloc(dets, gts, [0.5])[0] == 0.5
+        assert corloc(rank(dets, gts), [0.5])[0] == 0.5
 
     def test_no_class_images_rejected(self):
         with pytest.raises(ValidationError):
-            corloc(detection_columns([]), {"a": np.zeros((0, 4))}, [0.5])
+            corloc(rank(detection_columns([]), {"a": np.zeros((0, 4))}), [0.5])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nms_thresh=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        nan_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_nms_survivors_give_raw_corloc(self, seed, nms_thresh, nan_rate):
+        # evaluate ranks a class's NMS survivors once for AP and CorLoc;
+        # NMS keeps each image's top detection, ties and NaN scores included.
+        r = np.random.default_rng(seed)
+        gts = {f"i{k}": random_boxes(r, int(r.integers(0, 4))) for k in range(4)}
+        dets = []
+        for _ in range(int(r.integers(0, 16))):
+            iid = f"i{int(r.integers(0, 5))}"  # i4 has no truth entry
+            truth = gts.get(iid, ())
+            if len(truth) and r.uniform() < 0.6:
+                base = truth[int(r.integers(len(truth)))]
+                box = np.clip(base + r.normal(0, 2.0, size=4), 0.0, None)
+                box[2:] = np.maximum(box[2:], box[:2] + 1.0)
+            else:
+                box = random_boxes(r, 1)[0]
+            score = math.nan if r.uniform() < nan_rate else float(r.choice([0.2, 0.8]))
+            dets.append(det(iid, box, score))
+        if not any(len(g) for g in gts.values()):
+            return
+        cols = detection_columns(dets)
+        keep = nms_detections(cols.boxes, cols.scores, nms_thresh, cols.image)
+        got = corloc(rank(cols.take(keep), gts), IOU_GRID)
+        assert got == corloc(rank(cols, gts), IOU_GRID)
+        assert got == pytest.approx(
+            [top1_corloc(dets, gts, t) for t in IOU_GRID], abs=1e-12
+        )
 
 
 class TestNmsDetections:

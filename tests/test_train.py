@@ -374,6 +374,34 @@ class TestDeterminismAndReductions:
         train(tiny_config(epochs=3, siamese_nce=nce), records, vocab)
         assert len(calls) == (2 * len(records) if nce else 0)
 
+    @pytest.mark.parametrize(
+        "toggles",
+        [{}, {"siamese_nce": True, "fusion": True}, {"depth_oicr": True},
+         {"depth_attention": True}],
+    )
+    def test_depth_masks_built_only_when_read(
+        self, small_data, monkeypatch, tmp_path, toggles
+    ):
+        # Only depth mining and depth attention read the masks; without
+        # them, priors change nothing, and no mask is built.
+        records, vocab = small_data
+        priors = FrozenPriors({0: DepthRange(0.2, 0.7), 2: DepthRange(0.5, 1.0)}, {})
+        real = TRAIN.depth_mask
+        calls = []
+        monkeypatch.setattr(
+            TRAIN, "depth_mask", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        cfg = tiny_config(**toggles)
+        model, _ = train(cfg, records, vocab, priors=priors)
+        read = cfg.depth_oicr or cfg.depth_attention
+        assert len(calls) == (len(records) if read else 0)
+        if not read:
+            bare, _ = train(cfg, records, vocab)
+            model.save(tmp_path / "priors.ckpt")
+            bare.save(tmp_path / "bare.ckpt")
+            bare_bytes = (tmp_path / "bare.ckpt").read_bytes()
+            assert (tmp_path / "priors.ckpt").read_bytes() == bare_bytes
+
     def test_empty_priors_make_depth_toggles_inert(self, small_data):
         records, vocab = small_data
         empty = FrozenPriors({}, {})
