@@ -128,28 +128,32 @@ def label_vector(labels: set[int], num_classes: int) -> np.ndarray:
 
 def mil_chain(
     streams: Sequence[tuple[np.ndarray, HeadParams]],
-    labels: Sequence[set[int]],
+    labels: np.ndarray,
     attention: np.ndarray | None = None,
     grad_scale: float = 0.0,
 ) -> tuple[list[float], ScorePack]:
     """MIL losses of a stack of same-R images: ``forward``, BCE, backward.
 
     ``streams`` and ``attention`` are ``forward``'s: (B, R, d) feature
-    stacks, each with its head, fused in the order given. ``labels`` holds
-    one label set per image. Each image's loss sums, over classes, the
-    binary cross-entropy between its image probabilities (clamped before
-    the logs) and its labels. With ``grad_scale`` nonzero, gradients of
-    ``grad_scale`` times each loss are added into every stream's head
-    parameters image by image in stack order (``numkit.add_in_order``), so
-    a stack leaves the same bits in ``Param.grad`` as its images would one
-    call each.
+    stacks, each with its head, fused in the order given. ``labels`` is a
+    (B, C) matrix of 0/1 label rows (``label_vector``), one per image. Each
+    image's loss sums, over classes, the binary cross-entropy between its
+    image probabilities (clamped before the logs) and its labels. With
+    ``grad_scale`` nonzero, gradients of ``grad_scale`` times each loss are
+    added into every stream's head parameters image by image in stack
+    order, by one ``numkit.add_in_order`` call over all of them, so a stack
+    leaves the same bits in ``Param.grad`` as its images would one call
+    each.
     Returns the per-image losses and the forward's ``ScorePack``.
     """
     pack = forward(streams, attention)
     image_prob = pack.image_prob
-    if len(labels) != image_prob.shape[0]:
-        raise ShapeError(f"{len(labels)} label sets for {image_prob.shape[0]} images")
-    y = np.array([label_vector(ls, image_prob.shape[1]) for ls in labels])
+    if labels.shape != image_prob.shape:
+        raise ShapeError(
+            f"label rows {labels.shape} do not match image probabilities "
+            f"{image_prob.shape}"
+        )
+    y = labels
     p = numkit.clamp_unit(image_prob)
     losses = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=-1)
 
@@ -159,20 +163,23 @@ def mil_chain(
         dlog1m = numkit.dlog_clamped(1.0 - image_prob)
         d_prob = -(y * dlogp - (1.0 - y) * dlog1m)
         d_total = d_prob * image_prob * (1.0 - image_prob)
-        d_attended = np.broadcast_to(d_total[:, None, :], pack.attended.shape)
-        d_combined = d_attended if attention is None else d_attended * attention
+        # Every proposal's evidence gets its image's d_total; the products
+        # below broadcast it over R.
+        d_combined = d_total[:, None, :]
+        if attention is not None:
+            d_combined = d_combined * attention
         d_det_prob = d_combined * pack.cls_prob
         d_cls_prob = d_combined * pack.det_prob
         d_det = numkit.softmax_cols_backward(pack.det_prob, d_det_prob)
         d_cls = numkit.softmax_rows_backward(pack.cls_prob, d_cls_prob)
-        s = grad_scale
+        totals, stacks = [], []
         for features, head in streams:
             for w, b, g in (
                 (head.w_det, head.b_det, d_det),
                 (head.w_cls, head.b_cls, d_cls),
             ):
-                dw, db = numkit.affine_backward(features, g)
-                numkit.add_in_order(w.grad, s * dw)
-                numkit.add_in_order(b.grad, s * db)
+                totals += (w.grad, b.grad)
+                stacks += numkit.affine_backward(features, g)
+        numkit.add_in_order(totals, stacks, scale=grad_scale)
 
     return losses.tolist(), pack

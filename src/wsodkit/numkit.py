@@ -1,9 +1,10 @@
 """Dense float64 building blocks: affine maps, softmaxes, SGD, checkpoints.
 
 Every differentiable operation is an explicit forward/backward pair; callers
-compose them in a fixed order and accumulate into ``Param.grad``, a stack of
-per-image gradients through ``add_in_order``. There is no tape. All arrays
-are plain numpy float64.
+compose them in a fixed order and accumulate into ``Param.grad``: one
+``add_in_order`` call adds the per-image gradient stacks of several
+parameters, image by image. There is no tape. All arrays are plain numpy
+float64.
 
 ``SGD`` owns its parameters' storage: it copies every value and gradient
 into one flat buffer each and rebinds ``Param.value``/``Param.grad`` to
@@ -54,15 +55,37 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def add_in_order(total: np.ndarray, stack: np.ndarray) -> None:
-    """Add ``stack[0]``, ``stack[1]``, ... into ``total`` in place, in order.
+def add_in_order(
+    totals: Sequence[np.ndarray], stacks: Sequence[np.ndarray], scale: float = 1.0
+) -> None:
+    """Add each stack's rows into its total in place, in stack order.
 
-    Bitwise equal to ``for g in stack: total += g``. The one cumulative sum
-    adds strictly left to right; ``sum`` and ``add.reduce`` may add a stack
-    pairwise when its axis ends up innermost, which changes the bits.
+    ``stacks[j]`` is a (B, *totals[j].shape) stack of per-image terms, one
+    B for all pairs. Bitwise equal to ``for g in stacks[j]: totals[j] +=
+    scale * g`` for every pair (NaN payloads aside where two NaNs meet,
+    which NumPy's own loops do not fix either). The stacks are flattened
+    into one (B, P) block, scaled once, and its rows are added one at a
+    time into the concatenated totals, which are then written back; every
+    step is elementwise. ``sum`` and ``add.reduce`` may add a stack
+    pairwise, which changes the bits. ``add.accumulate`` keeps them but
+    costs more than B in-place row adds at a train step's sizes: about 25
+    against 10 us on a (9, 660) block.
     """
-    both = np.concatenate((total[None], stack))
-    total[...] = np.add.accumulate(both, axis=0)[-1]
+    b = len(stacks[0])
+    if len(totals) != len(stacks) or any(
+        len(g) != b or g.shape[1:] != t.shape for t, g in zip(totals, stacks)
+    ):
+        raise ShapeError("add_in_order needs one (B, *total.shape) stack per total")
+    pairs = zip(totals, stacks)
+    block = np.concatenate([g.reshape(b, t.size) for t, g in pairs], axis=1)
+    block *= scale
+    acc = np.concatenate([t.reshape(-1) for t in totals])
+    for row in block:
+        acc += row
+    start = 0
+    for t in totals:
+        t[...] = acc[start : start + t.size].reshape(t.shape)
+        start += t.size
 
 
 def affine_backward(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -193,9 +193,9 @@ def refinement_chain(
     with q the row softmax of the branch scores over C + 1 classes.
     Supervision weights are constants; with ``grad_scale`` nonzero,
     gradients of ``grad_scale`` times each loss are added into the branch
-    parameters only, image by image in stack order
-    (``numkit.add_in_order``), so a stack leaves the same bits in
-    ``Param.grad`` as its images would one call each.
+    parameters only, image by image in stack order, by one
+    ``numkit.add_in_order`` call over ``w`` and ``b``, so a stack leaves
+    the same bits in ``Param.grad`` as its images would one call each.
 
     Returns the per-image losses, in stack order.
     """
@@ -219,9 +219,9 @@ def refinement_chain(
         d_logits = q * coef[..., None]
         d_logits.reshape(-1)[at] -= coef.reshape(-1)
         d_logits *= grad_scale
-        dw, db = numkit.affine_backward(features, d_logits)
-        numkit.add_in_order(branch.w.grad, dw)
-        numkit.add_in_order(branch.b.grad, db)
+        numkit.add_in_order(
+            [branch.w.grad, branch.b.grad], numkit.affine_backward(features, d_logits)
+        )
     return losses.tolist()
 
 

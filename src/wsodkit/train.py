@@ -10,14 +10,16 @@ of at most ``MIL_ROW_BUDGET`` proposal rows. The labelled images of the
 run are then mined image by image from the MIL head's scores and go
 through the refinement branch in one ``refinement_chain`` call over the
 same feature stack. Gradients and losses still add image by image in batch
-order (a stack's per-image gradients through one ``numkit.add_in_order``
-per parameter), so stacking changes no bit of a run. The optimizer keeps
-every parameter in one flat buffer and steps it whole. What is fixed for the
-whole run is built once per record: the depth masks (only when depth mining
-or depth attention reads them), their attention multipliers, the proposal
-IoU blocks that mining slices and the pooled RGB and depth features that
-the contrastive loss reads. All randomness flows through one seeded
-generator whose draw order does not depend on the toggles, so runs
+order (each chain adds its stack's per-image gradients of every parameter
+it trains through one ``numkit.add_in_order`` call), so stacking changes
+no bit of a run. The optimizer keeps every parameter in one flat buffer and
+steps it whole. What is fixed for the whole run is built once: the (N, C)
+label rows, each record's proposal count, the depth masks (only when depth
+mining or depth attention reads them), their attention multipliers, the
+proposal IoU blocks that mining slices and the pooled RGB and depth
+features that the contrastive loss reads. A chunk's feature and attention
+stacks are one concatenate each. All randomness flows through one
+seeded generator whose draw order does not depend on the toggles, so runs
 differing only in disabled components stay bit-comparable.
 """
 
@@ -55,11 +57,12 @@ SEED_ENV_VAR = "WSOD_SEED"
 MAX_EPOCHS = 10_000
 MAX_PROJ_DIM = 4096
 # Most proposal rows one mil_chain call stacks. Measured with fusion and
-# attention (d=32, C=5, OpenBLAS on one thread of a 2-vCPU Xeon), the cost
-# per image falls while a stack holds up to ~1k rows (R=20: 172 -> 61 us
-# at 8 images; R=128: 291 -> 133 us at 8; R=512: 546 -> 469 us at 2) and
-# rises past ~2k rows (R=2000: 1.5 ms alone, 1.9 ms at 2, 2.4 ms at 8), so
-# large proposal sets go one image per call.
+# attention (d=32, C=5, OpenBLAS on one thread of a 2-vCPU Xeon; 10th
+# percentile of interleaved calls), the cost per image falls while a stack
+# holds up to ~1k rows (R=20: 112 -> 23 us at 8 images; R=128: 164 -> 67
+# us at 8; R=512: 349 -> 283 us at 2, 257 at 4) and stays flat past ~2k
+# rows (R=2000: 1.14 ms alone, 1.12 at 2, 1.17 at 8), so large proposal
+# sets go one image per call.
 MIL_ROW_BUDGET = 1024
 
 # Dotted config keys accepted in files and --set overrides.
@@ -304,7 +307,10 @@ def resolve_labels(
 
 
 def check_features(records: Sequence[ImageRecord]) -> int:
-    """All records must share one feature dimension; returns it."""
+    """All records, at least one, must share one feature dimension;
+    returns it."""
+    if not records:
+        raise DataError("no records were given")
     dims = {rec.rgb_features.shape[1] for rec in records}
     if len(dims) != 1:
         raise DataError(f"records disagree on feature dim: {sorted(dims)}")
@@ -323,24 +329,36 @@ def _record_masks(
     ]
 
 
-def _same_r_runs(records: Sequence[ImageRecord], batch: list[int]) -> list[list[int]]:
+def _same_r_runs(sizes: Sequence[int], batch: list[int]) -> list[list[int]]:
     """Split a batch into runs of consecutive same-R images, in batch order.
 
-    Each run is one ``mil_chain`` call and holds at most ``MIL_ROW_BUDGET``
-    proposal rows, but always at least one image.
+    ``sizes[idx]`` is record idx's proposal count R. Each run is one
+    ``mil_chain`` call and holds at most ``MIL_ROW_BUDGET`` proposal rows,
+    but always at least one image.
     """
     runs: list[list[int]] = []
     for idx in batch:
-        r = records[idx].num_proposals
+        r = sizes[idx]
         if (
             runs
-            and records[runs[-1][0]].num_proposals == r
+            and sizes[runs[-1][0]] == r
             and (len(runs[-1]) + 1) * r <= MIL_ROW_BUDGET
         ):
             runs[-1].append(idx)
         else:
             runs.append([idx])
     return runs
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack`` of same-shape arrays as one concatenate and a reshape.
+
+    ``np.stack`` makes a (1, ...) view of each array first. Keeping such
+    views per record for a whole run saves the same calls, but those ~1.5k
+    small objects per run left the heap more fragmented, and stock-ladder
+    read a 0.9 MiB higher peak RSS.
+    """
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
 def _refinement_losses(
@@ -364,7 +382,8 @@ def _refinement_losses(
     gradients of ``grad_scale`` times each image's loss.
     """
     num_classes = model.dims.num_classes
-    targets, weights = [], []
+    targets = np.empty(scores.shape[:2], dtype=np.int64)
+    weights = np.empty(scores.shape[:2])
     for k, rec in enumerate(records):
         pseudo = refine.mine(
             rec,
@@ -375,14 +394,10 @@ def _refinement_losses(
             score_ratio=config.refine_score_ratio,
             pair_ious=pair_ious[k],
         )
-        t, w = refine.assign_targets(
+        targets[k], weights[k] = refine.assign_targets(
             rec, pseudo, num_classes, config.refine_iou_thresh, pair_ious[k]
         )
-        targets.append(t)
-        weights.append(w)
-    return refine.refinement_chain(
-        features, model.refine, np.stack(targets), np.stack(weights), grad_scale
-    )
+    return refine.refinement_chain(features, model.refine, targets, weights, grad_scale)
 
 
 def train(
@@ -421,6 +436,7 @@ def train(
             [contrastive.pool_features(rec.depth_features) for rec in records]
         )
     labels = resolve_labels(records, vocab, config.label_source)
+    label_rows = np.array([milhead.label_vector(ls, num_classes) for ls in labels])
     masks = None
     if config.depth_oicr or config.depth_attention:
         masks = _record_masks(records, priors, num_classes, config)
@@ -443,6 +459,7 @@ def train(
 
     use_refine = config.lambda_ref > 0.0
     pair_ious = [refine.pair_iou(rec) for rec in records] if use_refine else None
+    sizes = [rec.num_proposals for rec in records]
     n = len(records)
     report = RunReport(config=config.to_json(), seed=seed)
     start = time.perf_counter()
@@ -456,18 +473,17 @@ def train(
         for lo in range(0, n, config.nce_batch):
             batch = [int(idx) for idx in order[lo : lo + config.nce_batch]]
             bsz = len(batch)
-            for chunk in _same_r_runs(records, batch):
-                stack = [records[idx] for idx in chunk]
-                rgb = np.stack([rec.rgb_features for rec in stack])
+            for chunk in _same_r_runs(sizes, batch):
+                rgb = _stacked([records[idx].rgb_features for idx in chunk])
                 streams = [(rgb, model.rgb_head)]
                 if config.fusion:
-                    depth = np.stack([rec.depth_features for rec in stack])
+                    depth = _stacked([records[idx].depth_features for idx in chunk])
                     streams.append((depth, model.depth_head))
                 mil_losses, pack = milhead.mil_chain(
                     streams,
-                    [labels[idx] for idx in chunk],
+                    label_rows[chunk],
                     attention=(
-                        np.stack([attention[idx] for idx in chunk])
+                        _stacked([attention[idx] for idx in chunk])
                         if attention is not None
                         else None
                     ),

@@ -26,32 +26,37 @@ from wsodkit.refine import PseudoBoxes
 EPS = 1e-7
 
 
-def bare_mil_run(config, records, labels, num_classes):
-    """Plain MIL training loop: one RGB head, momentum SGD, nothing else.
+def bare_mil_run(config, records, labels, num_classes, attention=None):
+    """Plain MIL training loop: the RGB head, momentum SGD, nothing else.
 
     Replays the exact draw order of the full model factory (all parameter
-    groups are created up front from one generator) but only ever trains
-    the RGB head. Returns the four head arrays and the per-epoch mean MIL
-    loss trace.
+    groups are created up front from one generator). With
+    ``config.fusion`` the depth head trains too, its raw scores added to
+    the RGB head's. ``attention`` is an optional list of per-record (R, C)
+    multipliers on the evidence that feeds the image prediction. Images
+    are scored one at a time, and each image's gradient is added on its
+    own. Returns the head arrays, keyed ``w_det``, ``b_det``, ``w_cls``,
+    ``b_cls`` for RGB and ``depth.w_det`` and so on for depth, and the
+    per-epoch mean MIL loss trace.
     """
     n = len(records)
     d = records[0].rgb_features.shape[1]
     c = num_classes
     rng = np.random.default_rng(config.seed)
     scale = config.init_scale
-    w_det = rng.normal(0.0, scale, (d, c))
-    b_det = np.zeros(c)
-    w_cls = rng.normal(0.0, scale, (d, c))
-    b_cls = np.zeros(c)
-    rng.normal(0.0, scale, (d, c))  # depth head, never trained here
-    rng.normal(0.0, scale, (d, c))
+    params = {}
+    for head in ("", "depth."):
+        params[head + "w_det"] = rng.normal(0.0, scale, (d, c))
+        params[head + "b_det"] = np.zeros(c)
+        params[head + "w_cls"] = rng.normal(0.0, scale, (d, c))
+        params[head + "b_cls"] = np.zeros(c)
     rng.normal(0.0, scale, (d, config.proj_dim))  # projection
     rng.normal(0.0, scale, (d, c + 1))  # refinement branch
+    heads = ("", "depth.") if config.fusion else ("",)
+    if not config.fusion:
+        params = {k: v for k, v in params.items() if not k.startswith("depth.")}
 
-    v_wd = np.zeros_like(w_det)
-    v_bd = np.zeros_like(b_det)
-    v_wc = np.zeros_like(w_cls)
-    v_bc = np.zeros_like(b_cls)
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
     lr, mom = config.learning_rate, config.momentum
     trace = []
     for _ in range(config.epochs):
@@ -60,23 +65,27 @@ def bare_mil_run(config, records, labels, num_classes):
         for lo in range(0, n, config.nce_batch):
             batch = order[lo : lo + config.nce_batch]
             bsz = len(batch)
-            g_wd = np.zeros_like(w_det)
-            g_bd = np.zeros_like(b_det)
-            g_wc = np.zeros_like(w_cls)
-            g_bc = np.zeros_like(b_cls)
+            grads = {k: np.zeros_like(v) for k, v in params.items()}
             for idx in batch:
-                x = records[int(idx)].rgb_features
+                rec = records[int(idx)]
+                feats = {"": rec.rgb_features, "depth.": rec.depth_features}
                 y = np.zeros(c)
                 for cid in labels[int(idx)]:
                     y[cid] = 1.0
-                det = x @ w_det + b_det
-                cls = x @ w_cls + b_cls
+                det = feats[""] @ params["w_det"] + params["b_det"]
+                cls = feats[""] @ params["w_cls"] + params["b_cls"]
+                if config.fusion:
+                    x = feats["depth."]
+                    det = det + (x @ params["depth.w_det"] + params["depth.b_det"])
+                    cls = cls + (x @ params["depth.w_cls"] + params["depth.b_cls"])
                 ed = np.exp(det - det.max(axis=0, keepdims=True))
                 dp = ed / ed.sum(axis=0, keepdims=True)
                 ec = np.exp(cls - cls.max(axis=1, keepdims=True))
                 cp = ec / ec.sum(axis=1, keepdims=True)
                 comb = dp * cp
-                total = comb.sum(axis=0)
+                att = None if attention is None else attention[int(idx)]
+                evidence = comb if att is None else comb * att
+                total = evidence.sum(axis=0)
                 p = 1.0 / (1.0 + np.exp(-total))
                 pc = np.clip(p, EPS, 1.0 - EPS)
                 mil_sum += float(
@@ -85,34 +94,25 @@ def bare_mil_run(config, records, labels, num_classes):
                 d_prob = -(y * (1.0 / p) - (1.0 - y) * (1.0 / (1.0 - p)))
                 d_total = d_prob * p * (1.0 - p)
                 d_comb = np.broadcast_to(d_total, comb.shape)
+                if att is not None:
+                    d_comb = d_comb * att
                 d_dp = d_comb * cp
                 d_cp = d_comb * dp
                 d_det = dp * (d_dp - (d_dp * dp).sum(axis=0, keepdims=True))
                 d_cls = cp * (d_cp - (d_cp * cp).sum(axis=1, keepdims=True))
                 s = config.lambda_mil / bsz
-                g_wd += s * (x.T @ d_det)
-                g_bd += s * d_det.sum(axis=0)
-                g_wc += s * (x.T @ d_cls)
-                g_bc += s * d_cls.sum(axis=0)
-            v_wd *= mom
-            v_wd -= lr * g_wd
-            w_det = w_det + v_wd
-            v_bd *= mom
-            v_bd -= lr * g_bd
-            b_det = b_det + v_bd
-            v_wc *= mom
-            v_wc -= lr * g_wc
-            w_cls = w_cls + v_wc
-            v_bc *= mom
-            v_bc -= lr * g_bc
-            b_cls = b_cls + v_bc
+                for head in heads:
+                    x = feats[head]
+                    grads[head + "w_det"] += s * (x.T @ d_det)
+                    grads[head + "b_det"] += s * d_det.sum(axis=0)
+                    grads[head + "w_cls"] += s * (x.T @ d_cls)
+                    grads[head + "b_cls"] += s * d_cls.sum(axis=0)
+            for k, v in velocity.items():
+                v *= mom
+                v -= lr * grads[k]
+                params[k] = params[k] + v
         trace.append(mil_sum / n)
-    return {
-        "w_det": w_det,
-        "b_det": b_det,
-        "w_cls": w_cls,
-        "b_cls": b_cls,
-    }, trace
+    return params, trace
 
 
 def greedy_match(dets, gts_by_image, thresh, ignore_by_image=None):

@@ -29,7 +29,7 @@ from wsodkit.evaluate import (
     rank,
 )
 from wsodkit.fusion import FusionMode
-from wsodkit.milhead import HeadParams, mil_chain
+from wsodkit.milhead import HeadParams, label_vector, mil_chain
 from wsodkit.model import ModelDims, ModelParams
 from wsodkit.priors import DepthRange, FrozenPriors, RunningMoments, estimate_priors
 from wsodkit.refine import RefineBranch, refinement_chain
@@ -129,7 +129,9 @@ def test_criterion_2_gradient_integrity():
 
             def f_mil():
                 [loss], _ = mil_chain(
-                    [(xv[None], rgb), (xd[None], depth)], [labels], grad_scale=1.0
+                    [(xv[None], rgb), (xd[None], depth)],
+                    label_vector(labels, num_c)[None],
+                    grad_scale=1.0,
                 )
                 return loss
 

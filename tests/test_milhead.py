@@ -22,6 +22,13 @@ def make_head(rng, feat_dim=4, num_classes=3, scale=0.5, prefix="rgb"):
     return HeadParams.create(prefix, rng, feat_dim, num_classes, scale)
 
 
+def rows(label_sets, num_classes):
+    """``mil_chain``'s (B, C) label rows for a list of label sets."""
+    return np.array([label_vector(ls, num_classes) for ls in label_sets]).reshape(
+        len(label_sets), num_classes
+    )
+
+
 def first_image(pack):
     """The pack of the first image of a stack, without the stack axis."""
     return ScorePack(
@@ -155,7 +162,8 @@ def loss_at(probs, labels):
     c = probs.size
     stream = score_stream(np.zeros((1, c)), np.zeros((1, c)))
     logits = np.log(probs / (1.0 - probs))
-    [loss], pack = mil_chain([stream], [labels], attention=c * logits[None, None, :])
+    attention = c * logits[None, None, :]
+    [loss], pack = mil_chain([stream], rows([labels], c), attention=attention)
     assert np.allclose(pack.image_prob[0], probs, atol=1e-15)
     return loss
 
@@ -179,7 +187,7 @@ class TestMilLoss:
             stream = score_stream(
                 rng.standard_normal((4, 3)) * 4, rng.standard_normal((4, 3)) * 4
             )
-            [loss_all_neg], _ = mil_chain([stream], [set()])
+            [loss_all_neg], _ = mil_chain([stream], rows([set()], 3))
             assert loss_all_neg >= 3 * math.log(2.0) - 1e-9
 
     def test_label_vector(self):
@@ -190,7 +198,7 @@ class TestMilChain:
     def test_loss_matches_manual_pipeline(self, rng):
         head = make_head(rng, feat_dim=6, num_classes=3)
         x = rng.standard_normal((5, 6))
-        [loss], pack = mil_chain([(x[None], head)], [{0, 2}])
+        [loss], pack = mil_chain([(x[None], head)], rows([{0, 2}], 3))
         det = x @ head.w_det.value + head.b_det.value
         cls = x @ head.w_cls.value + head.b_cls.value
         ed = np.exp(det - det.max(axis=0, keepdims=True))
@@ -208,7 +216,7 @@ class TestMilChain:
         x = rng.standard_normal((5, 4))
 
         def f():
-            [loss], _ = mil_chain([(x[None], head)], [{1}], grad_scale=1.0)
+            [loss], _ = mil_chain([(x[None], head)], rows([{1}], 3), grad_scale=1.0)
             return loss
 
         assert grad_check(f, head.params()) < 1e-6
@@ -222,7 +230,9 @@ class TestMilChain:
 
         def f():
             [loss], _ = mil_chain(
-                [(xv[None], rgb_head), (xd[None], depth_head)], [{0, 2}], grad_scale=1.0
+                [(xv[None], rgb_head), (xd[None], depth_head)],
+                rows([{0, 2}], 3),
+                grad_scale=1.0,
             )
             return loss
 
@@ -235,7 +245,7 @@ class TestMilChain:
 
         def f():
             [loss], _ = mil_chain(
-                [(x[None], head)], [{0}], attention=att[None], grad_scale=1.0
+                [(x[None], head)], rows([{0}], 2), attention=att[None], grad_scale=1.0
             )
             return loss
 
@@ -247,8 +257,10 @@ class TestMilChain:
         head = make_head(rng, feat_dim=4, num_classes=2)
         x = rng.standard_normal((4, 4))
         att = np.full((4, 2), 0.5)
-        [loss_att], pack_att = mil_chain([(x[None], head)], [{0}], attention=att[None])
-        [loss_plain], pack_plain = mil_chain([(x[None], head)], [{0}])
+        [loss_att], pack_att = mil_chain(
+            [(x[None], head)], rows([{0}], 2), attention=att[None]
+        )
+        [loss_plain], pack_plain = mil_chain([(x[None], head)], rows([{0}], 2))
         attended = pack_att.attended
         assert np.allclose(pack_att.combined, pack_plain.combined, atol=1e-15)
         assert np.allclose(attended, pack_plain.combined * 0.5, atol=1e-15)
@@ -264,11 +276,11 @@ class TestMilChain:
         x = rng.standard_normal((3, 3))
         for p in head.params():
             p.grad[...] = 0.0
-        mil_chain([(x[None], head)], [{0}], grad_scale=1.0)
+        mil_chain([(x[None], head)], rows([{0}], 2), grad_scale=1.0)
         g1 = [p.grad.copy() for p in head.params()]
         for p in head.params():
             p.grad[...] = 0.0
-        mil_chain([(x[None], head)], [{0}], grad_scale=0.25)
+        mil_chain([(x[None], head)], rows([{0}], 2), grad_scale=0.25)
         for a, p in zip(g1, head.params()):
             assert np.allclose(p.grad, 0.25 * a, atol=1e-15)
 
@@ -277,7 +289,7 @@ class TestMilChain:
         x = rng.standard_normal((2, 4))
         for p in head.params():
             p.grad[...] = 0.0
-        mil_chain([(x[None], head)], [{0}])
+        mil_chain([(x[None], head)], rows([{0}], 3))
         assert all(not p.grad.any() for p in head.params())
 
 
@@ -292,10 +304,13 @@ class TestStackedChain:
         xv = rng.standard_normal((b, r, d))
         xd = rng.standard_normal((b, r, d))
         att = np.where(rng.uniform(size=(b, r, c)) < 0.5, 0.5, 1.0)
-        labels = [
-            set(rng.choice(c, size=int(rng.integers(0, c + 1)), replace=False).tolist())
-            for _ in range(b)
-        ]
+        labels = rows(
+            [
+                set(rng.choice(c, size=int(rng.integers(0, c + 1)), replace=False))
+                for _ in range(b)
+            ],
+            c,
+        )
         fused = mode == "fused"
 
         def run(lo, hi):
@@ -336,8 +351,9 @@ class TestStackedChain:
         scale = 10.0 ** rng.integers(-3, 4, (b, 1, 1))
         xv = rng.standard_normal((b, r, d)) * scale
         xd = rng.standard_normal((b, r, d)) * scale
-        labels = [set(rng.choice(1, size=int(rng.integers(0, 2))).tolist())
-                  for _ in range(b)]
+        labels = rows(
+            [set(rng.choice(1, size=int(rng.integers(0, 2)))) for _ in range(b)], 1
+        )
 
         def run(lo, hi):
             return mil_chain(
@@ -370,4 +386,4 @@ class TestStackedChain:
     def test_label_count_must_match_stack(self, rng):
         head = make_head(rng)
         with pytest.raises(ShapeError):
-            mil_chain([(rng.standard_normal((2, 3, 4)), head)], [{0}])
+            mil_chain([(rng.standard_normal((2, 3, 4)), head)], rows([{0}], 3))

@@ -17,7 +17,7 @@ from wsodkit.data import Box, ClassVocabulary
 from wsodkit.errors import CheckpointError, ConfigError, DataError
 from wsodkit.fusion import FusionMode
 from wsodkit.model import ModelDims, ModelParams
-from wsodkit.priors import DepthRange, FrozenPriors, estimate_priors
+from wsodkit.priors import DepthRange, FrozenPriors, depth_mask, estimate_priors
 from wsodkit.synth import SyntheticConfig, generate_synthetic
 from wsodkit.train import (
     ABLATION_ROWS,
@@ -250,6 +250,14 @@ class TestResolveLabels:
         with pytest.raises(DataError, match="feature dim"):
             check_features(recs)
 
+    def test_empty_record_list_says_so(self, rng, small_vocab):
+        # An empty list has no feature dims to disagree on.
+        model = ModelParams.create(ModelDims(3, 8, 4), rng)
+        with pytest.raises(DataError, match="^no records were given$"):
+            train(tiny_config(), [], small_vocab)
+        with pytest.raises(DataError, match="^no records were given$"):
+            infer(model, [])
+
 
 class TestTrainBasics:
     def test_epochs_recorded_and_eval_present(self, small_data):
@@ -442,6 +450,55 @@ class TestDeterminismAndReductions:
         for a, b in zip(model.depth_head.params(), fresh.depth_head.params()):
             assert np.array_equal(a.value, b.value), a.name
         for a, b in zip(model.proj.params(), fresh.proj.params()):
+            assert np.array_equal(a.value, b.value), a.name
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_fused_mil_matches_straight_line_reference(
+        self, rng, small_vocab, attention
+    ):
+        # Fusion adds the depth head's gradients in the same add_in_order
+        # call as the RGB head's; attention scales the evidence. Mixed R
+        # makes the stacks of one step come in several sizes.
+        sizes = (5, 5, 5, 7, 7, 5, 5, 5, 5, 7, 5)
+        recs = [
+            make_record(rng, f"i{k}", num_proposals=r, feat_dim=8, labels={k % 3})
+            for k, r in enumerate(sizes)
+        ]
+        priors = FrozenPriors({0: DepthRange(0.2, 0.7), 2: DepthRange(0.5, 1.0)}, {})
+        cfg = tiny_config(
+            epochs=3, nce_batch=4, lambda_ref=0.0, seed=5, fusion=True,
+            depth_attention=attention,
+        )
+        labels = resolve_labels(recs, small_vocab, "stored")
+        multipliers = None
+        if attention:
+            multipliers = [
+                refine.attention_multipliers(
+                    depth_mask(rec, priors, 3, use_caption=cfg.caption_priors),
+                    cfg.attention_multiplier,
+                )
+                for rec in recs
+            ]
+            assert any((m != 1.0).any() for m in multipliers)
+        model, report = train(cfg, recs, small_vocab, priors=priors)
+        ref_params, ref_trace = bare_mil_run(
+            cfg, recs, labels, len(small_vocab), attention=multipliers
+        )
+        assert [e.mil for e in report.epochs] == ref_trace
+        heads = {"": model.rgb_head, "depth.": model.depth_head}
+        fresh = ModelParams.create(
+            ModelDims(3, 8, cfg.proj_dim),
+            np.random.default_rng(cfg.seed),
+            init_scale=cfg.init_scale,
+            rho_init=cfg.rho_init,
+        )
+        for prefix, head in heads.items():
+            for key in ("w_det", "b_det", "w_cls", "b_cls"):
+                got = getattr(head, key).value
+                assert got.tobytes() == ref_params[prefix + key].tobytes(), prefix + key
+        moved = model.depth_head.w_det.value != fresh.depth_head.w_det.value
+        assert moved.any()
+        for a, b in zip(model.refine.params(), fresh.refine.params()):
             assert np.array_equal(a.value, b.value), a.name
 
     def test_stacked_step_matches_one_image_per_call(
