@@ -112,9 +112,9 @@ def freeze_range(
 class DepthMask:
     """Per-proposal, per-class membership in the image's depth ranges.
 
-    ``values[i, c]`` is 1 when proposal i's depth falls inside the range
-    derived for class c, and for every class with no derivable range the
-    whole column is 1 (no filtering).
+    ``values`` is (R, C) bool: ``values[i, c]`` is True when proposal i's
+    depth falls inside the range derived for class c, and the whole column
+    is True for a class with no derivable range (no filtering).
     """
 
     values: np.ndarray
@@ -250,21 +250,18 @@ def depth_mask(
 ) -> DepthMask:
     """Mask of proposals inside each class's depth range for this image.
 
-    Classes without a derivable range get an all-ones column. Interval
-    membership is closed on both ends.
+    A class without a derivable range gets bounds (-inf, +inf) and admits
+    every proposal. Interval membership is closed on both ends.
     """
-    r = record.num_proposals
-    values = np.ones((r, num_classes), dtype=np.uint8)
+    lo = np.full(num_classes, -np.inf)
+    hi = np.full(num_classes, np.inf)
     caption = record.caption if use_caption else None
     for c in range(num_classes):
         rng = priors.image_range(c, caption)
-        if rng is None:
-            continue
-        inside = (record.proposal_depths >= rng.lo) & (
-            record.proposal_depths <= rng.hi
-        )
-        values[:, c] = inside.astype(np.uint8)
-    return DepthMask(values=values)
+        if rng is not None:
+            lo[c], hi[c] = rng.lo, rng.hi
+    d = record.proposal_depths[:, None]
+    return DepthMask(values=(d >= lo) & (d <= hi))
 
 
 def _resolve_depth(pred: Detection, record: ImageRecord) -> float | None:

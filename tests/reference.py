@@ -5,7 +5,8 @@ layers (Param, SGD, mil_chain), so agreement is evidence rather than
 tautology. The package ships one forward path per component; the
 standalone pieces only tests call live here instead: the contrastive loss
 of a projected batch, box-pair IoU, the broadcast IoU matrix, greedy NMS
-one kept box at a time, pseudo-box mining and target assignment one
+one kept box at a time, the two-branch sigmoid, the depth mask one class
+and one proposal at a time, pseudo-box mining and target assignment one
 proposal at a time, the momentum-SGD update one parameter at a time, the
 finite-difference gradient check, the detection writer that encodes
 each line as a dict through ``json.dumps``, and greedy matching on one
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from wsodkit import fusion
-from wsodkit.data import Box
+from wsodkit.data import Box, tokenize
 from wsodkit.errors import WsodkitError
 from wsodkit.evaluate import Detection
 from wsodkit.refine import PseudoBoxes
@@ -382,6 +383,46 @@ def nms_sequential(boxes, scores, thresh):
         np.divide(inter, areas[i] + areas[rest] - inter, out=iou, where=pos)
         order = rest[iou <= thresh]
     return np.asarray(keep, dtype=np.int64)
+
+
+def sigmoid_two_branch(x):
+    """Logistic function with one branch per sign, filled by boolean masks:
+    ``1 / (1 + exp(-x))`` where x >= 0 and ``exp(x) / (1 + exp(x))``
+    elsewhere, so neither branch's exp can overflow."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def depth_mask_loop(record, priors, num_classes, use_caption):
+    """``priors.depth_mask`` one class and one proposal at a time.
+
+    A class's range averages, bound by bound in sorted word order, the
+    ranges of the caption's distinct words that have one for the class,
+    then falls back to the class-level range; a class with neither admits
+    every proposal. Membership is closed on both ends.
+    """
+    values = np.ones((record.num_proposals, num_classes), dtype=bool)
+    words = []
+    if use_caption and record.caption:
+        words = sorted(set(tokenize(record.caption)))
+    by_word = priors.by_class_word
+    for c in range(num_classes):
+        ranges = [by_word[(c, w)] for w in words if (c, w) in by_word]
+        if ranges:
+            lo = sum(r.lo for r in ranges) / len(ranges)
+            hi = sum(r.hi for r in ranges) / len(ranges)
+        elif c in priors.by_class:
+            lo, hi = priors.by_class[c].lo, priors.by_class[c].hi
+        else:
+            continue
+        for i, d in enumerate(record.proposal_depths.tolist()):
+            values[i, c] = lo <= d <= hi
+    return values
 
 
 def mine_loop(record, scores, labels, mask, iou_thresh, score_ratio):

@@ -12,7 +12,12 @@ from wsodkit import numkit
 from wsodkit.errors import CheckpointError, OptimizerError, ShapeError
 from wsodkit.numkit import Param
 
-from reference import GradCheckError, grad_check, sgd_step_loop
+from reference import (
+    GradCheckError,
+    grad_check,
+    sgd_step_loop,
+    sigmoid_two_branch,
+)
 
 
 class TestAffine:
@@ -159,6 +164,20 @@ class TestScalarHelpers:
     def test_sigmoid_extreme_stable(self):
         out = numkit.sigmoid(np.array([-1000.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_sigmoid_matches_two_branch_bits(self, rng):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+                   800.0, -800.0, 36.0, -36.0, 710.0, -745.0]
+        x = np.concatenate([special, rng.standard_normal(196) * 20.0]).reshape(-1, 7)
+        got = numkit.sigmoid(x)
+        want = sigmoid_two_branch(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_sigmoid_nan_stays_nan(self):
+        # Only NaN-ness is pinned: the sign of a NaN is not.
+        assert np.isnan(numkit.sigmoid(np.array([np.nan, -np.nan]))).all()
 
     def test_log_clamped_floor(self):
         v = numkit.log_clamped(np.array([0.0]))

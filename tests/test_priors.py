@@ -25,6 +25,7 @@ from wsodkit.priors import (
 )
 
 from conftest import make_record
+from reference import depth_mask_loop
 
 
 class TestRunningMoments:
@@ -246,7 +247,63 @@ class TestImageRange:
         assert self.make_priors().image_range(5, "table") is None
 
 
+CAPTION_WORDS = ("table", "chair", "on", "the")
+# Dyadic bounds and depths: sums and halves of these are exact, so averaged
+# word ranges land exactly on depths drawn from the same grid.
+GRID = [k / 16 for k in range(17)]
+
+
+@st.composite
+def depth_mask_inputs(draw):
+    """Priors, class count, caption, proposal depths and the caption toggle."""
+    num_classes = draw(st.integers(1, 4))
+    classes = st.integers(0, num_classes - 1)
+    bound = st.sampled_from(GRID) | st.floats(-0.25, 1.25)
+
+    def depth_range():
+        return DepthRange(*sorted([draw(bound), draw(bound)]))
+
+    by_class = {c: depth_range() for c in sorted(draw(st.sets(classes)))}
+    keys = draw(st.sets(st.tuples(classes, st.sampled_from(CAPTION_WORDS))))
+    by_class_word = {k: depth_range() for k in sorted(keys)}
+    spoken = st.sampled_from(CAPTION_WORDS + ("Table,", "bird"))
+    caption = draw(st.none() | st.lists(spoken, max_size=4).map(" ".join))
+    depth = st.sampled_from(GRID) | st.floats(0.0, 1.0)
+    depths = draw(st.lists(depth, min_size=1, max_size=12))
+    priors = FrozenPriors(by_class, by_class_word)
+    return priors, num_classes, caption, depths, draw(st.booleans())
+
+
 class TestDepthMask:
+    @given(depth_mask_inputs())
+    @example((
+        FrozenPriors(
+            {0: DepthRange(0.25, 0.5)},
+            {
+                (1, "table"): DepthRange(0.125, 0.25),
+                (1, "chair"): DepthRange(0.375, 0.75),
+            },
+        ),
+        3,
+        "Table, chair",
+        [0.25, 0.5, 0.1, 0.75, math.nextafter(0.25, 0.0)],
+        True,
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_loop_oracle(self, inputs):
+        # Bounds from the class range and from averaged word ranges, classes
+        # without a range, depths on a bound, and the caption on and off.
+        priors, num_classes, caption, depths, use_caption = inputs
+        rec = make_record(
+            np.random.default_rng(0), "a", num_proposals=len(depths),
+            num_classes=num_classes, caption=caption, depths=np.array(depths),
+        )
+        mask = depth_mask(rec, priors, num_classes, use_caption=use_caption)
+        want = depth_mask_loop(rec, priors, num_classes, use_caption)
+        assert mask.values.dtype == bool
+        assert mask.values.shape == want.shape
+        assert np.array_equal(mask.values, want)
+
     def test_filter_column_oracle(self, rng):
         rec = make_record(
             rng, "a", num_proposals=3, depths=np.array([0.1, 0.3, 0.9])

@@ -184,12 +184,12 @@ def cache_cases():
         for trial in range(8):
             rec = make_record(rng, f"r{r}", num_proposals=r, num_classes=3)
             scores = rng.uniform(size=(r, 3))
-            admit = (rng.uniform(size=(r, 3)) < 0.5).astype(np.uint8)
+            admit = rng.uniform(size=(r, 3)) < 0.5
             mask = None
             if trial % 4 == 1:
                 mask = DepthMask(values=admit)
             elif trial % 4 == 2:
-                admit[:, 0] = 0
+                admit[:, 0] = False
                 mask = DepthMask(values=admit)
             elif trial % 4 == 3:
                 rec.proposals[1::2] = rec.proposals[::2][: r // 2]
@@ -370,13 +370,13 @@ class TestRefinementChain:
 
 class TestDepthAttention:
     def test_multiplier_matrix(self):
-        mask = DepthMask(values=np.array([[1, 0], [0, 1]], dtype=np.uint8))
+        mask = DepthMask(values=np.array([[True, False], [False, True]]))
         mult = attention_multipliers(mask)
         assert mult.tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_halves_rejected_entries(self, rng):
         combined = rng.uniform(size=(3, 2))
-        mask = DepthMask(values=np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8))
+        mask = DepthMask(values=np.array([[True, False], [False, True], [True, True]]))
         out = combined * attention_multipliers(mask)
         assert out[0, 0] == combined[0, 0]
         assert out[0, 1] == pytest.approx(0.5 * combined[0, 1], abs=1e-15)
@@ -385,11 +385,11 @@ class TestDepthAttention:
 
     def test_all_ones_mask_is_identity(self, rng):
         combined = rng.uniform(size=(4, 3))
-        mask = DepthMask(values=np.ones((4, 3), dtype=np.uint8))
+        mask = DepthMask(values=np.ones((4, 3), dtype=bool))
         assert np.array_equal(combined * attention_multipliers(mask), combined)
 
     def test_custom_multiplier(self):
-        mask = DepthMask(values=np.array([[0]], dtype=np.uint8))
+        mask = DepthMask(values=np.array([[False]]))
         out = np.array([[1.0]]) * attention_multipliers(mask, 0.25)
         assert out[0, 0] == pytest.approx(0.25, abs=1e-15)
         assert refine.ATTENTION_MULTIPLIER == 0.5

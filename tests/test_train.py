@@ -16,7 +16,8 @@ from wsodkit import contrastive, fusion, milhead, refine
 from wsodkit.data import Box, ClassVocabulary
 from wsodkit.errors import CheckpointError, ConfigError, DataError
 from wsodkit.fusion import FusionMode
-from wsodkit.model import ModelDims, ModelParams
+from wsodkit.evaluate import DEFAULT_NMS_THRESH
+from wsodkit.model import DEFAULT_INIT_SCALE, ModelDims, ModelParams
 from wsodkit.priors import DepthRange, FrozenPriors, depth_mask, estimate_priors
 from wsodkit.synth import SyntheticConfig, generate_synthetic
 from wsodkit.train import (
@@ -69,6 +70,16 @@ def clean_seed_env(monkeypatch):
 class TestRunConfig:
     def test_defaults_valid(self):
         RunConfig().validate()
+
+    def test_defaults_name_module_constants(self):
+        # Each default is the module's constant object itself, not a copy of
+        # its value, so the two cannot drift apart.
+        cfg = RunConfig()
+        assert cfg.refine_iou_thresh is refine.DEFAULT_IOU_THRESH
+        assert cfg.refine_score_ratio is refine.DEFAULT_SCORE_RATIO
+        assert cfg.attention_multiplier is refine.ATTENTION_MULTIPLIER
+        assert cfg.init_scale is DEFAULT_INIT_SCALE
+        assert cfg.nms_thresh is DEFAULT_NMS_THRESH
 
     @pytest.mark.parametrize(
         "kw",
