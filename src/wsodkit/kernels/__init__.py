@@ -1,7 +1,9 @@
 """Box-geometry kernels.
 
 ``iou_matrix`` comes from the compiled Cython extension when it was built
-and from the NumPy module ``_py`` otherwise; both give identical results.
+and from the NumPy module ``_py`` otherwise. Both give identical results
+unless an overlap area overflows (coordinates past about 1.3e154): that
+pair's IoU is +0.0 from ``_py`` and NaN from the extension.
 ``nms`` and ``box_mean_pool`` have one implementation each, in ``_py``,
 on either backend. ``nms`` settles many groups of boxes in one call
 (``groups``), so its callers make one call per chunk of records or per

@@ -1,9 +1,11 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled box-geometry kernel: pairwise IoU.
 
-Must stay bitwise identical to wsodkit.kernels._py.iou_matrix. The module
-_py also holds the one nms and the one box_mean_pool, which serve both
-backends.
+Must stay bitwise identical to wsodkit.kernels._py.iou_matrix, except
+where an overlap area overflows (coordinates past about 1.3e154): there
+this computes inf / (inf + inf - inf), which is NaN, and _py gives +0.0.
+The module _py also holds the one nms and the one box_mean_pool, which
+serve both backends.
 """
 
 import numpy as np

@@ -1,7 +1,8 @@
 """NumPy box-geometry kernels.
 
 ``iou_matrix`` is the fallback for the compiled extension
-``wsodkit.kernels._ext`` and must give identical results; the test suite
+``wsodkit.kernels._ext`` and must give identical results wherever areas
+stay inside the float range (see below); the test suite
 runs both side by side when the extension is built, so keep the formula
 in sync with the .pyx file. ``nms`` and ``box_mean_pool`` exist only here
 and serve either backend.
@@ -13,9 +14,9 @@ term, so it matches ``tests/reference.py`` bit for bit while allocating
 less. It divides every element and then turns the -0.0 and NaN of empty
 overlaps into +0.0, which on 47k random pairs took 77 us against 620 us for
 a divide masked to the positive overlaps. The one difference: an overlap
-area that overflows to infinity (coordinates past about 1e154) gives 0
-here and NaN there; neither exceeds a threshold, so NMS keeps the same
-boxes.
+area that overflows to infinity (coordinates past about 1.3e154) gives
++0.0 here, without a warning, and NaN in the extension; neither exceeds a
+threshold, so NMS keeps the same boxes.
 
 ``nms`` settles many groups of boxes in one call, with one code path for
 every group size. Boxes are sorted by (group, -score, index). Each round
@@ -65,22 +66,23 @@ def _iou(a, b):
     """
     ax1, ay1, ax2, ay2 = a
     bx1, by1, bx2, by2 = b
-    iw = np.minimum(ax2, bx2)
-    iw -= np.maximum(ax1, bx1)
-    np.maximum(iw, 0.0, out=iw)
-    ih = np.minimum(ay2, by2)
-    ih -= np.maximum(ay1, by1)
-    np.maximum(ih, 0.0, out=ih)
-    iw *= ih
-    inter = iw
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = np.add(area_a, area_b, out=ih)
-    union -= inter
-    # inter / union where inter > 0, else +0.0, without a masked divide: the
-    # quotient is -0.0, +0.0 or NaN where inter is 0 or NaN, and adding 0.0
-    # then fmax with 0.0 make each of those +0.0.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # inter / union, without a masked divide: where inter is 0 the quotient
+    # is -0.0, +0.0 or NaN, and where an area overflows to inf it is NaN
+    # (inf - inf); adding 0.0 then fmax with 0.0 make each of those +0.0,
+    # and errstate keeps the overflow from warning.
+    with np.errstate(all="ignore"):
+        iw = np.minimum(ax2, bx2)
+        iw -= np.maximum(ax1, bx1)
+        np.maximum(iw, 0.0, out=iw)
+        ih = np.minimum(ay2, by2)
+        ih -= np.maximum(ay1, by1)
+        np.maximum(ih, 0.0, out=ih)
+        iw *= ih
+        inter = iw
+        area_a = (ax2 - ax1) * (ay2 - ay1)
+        area_b = (bx2 - bx1) * (by2 - by1)
+        union = np.add(area_a, area_b, out=ih)
+        union -= inter
         out = np.divide(inter, union, out=union)
     out += 0.0
     return np.fmax(out, 0.0, out=out)

@@ -2,11 +2,12 @@
 
 High-confidence predictions from a trained baseline vote depth observations
 into streaming moment accumulators, keyed per class and per (class, caption
-word). Freezing an accumulator yields a plausible depth range
-``[mean - std, mean + std]``; at use time an image's range for a class
-averages the ranges of the caption's known words, falling back to the
-class-level range, and finally to no filtering at all. A mask marks which
-proposals fall inside the image's range for each class.
+word, each distinct word once per box). Freezing an accumulator yields a
+plausible depth range ``[mean - std, mean + std]``. At use time one lookup
+per image, ``FrozenPriors.image_bounds``, tokenizes the caption once and
+gives each class the average range of the caption's known words, else the
+class-level range, else no filtering. A mask marks which proposals fall
+inside the image's range for each class.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,15 +100,6 @@ class DepthRange:
         return self.lo <= x <= self.hi
 
 
-def freeze_range(
-    count: int, mean: float, std: float, min_count: int
-) -> DepthRange | None:
-    """mean +/- std, or None below the observation threshold."""
-    if count < min_count:
-        return None
-    return DepthRange(mean - std, mean + std)
-
-
 @dataclass
 class DepthMask:
     """Per-proposal, per-class membership in the image's depth ranges.
@@ -135,18 +127,18 @@ class PriorStats:
         self.skipped_boxes = 0
 
     def add_observation(
-        self, class_id: int, depth: float, caption: str | None
+        self, class_id: int, depth: float, words: AbstractSet[str]
     ) -> None:
-        """Record one accepted box depth under its class and caption words.
+        """Record one accepted box depth under its class and each of ``words``.
 
-        Each distinct caption token contributes once per box regardless of
-        how often it repeats in the caption.
+        ``words`` is the set of distinct tokens of the image's caption
+        (empty without one), so a token repeated in the caption still
+        contributes once per box.
         """
         self.by_class.setdefault(int(class_id), RunningMoments()).add(depth)
-        if caption:
-            for tok in set(tokenize(caption)):
-                key = (int(class_id), tok)
-                self.by_class_word.setdefault(key, RunningMoments()).add(depth)
+        for word in words:
+            key = (int(class_id), word)
+            self.by_class_word.setdefault(key, RunningMoments()).add(depth)
 
     def to_json(self) -> dict:
         """Moments (not ranges), so that thresholds can change at load."""
@@ -207,9 +199,9 @@ class FrozenPriors:
                 mean = as_finite(as_number(entry.get("mean"), where), where)
                 if count < 0 or std < 0:
                     raise ValidationError(f"{where}: count and std must be >= 0")
-                r = freeze_range(count, mean, std, threshold)
-                if r is None:
+                if count < threshold:
                     continue
+                r = DepthRange(mean - std, mean + std)
                 if section == "by_class":
                     by_class[as_int(key, where)] = r
                 else:
@@ -221,25 +213,33 @@ class FrozenPriors:
     def load(cls, path: str | Path) -> "FrozenPriors":
         return cls.from_json(read_json(path, "priors file"), f"priors file {path}")
 
-    def image_range(self, class_id: int, caption: str | None) -> DepthRange | None:
-        """Depth range for one class in one image.
+    def image_bounds(
+        self, caption: str | None, num_classes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every class's depth bounds in one image, as (C,) ``lo`` and ``hi``.
 
-        Averages, bound by bound, the ranges of the caption's distinct
-        words that have a frozen range for this class; falls back to the
-        class-level range, then to None (no filtering).
+        A class's range averages, bound by bound in sorted word order, the
+        ranges of the caption's distinct words that have a frozen range for
+        that class; it falls back to the class-level range, and a class
+        with neither gets (-inf, +inf), which filters nothing. The caption
+        is tokenized once for all classes.
         """
-        if caption:
-            words = sorted(set(tokenize(caption)))
-            ranges = [
-                self.by_class_word[(class_id, w)]
-                for w in words
-                if (class_id, w) in self.by_class_word
-            ]
+        lo = np.full(num_classes, -np.inf)
+        hi = np.full(num_classes, np.inf)
+        words = sorted(set(tokenize(caption))) if caption else []
+        by_word = self.by_class_word
+        for c in range(num_classes):
+            ranges = [by_word[(c, w)] for w in words if (c, w) in by_word]
             if ranges:
-                lo = sum(r.lo for r in ranges) / len(ranges)
-                hi = sum(r.hi for r in ranges) / len(ranges)
-                return DepthRange(lo, hi)
-        return self.by_class.get(class_id)
+                rng = DepthRange(
+                    sum(r.lo for r in ranges) / len(ranges),
+                    sum(r.hi for r in ranges) / len(ranges),
+                )
+            else:
+                rng = self.by_class.get(c)
+            if rng is not None:
+                lo[c], hi[c] = rng.lo, rng.hi
+        return lo, hi
 
 
 def depth_mask(
@@ -250,16 +250,12 @@ def depth_mask(
 ) -> DepthMask:
     """Mask of proposals inside each class's depth range for this image.
 
-    A class without a derivable range gets bounds (-inf, +inf) and admits
+    The bounds come from ``priors.image_bounds`` (the class ranges alone
+    when ``use_caption`` is off); a class without a derivable range admits
     every proposal. Interval membership is closed on both ends.
     """
-    lo = np.full(num_classes, -np.inf)
-    hi = np.full(num_classes, np.inf)
     caption = record.caption if use_caption else None
-    for c in range(num_classes):
-        rng = priors.image_range(c, caption)
-        if rng is not None:
-            lo[c], hi[c] = rng.lo, rng.hi
+    lo, hi = priors.image_bounds(caption, num_classes)
     d = record.proposal_depths[:, None]
     return DepthMask(values=(d >= lo) & (d <= hi))
 
@@ -279,23 +275,6 @@ def _resolve_depth(pred: Detection, record: ImageRecord) -> float | None:
         except DegenerateRegionError:
             return None
     return None
-
-
-def accumulate(stats: PriorStats, pred: Detection, record: ImageRecord) -> float | None:
-    """Fold one prediction into the statistics, whatever its score.
-
-    Boxes whose depth cannot be resolved (past the image's edge, matching
-    no proposal when there is no depth map to pool from, or covering no
-    pixel centre of the map) are skipped and tallied in
-    ``stats.skipped_boxes``. Returns the accepted depth, or None when the
-    prediction did not contribute.
-    """
-    depth = _resolve_depth(pred, record)
-    if depth is None:
-        stats.skipped_boxes += 1
-        return None
-    stats.add_observation(pred.class_id, depth, record.caption)
-    return depth
 
 
 @dataclass
@@ -341,29 +320,41 @@ def estimate_priors(
 
     Predictions referencing unknown image ids raise DataError, whatever
     their score. Only predictions scoring strictly above
-    ``score_threshold`` reach ``accumulate``. The coverage fractions replay
-    the accepted observations against the frozen class-level ranges, which
-    every class with an accepted depth has (``MIN_COUNT_CLASS`` is 1).
+    ``score_threshold`` are accumulated. Boxes whose depth cannot be
+    resolved (past the image's edge, matching no proposal when there is no
+    depth map to pool from, or covering no pixel centre of the map) are
+    skipped and tallied in ``stats.skipped_boxes``. Each record's caption
+    is tokenized at most once. The coverage fractions replay the accepted
+    depths of each class against its frozen class-level range, which every
+    class with an accepted depth has (``MIN_COUNT_CLASS`` is 1).
     """
     check_fraction("score_threshold", score_threshold)
     by_id = {rec.image_id: rec for rec in records}
     stats = PriorStats(min_count_word=min_count_word)
-    accepted: list[tuple[int, float]] = []
+    words: dict[str, set[str]] = {}
+    accepted: dict[int, list[float]] = {}
     for pred in predictions:
         rec = by_id.get(pred.image_id)
         if rec is None:
             raise DataError(f"prediction references unknown image {pred.image_id!r}")
         if pred.score <= score_threshold:
             continue
-        depth = accumulate(stats, pred, rec)
-        if depth is not None:
-            accepted.append((pred.class_id, depth))
+        depth = _resolve_depth(pred, rec)
+        if depth is None:
+            stats.skipped_boxes += 1
+            continue
+        if rec.image_id not in words:
+            words[rec.image_id] = set(tokenize(rec.caption)) if rec.caption else set()
+        stats.add_observation(pred.class_id, depth, words[rec.image_id])
+        accepted.setdefault(pred.class_id, []).append(depth)
     frozen = stats.freeze()
-    report = CoverageReport(accepted=len(accepted), skipped=stats.skipped_boxes)
+    report = CoverageReport(
+        accepted=sum(map(len, accepted.values())), skipped=stats.skipped_boxes
+    )
     for cid in sorted(stats.by_class):
         m = stats.by_class[cid]
         rng = frozen.by_class[cid]
-        values = [d for c, d in accepted if c == cid]
+        values = accepted[cid]
         inside = sum(1 for d in values if rng.contains(d)) / len(values)
         report.rows.append(
             CoverageRow(

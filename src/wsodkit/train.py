@@ -317,18 +317,6 @@ def check_features(records: Sequence[ImageRecord]) -> int:
     return dims.pop()
 
 
-def _record_masks(
-    records: Sequence[ImageRecord],
-    priors: FrozenPriors,
-    num_classes: int,
-    config: RunConfig,
-) -> list[DepthMask]:
-    return [
-        depth_mask(rec, priors, num_classes, use_caption=config.caption_priors)
-        for rec in records
-    ]
-
-
 def _same_r_runs(sizes: Sequence[int], batch: list[int]) -> list[list[int]]:
     """Split a batch into runs of consecutive same-R images, in batch order.
 
@@ -439,7 +427,10 @@ def train(
     label_rows = np.array([milhead.label_vector(ls, num_classes) for ls in labels])
     masks = None
     if config.depth_oicr or config.depth_attention:
-        masks = _record_masks(records, priors, num_classes, config)
+        masks = [
+            depth_mask(rec, priors, num_classes, use_caption=config.caption_priors)
+            for rec in records
+        ]
     attention = None
     if config.depth_attention:
         attention = [
@@ -669,7 +660,10 @@ def mining_precision(
     num_classes = len(vocab)
     masks = [None] * len(records)
     if config.depth_oicr:
-        masks = _record_masks(records, priors, num_classes, config)
+        masks = [
+            depth_mask(rec, priors, num_classes, use_caption=config.caption_priors)
+            for rec in records
+        ]
     total = 0
     hits = 0
     for idx, rec in enumerate(records):

@@ -2,6 +2,7 @@
 
 import contextlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,18 @@ class TestIou:
         want = iou_broadcast(a, b)
         assert got.dtype == want.dtype and got.shape == want.shape == (n, m)
         assert got.tobytes() == want.tobytes()
+
+
+def test_overflowing_overlap_is_zero_without_warning():
+    # Past about 1.3e154 the overlap and both areas overflow to inf, and
+    # inf - inf is NaN. The NumPy kernel turns that into +0.0 and stays
+    # quiet; the compiled one returns NaN, so only _py is pinned here.
+    a = [[0.0, 0.0, 2e160, 2e160]]
+    b = [[1e160, 1e160, 3e160, 3e160]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _py.iou_matrix(a, b)
+    assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
 
 
 # -- NMS ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Depth priors: streaming moments, range freezing, masks, accumulation."""
+"""Depth priors: streaming moments, range freezing, bounds, masks, estimation."""
 
 import dataclasses
 import math
@@ -18,10 +18,8 @@ from wsodkit.priors import (
     FrozenPriors,
     PriorStats,
     RunningMoments,
-    accumulate,
     depth_mask,
     estimate_priors,
-    freeze_range,
 )
 
 from conftest import make_record
@@ -104,55 +102,62 @@ class TestDepthRange:
 
 
 class TestFreezeRange:
+    """``PriorStats.freeze`` (that is, ``FrozenPriors.from_json``) turns
+    moments into ``mean +/- std`` once a key has enough observations."""
+
     def test_two_value_oracle(self):
-        m = RunningMoments()
-        m.add(0.2)
-        m.add(0.4)
-        r = freeze_range(m.count, m.mean(), m.std(), min_count=2)
+        stats = PriorStats(min_count_word=2)
+        for d in (0.2, 0.4):
+            stats.add_observation(0, d, {"table"})
+        r = stats.freeze().by_class_word[(0, "table")]
         assert r.lo == pytest.approx(0.2, abs=1e-12)
         assert r.hi == pytest.approx(0.4, abs=1e-12)
 
     def test_below_threshold_none(self):
-        m = RunningMoments()
-        m.add(0.3)
-        assert freeze_range(m.count, m.mean(), m.std(), min_count=2) is None
+        stats = PriorStats(min_count_word=2)
+        stats.add_observation(0, 0.3, {"table"})
+        assert (0, "table") not in stats.freeze().by_class_word
 
     def test_single_value_point_range(self):
-        m = RunningMoments()
-        m.add(0.7)
-        r = freeze_range(m.count, m.mean(), m.std(), min_count=1)
+        stats = PriorStats()
+        stats.add_observation(0, 0.7, set())
+        r = stats.freeze().by_class[0]
         assert r.lo == pytest.approx(0.7) and r.hi == pytest.approx(0.7)
 
     def test_mean_pm_population_std(self, rng):
-        m = RunningMoments()
+        stats = PriorStats()
         values = rng.uniform(size=25)
         for v in values:
-            m.add(float(v))
-        r = freeze_range(m.count, m.mean(), m.std(), min_count=1)
+            stats.add_observation(0, float(v), set())
+        r = stats.freeze().by_class[0]
         mu, s = float(np.mean(values)), float(np.std(values))
         assert r.lo == pytest.approx(mu - s, abs=1e-12)
         assert r.hi == pytest.approx(mu + s, abs=1e-12)
 
 
 class TestPriorStats:
-    def test_keys_by_class_and_word(self):
-        stats = PriorStats(min_count_word=1)
-        stats.add_observation(0, 0.25, "a cat on the table")
-        assert stats.by_class[0].count == 1
+    def one_box(self, rng, caption):
+        """Statistics of one accepted class-1 box, through ``estimate_priors``."""
+        rec = make_record(rng, "a", num_proposals=2, caption=caption)
+        det = Detection(rec.image_id, 1, Box(*rec.proposals[0]), 0.9)
+        stats, _, _ = estimate_priors([rec], [det], min_count_word=1)
+        return stats
+
+    def test_keys_by_class_and_word(self, rng):
+        stats = self.one_box(rng, "a cat on the table")
+        assert stats.by_class[1].count == 1
         assert set(stats.by_class_word) == {
-            (0, tok) for tok in tokenize("a cat on the table")
+            (1, tok) for tok in tokenize("a cat on the table")
         }
 
-    def test_repeated_token_counts_once(self):
-        stats = PriorStats(min_count_word=1)
-        stats.add_observation(1, 0.5, "the cat and the cat")
+    def test_repeated_token_counts_once(self, rng):
+        stats = self.one_box(rng, "the cat and the cat")
         assert stats.by_class_word[(1, "the")].count == 1
         assert stats.by_class_word[(1, "cat")].count == 1
 
-    def test_no_caption_class_only(self):
-        stats = PriorStats()
-        stats.add_observation(2, 0.4, None)
-        assert stats.by_class[2].count == 1
+    def test_no_caption_class_only(self, rng):
+        stats = self.one_box(rng, None)
+        assert stats.by_class[1].count == 1
         assert not stats.by_class_word
 
     def test_min_count_validated(self):
@@ -162,8 +167,8 @@ class TestPriorStats:
     def test_save_load_round_trip(self, tmp_path):
         stats = PriorStats(min_count_word=2)
         for d in (0.2, 0.4):
-            stats.add_observation(0, d, "on the table")
-        stats.add_observation(1, 0.8, "in the sky")  # single word obs: dropped
+            stats.add_observation(0, d, {"on", "the", "table"})
+        stats.add_observation(1, 0.8, {"in", "the", "sky"})  # single word obs: dropped
         path = tmp_path / "priors.json"
         stats.save(path)
         loaded = FrozenPriors.load(path)
@@ -182,8 +187,9 @@ class TestPriorStats:
         # std * std * count / count is not std for these three depths, so
         # a load that rebuilt the moments from the file lost the last bit.
         stats = PriorStats(min_count_word=1)
+        words = set(tokenize("a dog by the sea"))
         for d in (0.1, 0.2, 1.2):
-            stats.add_observation(0, d, "a dog by the sea")
+            stats.add_observation(0, d, words)
         std = stats.by_class[0].std()
         assert math.sqrt(std * std * 3 / 3) != std
         path = tmp_path / "priors.json"
@@ -195,7 +201,7 @@ class TestPriorStats:
 
     def test_word_threshold_applied_at_freeze(self):
         stats = PriorStats(min_count_word=2)
-        stats.add_observation(0, 0.3, "table")
+        stats.add_observation(0, 0.3, {"table"})
         frozen = stats.freeze()
         assert (0, "table") not in frozen.by_class_word
         assert 0 in frozen.by_class  # class threshold is 1
@@ -211,6 +217,8 @@ class TestPriorStats:
 
 
 class TestImageRange:
+    """``FrozenPriors.image_bounds``: every class's range in one image."""
+
     def make_priors(self):
         return FrozenPriors(
             by_class={0: DepthRange(0.0, 1.0)},
@@ -221,30 +229,47 @@ class TestImageRange:
         )
 
     def test_word_ranges_averaged(self):
-        r = self.make_priors().image_range(0, "a cat on the table under sky")
-        assert r.lo == pytest.approx(0.2, abs=1e-12)
-        assert r.hi == pytest.approx(0.4, abs=1e-12)
+        lo, hi = self.make_priors().image_bounds("a cat on the table under sky", 1)
+        assert lo[0] == pytest.approx(0.2, abs=1e-12)
+        assert hi[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_single_word(self):
-        r = self.make_priors().image_range(0, "on the table")
-        assert (r.lo, r.hi) == (0.1, 0.3)
+        lo, hi = self.make_priors().image_bounds("on the table", 1)
+        assert (lo[0], hi[0]) == (0.1, 0.3)
 
     def test_repeated_word_not_double_counted(self):
         p = self.make_priors()
-        once = p.image_range(0, "table sky")
-        twice = p.image_range(0, "table table sky")
-        assert (once.lo, once.hi) == (twice.lo, twice.hi)
+        once = p.image_bounds("table sky", 1)
+        twice = p.image_bounds("table table sky", 1)
+        assert np.array_equal(once, twice)
 
     def test_fallback_to_class_range(self):
-        r = self.make_priors().image_range(0, "nothing known here")
-        assert (r.lo, r.hi) == (0.0, 1.0)
+        lo, hi = self.make_priors().image_bounds("nothing known here", 1)
+        assert (lo[0], hi[0]) == (0.0, 1.0)
 
     def test_none_caption_uses_class_range(self):
-        r = self.make_priors().image_range(0, None)
-        assert (r.lo, r.hi) == (0.0, 1.0)
+        lo, hi = self.make_priors().image_bounds(None, 1)
+        assert (lo[0], hi[0]) == (0.0, 1.0)
 
     def test_unknown_class_none(self):
-        assert self.make_priors().image_range(5, "table") is None
+        lo, hi = self.make_priors().image_bounds("table", 6)
+        assert lo.shape == hi.shape == (6,)
+        assert (lo[0], hi[0]) == (0.1, 0.3)
+        assert (lo[5], hi[5]) == (-np.inf, np.inf)
+
+    def test_overflowing_average_rejected(self, rng):
+        # The two upper bounds sum past the largest float, so the averaged
+        # range is not finite and is refused, not turned into a bound.
+        priors = FrozenPriors(
+            {},
+            {
+                (0, "table"): DepthRange(1e308, 1.5e308),
+                (0, "sky"): DepthRange(1e308, 1.5e308),
+            },
+        )
+        rec = make_record(rng, "a", caption="table sky")
+        with pytest.raises(ValidationError, match="finite"):
+            depth_mask(rec, priors, num_classes=1)
 
 
 CAPTION_WORDS = ("table", "chair", "on", "the")
@@ -345,46 +370,46 @@ class TestDepthMask:
 
 
 class TestAccumulate:
-    def det(self, rec, box, score, class_id=0):
+    """How ``estimate_priors`` finds each accepted box's depth, or skips it."""
+
+    def det(self, rec, box, score=0.9, class_id=0):
         return Detection(rec.image_id, class_id, box, score)
 
     def test_matching_proposal_uses_stored_depth(self, rng):
         rec = make_record(
             rng, "a", num_proposals=2, depths=np.array([0.33, 0.77])
         )
-        stats = PriorStats(min_count_word=1)
-        got = accumulate(stats, self.det(rec, Box(*rec.proposals[1]), 0.9), rec)
-        assert got == pytest.approx(0.77, abs=1e-12)
-        assert stats.skipped_boxes == 0
+        match = self.det(rec, Box(*rec.proposals[1]))
+        stats, _, coverage = estimate_priors([rec], [match])
+        assert stats.by_class[0].mean() == pytest.approx(0.77, abs=1e-12)
+        assert (coverage.accepted, stats.skipped_boxes) == (1, 0)
 
     def test_unmatched_box_without_map_skipped(self, rng):
         rec = make_record(rng, "a", num_proposals=2, size=50.0)
-        stats = PriorStats(min_count_word=1)
         stray = Box(1.0, 1.0, 9.0, 9.0)
-        assert accumulate(stats, self.det(rec, stray, 0.9), rec) is None
-        assert stats.skipped_boxes == 1
+        stats, _, coverage = estimate_priors([rec], [self.det(rec, stray)])
+        assert (coverage.accepted, stats.skipped_boxes) == (0, 1)
         assert not stats.by_class
 
     def test_unmatched_box_with_map_pools(self, rng):
         rec = make_record(rng, "a", num_proposals=2, size=50.0)
         dm = DepthMap(values=np.full((50, 50), 0.42), width=50, height=50)
         rec = dataclasses.replace(rec, depth_map=dm)
-        stats = PriorStats(min_count_word=1)
-        got = accumulate(stats, self.det(rec, Box(1.0, 1.0, 9.0, 9.0), 0.9), rec)
-        assert got == pytest.approx(0.42, abs=1e-12)
+        pooled = self.det(rec, Box(1.0, 1.0, 9.0, 9.0))
         # Between pixel centres: no depth to pool, so skipped, not raised.
-        speck = self.det(rec, Box(1.1, 1.1, 1.2, 1.2), 0.9)
-        assert accumulate(stats, speck, rec) is None
+        speck = self.det(rec, Box(1.1, 1.1, 1.2, 1.2))
+        stats, _, coverage = estimate_priors([rec], [pooled, speck])
+        assert stats.by_class[0].mean() == pytest.approx(0.42, abs=1e-12)
         assert stats.skipped_boxes == 1 and stats.by_class[0].count == 1
+        assert (coverage.accepted, coverage.skipped) == (1, 1)
         _, _, coverage = estimate_priors([rec], [speck])
         assert (coverage.accepted, coverage.skipped) == (0, 1)
 
     def test_out_of_image_box_skipped(self, rng):
         rec = make_record(rng, "a", size=50.0)
-        stats = PriorStats(min_count_word=1)
         big = Box(0.0, 0.0, 60.0, 40.0)
-        assert accumulate(stats, self.det(rec, big, 0.9), rec) is None
-        assert stats.skipped_boxes == 1
+        stats, _, coverage = estimate_priors([rec], [self.det(rec, big)])
+        assert (coverage.accepted, stats.skipped_boxes) == (0, 1)
 
 
 class TestEstimatePriors:
@@ -454,3 +479,45 @@ class TestEstimatePriors:
 
     def test_empty_report_text(self):
         assert "accepted boxes: 0" in CoverageReport().to_text()
+
+
+class TestTokenizeOnce:
+    """A caption is tokenized once per image, however many classes or boxes
+    read it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(text):
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr("wsodkit.priors.tokenize", counting)
+        return seen
+
+    def test_depth_mask_once_for_all_classes(self, rng, calls):
+        rec = make_record(rng, "a", caption="a cat on the table")
+        priors = FrozenPriors(
+            {c: DepthRange(0.0, 0.5) for c in range(5)},
+            {(c, "table"): DepthRange(0.25, 0.75) for c in range(5)},
+        )
+        mask = depth_mask(rec, priors, num_classes=5)
+        assert calls == ["a cat on the table"]
+        assert np.array_equal(mask.values, depth_mask_loop(rec, priors, 5, True))
+
+    def test_estimate_priors_once_per_record(self, rng, calls):
+        recs = [
+            make_record(rng, f"img{i}", num_proposals=4, caption=f"cat {i}")
+            for i in range(3)
+        ]
+        preds = [
+            Detection(rec.image_id, c, Box(*rec.proposals[j]), 0.9)
+            for c in range(2)
+            for rec in recs
+            for j in range(4)
+        ]
+        stats, _, report = estimate_priors(recs, preds, min_count_word=1)
+        assert report.accepted == 24
+        assert sorted(calls) == ["cat 0", "cat 1", "cat 2"]
+        assert stats.by_class_word[(0, "cat")].count == 12
