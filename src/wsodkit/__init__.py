@@ -8,7 +8,7 @@ from wsodkit.errors import (
     DataError,
     WsodkitError,
 )
-from wsodkit.evaluate import Detection, EvalReport, evaluate
+from wsodkit.evaluate import Detection, Detections, EvalReport, evaluate
 from wsodkit.fusion import FusionMode
 from wsodkit.model import ModelDims, ModelParams
 from wsodkit.priors import FrozenPriors, estimate_priors
@@ -24,6 +24,7 @@ __all__ = [
     "DataError",
     "DepthMap",
     "Detection",
+    "Detections",
     "EvalReport",
     "FrozenPriors",
     "FusionMode",

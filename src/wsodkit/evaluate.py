@@ -12,11 +12,16 @@ That block serves every IoU threshold and every view of the truth: the
 full set, and each area bucket, which reads its own columns as truths and
 the row maximum over the rest as the ignored overlap. Greedy claims run in
 array rounds over every (threshold, image) pair of a class and view at
-once, each round resolving every pair up to its next claim. ``evaluate``
-reads each detection's fields once, into columns (``detection_columns``):
-image index, class, boxes and scores. Each class then takes its slice of
-rows: one NMS call, every image a group, and one ranking of the survivors
-(``rank``) that AP and CorLoc both read.
+once, each round resolving every pair up to its next claim.
+
+A detection set is columnar end to end (``Detections``, as COCO's API keeps
+results in arrays): an image-id table and per-row image indexes, class ids,
+boxes and scores. ``infer`` and ``load_detections`` build one without an
+object per row, and ``save_detections``, ``evaluate`` and
+``estimate_priors`` read its columns. ``evaluate`` maps the table onto the
+records once; each class then takes its rows: one NMS call, every image a
+group, and one ranking of the survivors (``rank``) that AP and CorLoc both
+read.
 
 CorLoc asks, per class, on what fraction of the images containing the
 class the single most confident detection hits. That detection is row 0 of
@@ -31,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -39,26 +43,29 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from wsodkit import kernels
-from wsodkit.data import Box, ClassVocabulary, ImageRecord, box_from_json
+from wsodkit.data import Box, ClassVocabulary, ImageRecord
 from wsodkit.errors import ConfigError, ParseError, ValidationError
-from wsodkit.jsonio import (
-    as_float,
-    as_int,
-    as_number,
-    as_type,
-    read_jsonl,
-    require,
-)
+from wsodkit.jsonio import read_jsonl
 
 DEFAULT_NMS_THRESH = 0.5
 IOU_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 AREA_SMALL_MAX = 32.0 * 32.0
 AREA_MEDIUM_MAX = 96.0 * 96.0
 AREA_BUCKETS = ("small", "medium", "large")
-# The types of the numbers json.loads returns, and the integers a double
-# holds exactly, which need no conversion.
+# Lines load_detections decodes and checks at a time, and rows
+# save_detections formats at a time: whole columns per step, memory bounded
+# by the step.
+DETECTION_CHUNK = 1024
+# The exact types of the values json.loads returns that the loader reads.
 _NUMBER = frozenset((int, float))
-_EXACT_INT = 2**53
+_INT = frozenset((int,))
+_STR = frozenset((str,))
+_LIST = frozenset((list,))
+_DICT = frozenset((dict,))
+_INT64 = np.iinfo(np.int64)
+_FIELDS = ("box", "score", "image_id", "class_id")
+_NO_BOX = (0.0,) * 4
+_BAD = "{where}: bad detection"
 # Elements of the largest padded IoU block the matcher builds for a set of
 # (threshold, image) pairs; an image whose own blocks need more gets a set alone.
 MATCH_ELEMENTS = 1 << 15
@@ -78,7 +85,7 @@ def check_fraction(name: str, value: float, upper_open: bool = False) -> None:
 
 @dataclass(slots=True)
 class Detection:
-    """One scored box prediction for one image and class."""
+    """One scored box prediction for one image and class: a row of a set."""
 
     image_id: str
     class_id: int
@@ -86,77 +93,103 @@ class Detection:
     score: float
 
 
-@dataclass(frozen=True)
-class DetectionColumns:
-    """A detection set as arrays, row i from the i-th detection.
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """A detection set as columns, one row per scored box.
 
-    ``image`` holds each row's index into ``image_ids``, ``label`` its
-    class's index into the class ids the columns were built for (-1 for
-    any other class), ``boxes`` the (N, 4) float64 corners and ``scores``
-    the (N,) float64 scores.
+    ``image_ids`` is the set's image-id table and ``image`` (N,) holds each
+    row's index into it; ``class_ids`` is (N,) int64, ``boxes`` (N, 4)
+    float64 corners and ``scores`` (N,) float64. Iterating builds
+    ``Detection`` rows on demand, ``from_rows`` builds a set from rows, and
+    ``==`` compares row by row as lists of ``Detection`` compare: -0.0
+    equals 0.0, a NaN score equals nothing, and the two tables may list
+    their ids in any order.
     """
 
     image_ids: list[str]
     image: np.ndarray
-    label: np.ndarray
+    class_ids: np.ndarray
     boxes: np.ndarray
     scores: np.ndarray
+
+    @classmethod
+    def concat(
+        cls,
+        image_ids: Iterable[str],
+        parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    ) -> Detections:
+        """The rows of each part in turn; a part is its (image, class_ids,
+        boxes, scores) columns, with images indexing ``image_ids``."""
+        if not parts:
+            parts = [(np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros((0, 4)),
+                      np.zeros(0))]
+        return cls(list(image_ids), *map(np.concatenate, zip(*parts)))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Detection]) -> Detections:
+        """The set of ``rows`` in order, its table listing ids as they first appear.
+
+        The class id goes through ``int`` and the score through ``float``;
+        then an id that is not a str, or a coordinate that is not an int or
+        float (``np.float32``, say), is a TypeError. So a row that cannot be
+        a detection line raises what ``json.dumps`` of its dict raises.
+        """
+        table: dict[str, int] = {}
+        image, class_ids, coords, scores = [], [], [], []
+        for d in rows:
+            class_ids.append(int(d.class_id))
+            scores.append(float(d.score))
+            if not isinstance(d.image_id, str):
+                raise TypeError(f"image id {d.image_id!r} is not a str")
+            box = d.box.as_list()
+            if not all(isinstance(v, (int, float)) for v in box):
+                raise TypeError(f"box {box} has a coordinate that is no int or float")
+            image.append(table.setdefault(d.image_id, len(table)))
+            coords.append(box)
+        return cls(
+            list(table),
+            np.array(image, dtype=np.intp),
+            np.array(class_ids, dtype=np.int64),
+            np.array(coords, dtype=np.float64).reshape(-1, 4),
+            np.array(scores, dtype=np.float64),
+        )
 
     def __len__(self) -> int:
         return len(self.scores)
 
-    def take(self, rows: np.ndarray) -> DetectionColumns:
-        """The rows ``rows`` selects, in its order."""
-        return DetectionColumns(
+    def __iter__(self) -> Iterator[Detection]:
+        ids = self.image_ids
+        for k, cid, box, score in zip(
+            self.image.tolist(),
+            self.class_ids.tolist(),
+            self.boxes.tolist(),
+            self.scores.tolist(),
+        ):
+            yield Detection(ids[k], cid, Box(*box), score)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Detections):
+            return NotImplemented
+        return (
+            len(self) == len(other)
+            and bool((self._row_ids() == other._row_ids()).all())
+            and bool((self.class_ids == other.class_ids).all())
+            and bool((self.boxes == other.boxes).all())
+            and bool((self.scores == other.scores).all())
+        )
+
+    def _row_ids(self) -> np.ndarray:
+        return np.array(self.image_ids, dtype=object)[self.image]
+
+    def take(self, rows: np.ndarray) -> Detections:
+        """The rows ``rows`` selects, in its order, over the same table."""
+        return Detections(
             self.image_ids,
             self.image[rows],
-            self.label[rows],
+            self.class_ids[rows],
             self.boxes[rows],
             self.scores[rows],
         )
-
-
-def detection_columns(
-    dets: Sequence[Detection],
-    image_ids: Iterable[str] | None = None,
-    class_ids: Sequence[int] = (),
-) -> DetectionColumns:
-    """A detection set's columns, each field read once per detection.
-
-    ``image_ids`` lists the known images, the first of equal ids giving
-    the index; a detection of any other image is a ValidationError. None
-    lists the detections' own images in order of first appearance. Class
-    ids match ``class_ids`` as Python compares them. Coordinates and scores
-    convert to float64 as ``np.array`` converts them.
-    """
-    iids = [d.image_id for d in dets]
-    known = dict.fromkeys(iids if image_ids is None else image_ids)
-    index = {iid: k for k, iid in enumerate(known)}
-    try:
-        image = np.fromiter(map(index.__getitem__, iids), np.intp, len(iids))
-    except KeyError as e:
-        raise ValidationError(
-            f"detection references unknown image {e.args[0]!r}"
-        ) from None
-    labels = {cid: k for k, cid in enumerate(class_ids)}
-    boxes = [d.box for d in dets]
-    corners = [
-        [b.x1 for b in boxes],
-        [b.y1 for b in boxes],
-        [b.x2 for b in boxes],
-        [b.y2 for b in boxes],
-    ]
-    return DetectionColumns(
-        list(index),
-        image,
-        np.fromiter(
-            map(labels.get, [d.class_id for d in dets], itertools.repeat(-1)),
-            np.intp,
-            len(iids),
-        ),
-        np.array(corners, dtype=np.float64).T,
-        np.array([d.score for d in dets], dtype=np.float64),
-    )
 
 
 def nms_detections(
@@ -178,114 +211,227 @@ def nms_detections(
     return kernels.nms(boxes, scores, thresh, groups)
 
 
-def _json_number(value) -> str:
-    """``value`` as ``json.dumps`` spells it inside a detection line."""
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
+def _json_numbers(values: np.ndarray) -> list[str]:
+    """Each float of ``values`` as ``json.dumps`` spells it."""
+    floats = values.tolist()
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, floats))
+    return list(map(json.dumps, floats))
 
 
-def _bad_line(path: str | Path, lineno: int) -> str:
-    return f"{path}: line {lineno}: bad detection"
+def _box_texts(boxes: np.ndarray) -> list[str]:
+    """Each row of (N, 4) ``boxes`` as its JSON list.
+
+    Rows equal bit for bit (so -0.0 and 0.0 apart) are formatted once: the
+    classes that ``infer`` keeps of one proposal share its box, and
+    ``repr`` of a float is the writer's largest cost.
+    """
+    bits = np.ascontiguousarray(boxes, dtype=np.float64).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+    coords = _json_numbers(boxes[order[first]].ravel())
+    texts = list(map(
+        "[{}, {}, {}, {}]".format,
+        coords[0::4], coords[1::4], coords[2::4], coords[3::4],
+    ))
+    slot = np.empty(len(bits), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return list(map(texts.__getitem__, slot.tolist()))
 
 
-def save_detections(dets: Iterable[Detection], path: str | Path) -> None:
-    """Write detections as JSONL, one object per line; byte-stable for equal inputs.
+def save_detections(dets: Detections, path: str | Path) -> None:
+    """Write a detection set as JSONL, one object per row; byte-stable.
 
     Each line is ``{"image_id": ..., "box": [x1, y1, x2, y2], "class_id":
     ..., "score": ...}`` with ``json.dumps``'s default separators, ids
     escaped to ASCII and numbers spelled as Python's ``repr`` (``NaN`` and
-    ``Infinity`` for non-finite scores): the bytes ``json.dumps`` gives for
-    that dict. The class id goes through ``int`` and the score through
-    ``float`` first. An image id is encoded once per run of its
-    detections, and a ``Box`` object once per run of its image's
-    detections, so the classes that ``infer`` gives one proposal's shared
-    ``Box`` share its text.
+    ``Infinity`` for non-finite ones): the bytes ``json.dumps`` gives for
+    that dict. Lines are formatted from the columns ``DETECTION_CHUNK``
+    rows at a time; each id of the table is encoded once, and each
+    distinct box of a chunk once.
     """
+    ids = list(map(json.dumps, dets.image_ids))
     with open(path, "w", encoding="utf-8") as fh:
-        last_id, id_text = None, ""
-        # Keyed by identity, so -0.0 and 0.0 or 1 and 1.0 never share text;
-        # each entry holds its box, so that the id is not reused while the
-        # entry stands. Emptied when the image changes, to bound its size.
-        box_text: dict[int, tuple[Box, str]] = {}
-        for d in dets:
-            # Fields are read and converted, then encoded, in the order that
-            # json.dumps of the line's dict takes, so a bad value raises the
-            # error it raises there.
-            box = d.box
-            cached = box_text.get(id(box))
-            coords = box.as_list() if cached is None else None
-            cid = int(d.class_id)
-            score = float(d.score)
-            iid = d.image_id
-            if type(iid) is not str or iid != last_id:
-                id_text = json.dumps(iid)
-                last_id = iid if type(iid) is str else None
-                box_text.clear()
-            if cached is None:
-                cached = box_text[id(box)] = (
-                    box, "[" + ", ".join(map(_json_number, coords)) + "]"
+        for lo in range(0, len(dets), DETECTION_CHUNK):
+            rows = slice(lo, lo + DETECTION_CHUNK)
+            fh.write("".join([
+                f'{{"image_id": {ids[k]}, "box": {box}, "class_id": {cid}, '
+                f'"score": {score}}}\n'
+                for k, box, cid, score in zip(
+                    dets.image[rows].tolist(),
+                    _box_texts(dets.boxes[rows]),
+                    dets.class_ids[rows].tolist(),
+                    _json_numbers(dets.scores[rows]),
                 )
-            # int() and float() return exact ints and floats, which format as
-            # json.dumps formats them: a finite float as its repr.
-            score_text = repr(score) if math.isfinite(score) else json.dumps(score)
-            fh.write(
-                f'{{"image_id": {id_text}, "box": {cached[1]}, "class_id": {cid}, '
-                f'"score": {score_text}}}\n'
-            )
+            ]))
+
+
+def _of_type(values: Sequence, types: frozenset) -> np.ndarray:
+    """Whether each value's exact type is one of ``types``, as a bool array."""
+    if types.issuperset(map(type, values)):
+        return np.ones(len(values), dtype=bool)
+    return np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
+
+
+def _floats(values: list, ok: np.ndarray) -> np.ndarray:
+    """``values`` as float64 where ``ok`` marks a JSON number, 0.0 elsewhere.
+
+    Clears ``ok`` where ``float()`` overflows: an int past a double's range.
+    """
+    if not ok.all():
+        values = [v if k else 0.0 for v, k in zip(values, ok.tolist())]
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        out = np.zeros(len(values))
+        for i, v in enumerate(values):
+            try:
+                out[i] = float(v)
+            except OverflowError:
+                ok[i] = False
+        return out
+
+
+def _boxes(raw: list) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 4) corners of raw ``box`` values, and where one is four JSON numbers."""
+    n = len(raw)
+    ok = _of_type(raw, _LIST)
+    if not ok.all():
+        raw = [b if k else () for b, k in zip(raw, ok.tolist())]
+    ok &= np.fromiter(map(len, raw), np.intp, n) == 4
+    if not ok.all():
+        raw = [b if k else _NO_BOX for b, k in zip(raw, ok.tolist())]
+    flat = list(itertools.chain.from_iterable(raw))
+    numbers = _of_type(flat, _NUMBER)
+    coords = _floats(flat, numbers).reshape(n, 4)
+    return coords, ok & numbers.reshape(n, 4).all(axis=1)
+
+
+def _class_ids(raw: list, num_classes: int | None) -> tuple[np.ndarray, ...]:
+    """Raw ``class_id`` values as int64, with where each is an integer and
+    where it lies outside the vocabulary.
+
+    A JSON int, or an integral float, that a double holds is an integer, as
+    ``as_int`` has it. Without a vocabulary one outside int64 is not.
+    """
+    n = len(raw)
+    ids, ok, big = None, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    if _of_type(raw, _INT).all():
+        try:
+            ids = np.array(raw, dtype=np.int64)
+        except OverflowError:
+            pass
+    if ids is None:
+        ids, ok, big = np.zeros(n, np.int64), np.zeros(n, bool), np.zeros(n, bool)
+        for i, v in enumerate(raw):
+            if type(v) not in _NUMBER or (type(v) is float and not v.is_integer()):
+                continue
+            try:
+                float(v)
+            except OverflowError:
+                continue
+            ok[i] = True
+            if _INT64.min <= v <= _INT64.max:
+                ids[i] = v
+            else:
+                big[i] = True
+    if num_classes is None:
+        return ids, ok & ~big, np.zeros(n, dtype=bool)
+    return ids, ok, ok & (big | (ids < 0) | (ids >= num_classes))
+
+
+def _chunk_columns(
+    lines: Sequence[tuple[int, object]],
+    path: str | Path,
+    table: dict[str, int],
+    num_classes: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of a chunk of ``(lineno, value)`` decoded lines.
+
+    Every check runs over whole columns, in the order a line's fields are
+    checked: box, score, image id, class id. The first line failing any
+    raises the error of the first check it fails. New ids join ``table`` in
+    order of first appearance.
+    """
+    linenos, objs = zip(*lines)
+    if not _of_type(objs, _DICT).all():
+        objs = [o if type(o) is dict else {} for o in objs]
+    raw = [list(map(dict.get, objs, itertools.repeat(key))) for key in _FIELDS]
+    boxes, box_ok = _boxes(raw[0])
+    finite = np.isfinite(boxes).all(axis=1)
+    negative = (boxes < 0.0).any(axis=1)
+    degenerate = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
+    score_ok = _of_type(raw[1], _NUMBER)
+    scores = _floats(raw[1], score_ok)
+    class_ids, class_ok, outside = _class_ids(raw[3], num_classes)
+    # Each check's failing rows and its message, in the order a line's
+    # fields are checked.
+    checks = [
+        (~box_ok, _BAD),
+        (~finite, "box has non-finite coordinates: {corners}"),
+        (negative, "box has negative coordinates: {corners}"),
+        (degenerate, "degenerate box: {corners}"),
+        (~score_ok, _BAD),
+        (~np.isfinite(scores), "{where}: non-finite score {score}"),
+        (~_of_type(raw[2], _STR), _BAD),
+        (~class_ok, _BAD),
+        (outside, "{where}: class {class_id} outside 0..{last}"),
+    ]
+    failed = np.stack([rows for rows, _ in checks])
+    bad = failed.any(axis=0)
+    if bad.any():
+        r = int(bad.argmax())
+        raise ValidationError(checks[int(failed[:, r].argmax())][1].format(
+            where=f"{path}: line {linenos[r]}",
+            corners=tuple(boxes[r].tolist()),
+            score=float(scores[r]),
+            class_id=int(raw[3][r]) if outside[r] else None,
+            last=None if num_classes is None else num_classes - 1,
+        ))
+    for iid in dict.fromkeys(raw[2]):
+        table.setdefault(iid, len(table))
+    image = np.fromiter(map(table.__getitem__, raw[2]), np.intp, len(objs))
+    return image, class_ids, boxes, scores
 
 
 def load_detections(
     path: str | Path, vocab: ClassVocabulary | None = None
-) -> list[Detection]:
-    """Read detections JSONL; class ids must lie in ``vocab`` when given.
+) -> Detections:
+    """Read a detections JSONL file into a set; ``vocab`` bounds the class ids.
 
     Every line is a JSON object with a four-number ``box``, a finite
-    ``score``, a string ``image_id`` and an integral ``class_id``; numbers
-    are JSON ints or floats, never booleans or strings. A bad line raises
-    ParseError (not JSON) or ValidationError naming its line number.
-    Boxes of one file with equal coordinates, signs of zeros included,
-    share one ``Box``.
+    ``score``, a string ``image_id`` and an integral ``class_id`` (within
+    int64 when no ``vocab`` bounds it); numbers are JSON ints or floats,
+    never booleans or strings. Lines are decoded ``DETECTION_CHUNK`` at a
+    time and checked column by column, without an object per row. The first
+    bad line in file order raises ParseError (not JSON) or ValidationError
+    naming its line number, and a line that is not JSON comes second to a
+    bad value on an earlier line. The set's table lists the ids as they
+    first appear.
     """
-    dets: list[Detection] = []
-    boxes: dict[tuple, Box] = {}
     num_classes = None if vocab is None else len(vocab)
-    for lineno, obj in read_jsonl(path, "detections", ParseError):
-        # A value of the exact type a field wants passes as it is; any other
-        # goes through the converters, which convert it or raise ``bad``.
-        raw = obj.get("box") if type(obj) is dict else None
-        key = None
-        if type(raw) is list and len(raw) == 4 and _NUMBER.issuperset(map(type, raw)):
-            key = tuple(raw)
-            if 0 in key:
-                # -0.0 == 0.0, yet they are different boxes.
-                key += tuple(math.copysign(1.0, v) for v in key if not v)
-        box = boxes.get(key)
-        if box is None:
-            bad = _bad_line(path, lineno)
-            box = box_from_json(require(obj, "box", bad), bad)
-            if key is not None:
-                boxes[key] = box
-        score = obj.get("score")
-        if type(score) is not float:
-            bad = _bad_line(path, lineno)
-            score = as_float(as_number(score, bad), bad)
-        # json.loads accepts the NaN and Infinity literals.
-        if not math.isfinite(score):
-            raise ValidationError(f"{path}: line {lineno}: non-finite score {score}")
-        image_id = obj.get("image_id")
-        if type(image_id) is not str:
-            image_id = as_type(image_id, str, _bad_line(path, lineno))
-        cid = obj.get("class_id")
-        if type(cid) is not int or not -_EXACT_INT <= cid <= _EXACT_INT:
-            bad = _bad_line(path, lineno)
-            cid = as_int(as_number(cid, bad), bad)
-        if num_classes is not None and not 0 <= cid < num_classes:
-            raise ValidationError(
-                f"{path}: line {lineno}: class {cid} outside 0..{num_classes - 1}"
-            )
-        dets.append(Detection(image_id, cid, box, score))
-    return dets
+    table: dict[str, int] = {}
+    parts = []
+    lines = _then_error(read_jsonl(path, "detections", ParseError))
+    while True:
+        chunk = list(itertools.islice(lines, DETECTION_CHUNK))
+        error = chunk.pop() if chunk and isinstance(chunk[-1], ParseError) else None
+        if chunk:
+            parts.append(_chunk_columns(chunk, path, table, num_classes))
+        if error is not None:
+            raise error
+        if len(chunk) < DETECTION_CHUNK:
+            return Detections.concat(table, parts)
+
+
+def _then_error(lines: Iterator[tuple]) -> Iterator:
+    """``lines``, then the ParseError that ended them, if one did, as an item:
+    the lines before a line that is not JSON are checked before it."""
+    try:
+        yield from lines
+    except ParseError as e:
+        yield e
 
 
 @dataclass
@@ -383,11 +529,11 @@ class Ranking:
     truths: Mapping[str, np.ndarray]
 
 
-def rank(dets: DetectionColumns, gts_by_image: Mapping[str, np.ndarray]) -> Ranking:
+def rank(dets: Detections, gts_by_image: Mapping[str, np.ndarray]) -> Ranking:
     """Rank one class's detections against its truth, for AP and CorLoc.
 
-    ``dets`` are the class's detections as columns (``detection_columns``),
-    and ``gts_by_image`` maps image id to an (G, 4) array of its boxes.
+    ``dets`` are the class's detections (their class ids are not read), and
+    ``gts_by_image`` maps image id to an (G, 4) array of its boxes.
     Every image gets one IoU block, which serves every threshold, every
     truth subset and CorLoc.
     """
@@ -623,24 +769,23 @@ def _area_buckets(
 
 
 def evaluate(
-    dets: Sequence[Detection],
+    dets: Detections,
     records: Sequence[ImageRecord],
     iou_thresholds: Sequence[float] = IOU_GRID,
     nms_thresh: float = DEFAULT_NMS_THRESH,
     eleven_point: bool = False,
 ) -> EvalReport:
-    """Score detections against record ground truth.
+    """Score a detection set against record ground truth.
 
-    The detections become columns once; a detection of an image outside
-    ``records`` is a ValidationError. Each class's rows go through
-    per-image NMS, and one ranking of the survivors serves AP and CorLoc
-    (CorLoc's answer is that of the raw rows). Classes with no ground-truth
-    box anywhere are excluded from every mean. Area buckets partition ground
-    truth by box area at ``AREA_SMALL_MAX`` and ``AREA_MEDIUM_MAX``;
-    detections over an out-of-bucket object are discarded rather than
-    penalized. IoU thresholds must lie in [0, 1], at least one, with
-    distinct keys at two decimals (the report's keys); anything else is a
-    ConfigError.
+    A detection of an image outside ``records`` is a ValidationError. Each
+    class's rows, in set order, go through per-image NMS, and one ranking
+    of the survivors serves AP and CorLoc (CorLoc's answer is that of the
+    raw rows). Classes with no ground-truth box anywhere are excluded from
+    every mean. Area buckets partition ground truth by box area at
+    ``AREA_SMALL_MAX`` and ``AREA_MEDIUM_MAX``; detections over an
+    out-of-bucket object are discarded rather than penalized. IoU
+    thresholds must lie in [0, 1], at least one, with distinct keys at two
+    decimals (the report's keys); anything else is a ConfigError.
     """
     check_fraction("nms_thresh", nms_thresh)
     if not len(iou_thresholds):
@@ -655,11 +800,16 @@ def evaluate(
     if not any(rec.gt_boxes for rec in records):
         raise ValidationError("evaluation requires ground-truth boxes")
     gts, class_ids = _gt_index(records)
-    # One column build for the whole set; an image's index among the
-    # records is its NMS group, which keeps record-then-score order.
-    cols = detection_columns(dets, [rec.image_id for rec in records], class_ids)
-    by_class = np.argsort(cols.label, kind="stable")
-    bounds = np.searchsorted(cols.label[by_class], np.arange(len(class_ids) + 1))
+    # Each row's image as its index among the records' distinct ids (the
+    # first of equal ids): its NMS group, which keeps record-then-score order.
+    known = dict.fromkeys(rec.image_id for rec in records)
+    index = {iid: k for k, iid in enumerate(known)}
+    table = np.array([index.get(iid, -1) for iid in dets.image_ids], dtype=np.intp)
+    image = table[dets.image]
+    if (image < 0).any():
+        iid = dets.image_ids[dets.image[np.argmax(image < 0)]]
+        raise ValidationError(f"detection references unknown image {iid!r}")
+    by_record = Detections(list(index), image, dets.class_ids, dets.boxes, dets.scores)
 
     ap: dict[int, dict[float, float]] = {c: {} for c in class_ids}
     counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}
@@ -667,9 +817,8 @@ def evaluate(
     per_bucket: dict[str, dict[float, list[float]]] = {
         b: {t: [] for t in thresholds} for b in AREA_BUCKETS
     }
-    for k, cid in enumerate(class_ids):
-        # The class's rows, in detection order.
-        group = cols.take(by_class[bounds[k] : bounds[k + 1]])
+    for cid in class_ids:
+        group = by_record.take(np.flatnonzero(dets.class_ids == cid))
         keep = nms_detections(group.boxes, group.scores, nms_thresh, group.image)
         ranked = rank(group.take(keep), gts[cid])
         results = average_precision(

@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping
 
 import numpy as np
 
-from wsodkit.data import ClassVocabulary, ImageRecord, proposal_depths, tokenize
-from wsodkit.errors import ConfigError, DataError, DegenerateRegionError
-from wsodkit.errors import ValidationError
-from wsodkit.evaluate import Detection, check_fraction
+from wsodkit import kernels
+from wsodkit.data import ClassVocabulary, ImageRecord, tokenize
+from wsodkit.errors import ConfigError, DataError, ValidationError
+from wsodkit.evaluate import MATCH_ELEMENTS, Detections, check_fraction
 from wsodkit.jsonio import (
     as_finite,
     as_int,
@@ -260,21 +260,34 @@ def depth_mask(
     return DepthMask(values=(d >= lo) & (d <= hi))
 
 
-def _resolve_depth(pred: Detection, record: ImageRecord) -> float | None:
-    """Depth for a predicted box: matching proposal first, depth map second."""
-    box = pred.box.as_array()
-    if box[2] > record.width or box[3] > record.height:
-        return None
-    diffs = np.abs(record.proposals - box[None, :]).max(axis=1)
-    hit = int(np.argmin(diffs))
-    if diffs[hit] <= BOX_MATCH_ATOL:
-        return float(record.proposal_depths[hit])
-    if record.depth_map is not None:
-        try:
-            return float(proposal_depths(record.depth_map, box[None, :])[0])
-        except DegenerateRegionError:
-            return None
-    return None
+def _record_depths(record: ImageRecord, boxes: np.ndarray) -> np.ndarray:
+    """Depths of one image's (k, 4) predicted boxes; NaN where none resolves.
+
+    A box past the image's edge resolves to nothing. Any other box takes
+    the depth of the proposal closest to it by largest coordinate
+    difference, when that difference is within ``BOX_MATCH_ATOL``; the
+    boxes matching none are pooled from the depth map, when there is one,
+    in one ``box_mean_pool`` call, and a box covering no pixel centre stays
+    unresolved. The (k, R) match runs in blocks of at most
+    ``MATCH_ELEMENTS`` elements.
+    """
+    depths = np.full(len(boxes), np.nan)
+    inside = np.flatnonzero(
+        ~((boxes[:, 2] > record.width) | (boxes[:, 3] > record.height))
+    )
+    step = max(1, MATCH_ELEMENTS // record.num_proposals)
+    for lo in range(0, inside.size, step):
+        rows = inside[lo : lo + step]
+        diffs = np.abs(record.proposals[None, :, :] - boxes[rows, None, :]).max(axis=2)
+        hit = diffs.argmin(axis=1)
+        near = diffs[np.arange(rows.size), hit] <= BOX_MATCH_ATOL
+        depths[rows[near]] = record.proposal_depths[hit[near]]
+    unmatched = inside[np.isnan(depths[inside])]
+    if record.depth_map is not None and unmatched.size:
+        depths[unmatched] = kernels.box_mean_pool(
+            record.depth_map.values, boxes[unmatched]
+        )
+    return depths
 
 
 @dataclass
@@ -312,41 +325,54 @@ class CoverageReport:
 
 def estimate_priors(
     records: Iterable[ImageRecord],
-    predictions: Sequence[Detection],
+    predictions: Detections,
     score_threshold: float = DEFAULT_SCORE_THRESHOLD,
     min_count_word: int = DEFAULT_MIN_COUNT_WORD,
 ) -> tuple[PriorStats, FrozenPriors, CoverageReport]:
-    """One pass over predictions: accumulate, freeze, and report coverage.
+    """Accumulate a detection set's depths, freeze them, and report coverage.
 
-    Predictions referencing unknown image ids raise DataError, whatever
-    their score. Only predictions scoring strictly above
-    ``score_threshold`` are accumulated. Boxes whose depth cannot be
-    resolved (past the image's edge, matching no proposal when there is no
-    depth map to pool from, or covering no pixel centre of the map) are
-    skipped and tallied in ``stats.skipped_boxes``. Each record's caption
-    is tokenized at most once. The coverage fractions replay the accepted
-    depths of each class against its frozen class-level range, which every
-    class with an accepted depth has (``MIN_COUNT_CLASS`` is 1).
+    A prediction of an unknown image id raises DataError, whatever its
+    score; the ids are checked over all rows first. Only predictions
+    scoring strictly above ``score_threshold`` (one comparison over the
+    scores, which a NaN score fails) are accumulated. Each record resolves the depths of its kept
+    boxes at once (``_record_depths``); boxes whose depth cannot be resolved
+    (past the image's edge, matching no proposal when there is no depth map
+    to pool from, or covering no pixel centre of the map) are skipped and
+    tallied in ``stats.skipped_boxes``. The moments then take the depths in
+    prediction order, so no bit depends on the grouping. Each record's
+    caption is tokenized at most once. The coverage fractions replay the
+    accepted depths of each class against its frozen class-level range,
+    which every class with an accepted depth has (``MIN_COUNT_CLASS`` is 1).
     """
     check_fraction("score_threshold", score_threshold)
     by_id = {rec.image_id: rec for rec in records}
     stats = PriorStats(min_count_word=min_count_word)
-    words: dict[str, set[str]] = {}
+    table = [by_id.get(iid) for iid in predictions.image_ids]
+    unknown = np.array([rec is None for rec in table], dtype=bool)[predictions.image]
+    if unknown.any():
+        iid = predictions.image_ids[predictions.image[np.argmax(unknown)]]
+        raise DataError(f"prediction references unknown image {iid!r}")
+    rows = np.flatnonzero(predictions.scores > score_threshold)
+    image = predictions.image[rows]
+    depths = np.empty(rows.size)
+    by_image = np.argsort(image, kind="stable")
+    for part in np.split(by_image, np.flatnonzero(np.diff(image[by_image])) + 1):
+        if part.size:
+            rec = table[image[part[0]]]
+            depths[part] = _record_depths(rec, predictions.boxes[rows[part]])
+    words: dict[int, set[str]] = {}
     accepted: dict[int, list[float]] = {}
-    for pred in predictions:
-        rec = by_id.get(pred.image_id)
-        if rec is None:
-            raise DataError(f"prediction references unknown image {pred.image_id!r}")
-        if pred.score <= score_threshold:
-            continue
-        depth = _resolve_depth(pred, rec)
-        if depth is None:
+    for k, cid, depth in zip(
+        image.tolist(), predictions.class_ids[rows].tolist(), depths.tolist()
+    ):
+        if depth != depth:
             stats.skipped_boxes += 1
             continue
-        if rec.image_id not in words:
-            words[rec.image_id] = set(tokenize(rec.caption)) if rec.caption else set()
-        stats.add_observation(pred.class_id, depth, words[rec.image_id])
-        accepted.setdefault(pred.class_id, []).append(depth)
+        if k not in words:
+            caption = table[k].caption
+            words[k] = set(tokenize(caption)) if caption else set()
+        stats.add_observation(cid, depth, words[k])
+        accepted.setdefault(cid, []).append(depth)
     frozen = stats.freeze()
     report = CoverageReport(
         accepted=sum(map(len, accepted.values())), skipped=stats.skipped_boxes

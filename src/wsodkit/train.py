@@ -35,11 +35,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from wsodkit import contrastive, fusion, kernels, milhead, refine
-from wsodkit.data import Box, ClassVocabulary, ImageRecord, extract_labels
+from wsodkit.data import ClassVocabulary, ImageRecord, extract_labels
 from wsodkit.errors import ConfigError, DataError
 from wsodkit.evaluate import (
     DEFAULT_NMS_THRESH,
-    Detection,
+    Detections,
     EvalReport,
     check_fraction,
     evaluate,
@@ -556,76 +556,59 @@ def infer(
     mode: FusionMode = FusionMode.RGB_ONLY,
     min_score: float = RunConfig.min_score,
     nms_thresh: float = DEFAULT_NMS_THRESH,
-) -> list[Detection]:
-    """Score records and emit per-class, per-image NMS survivors.
+) -> Detections:
+    """Score records and return the per-class, per-image NMS survivors.
 
     Detection confidence is the combined (det x cls) probability of the
     proposal; boxes are the proposals themselves. Only detections scoring
-    strictly above ``min_score`` are emitted, in record, class, NMS order.
-    Class-wise NMS runs on the proposal and score arrays, one call per
-    chunk of records of at most ``INFER_NMS_BOXES`` candidates (a record
-    with more takes a call alone), with each (record, class) as a group.
-    Objects are built only for the survivors: one ``Box`` per proposal kept
-    by any class, shared by every class's ``Detection`` of it.
+    strictly above ``min_score``, which lies in [0, 1) as ``RunConfig``
+    holds it, are emitted, in record, class, NMS order. Class-wise NMS runs
+    on the proposal and score arrays, one call per chunk of records of at
+    most ``INFER_NMS_BOXES`` candidates (a record with more takes a call
+    alone), with each (record, class) as a group. The set's table is the
+    records' ids and its columns are the survivors' rows, taken from the
+    proposal and score arrays without an object per row.
     """
     check_fraction("nms_thresh", nms_thresh)
-    check_fraction("min_score", min_score)
+    check_fraction("min_score", min_score, upper_open=True)
     model.check_against(check_features(records))
-    out: list[Detection] = []
-    chunk: list[tuple[ImageRecord, np.ndarray, np.ndarray, np.ndarray]] = []
+    num_classes = model.dims.num_classes
+    parts = []
+    chunk: list[tuple[int, ImageRecord, np.ndarray, np.ndarray, np.ndarray]] = []
     size = 0
-    for rec in records:
+    for j, rec in enumerate(records):
         conf = fusion.forward(rec, model.rgb_head, model.depth_head, mode).combined[0]
         # Greedy NMS settles every candidate above the floor before any at or
         # below it, so dropping those first leaves the survivors unchanged.
         cids, rows = np.nonzero((conf > min_score).T)
         if chunk and size + rows.size > INFER_NMS_BOXES:
-            _emit_survivors(chunk, model.dims.num_classes, nms_thresh, out)
+            parts.append(_survivors(chunk, num_classes, nms_thresh))
             chunk, size = [], 0
-        chunk.append((rec, conf, rows, cids))
+        chunk.append((j, rec, conf, rows, cids))
         size += rows.size
     if chunk:
-        _emit_survivors(chunk, model.dims.num_classes, nms_thresh, out)
-    return out
+        parts.append(_survivors(chunk, num_classes, nms_thresh))
+    return Detections.concat([rec.image_id for rec in records], parts)
 
 
-def _emit_survivors(
-    chunk: Sequence[tuple[ImageRecord, np.ndarray, np.ndarray, np.ndarray]],
+def _survivors(
+    chunk: Sequence[tuple[int, ImageRecord, np.ndarray, np.ndarray, np.ndarray]],
     num_classes: int,
     nms_thresh: float,
-    out: list[Detection],
-) -> None:
-    """NMS over a chunk's candidates in one call, then its detections.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """NMS over a chunk's candidates in one call; the survivors' columns.
 
-    Each chunk entry is a record, its (R, C) scores and its candidates'
-    proposal rows and class ids, class by class.
+    Each chunk entry is a record's index, the record, its (R, C) scores and
+    its candidates' proposal rows and class ids, class by class. The
+    survivors come record by record, class by class, in NMS order, because
+    NMS orders its output by group id.
     """
-    cand_boxes = [np.take(rec.proposals, rows, axis=0) for rec, _, rows, _ in chunk]
-    cand_scores = [conf[rows, cids] for _, conf, rows, cids in chunk]
-    groups = np.concatenate([j * num_classes + c[3] for j, c in enumerate(chunk)])
-    keep = nms_detections(
-        np.concatenate(cand_boxes), np.concatenate(cand_scores), nms_thresh, groups
-    )
-    # Survivors come record by record, class by class, in NMS order.
-    ends = np.searchsorted(groups[keep] // num_classes, np.arange(len(chunk) + 1))
-    starts = np.cumsum([0] + [rows.size for _, _, rows, _ in chunk])
-    for j, (rec, conf, rows, cids) in enumerate(chunk):
-        kept = keep[ends[j] : ends[j + 1]] - starts[j]
-        kept_rows, kept_cids = rows[kept], cids[kept]
-        live = np.zeros(rec.num_proposals, dtype=bool)
-        live[kept_rows] = True
-        # Boxes are frozen, so every class group shares one per proposal;
-        # slot[i] is proposal i's place among the live ones.
-        boxes = [Box(*row) for row in rec.proposals[live].tolist()]
-        slot = np.cumsum(live) - 1
-        out.extend(
-            Detection(rec.image_id, cid, boxes[k], score)
-            for cid, k, score in zip(
-                kept_cids.tolist(),
-                slot[kept_rows].tolist(),
-                conf[kept_rows, kept_cids].tolist(),
-            )
-        )
+    boxes = np.concatenate([rec.proposals[rows] for _, rec, _, rows, _ in chunk])
+    scores = np.concatenate([conf[rows, cids] for _, _, conf, rows, cids in chunk])
+    groups = np.concatenate([j * num_classes + cids for j, _, _, _, cids in chunk])
+    keep = nms_detections(boxes, scores, nms_thresh, groups)
+    image, class_ids = np.divmod(groups[keep], num_classes)
+    return image, class_ids, boxes[keep], scores[keep]
 
 
 @dataclass

@@ -9,8 +9,9 @@ one kept box at a time, the two-branch sigmoid, the depth mask one class
 and one proposal at a time, pseudo-box mining and target assignment one
 proposal at a time, the momentum-SGD update one parameter at a time, the
 finite-difference gradient check, the detection writer that encodes
-each line as a dict through ``json.dumps``, and greedy matching on one
-image's IoU block for one threshold at a time.
+each line as a dict through ``json.dumps``, the detection loader that
+checks one line at a time, and greedy matching on one image's IoU block
+for one threshold at a time.
 """
 
 import json
@@ -19,9 +20,10 @@ import math
 import numpy as np
 
 from wsodkit import fusion
-from wsodkit.data import Box, tokenize
-from wsodkit.errors import WsodkitError
+from wsodkit.data import Box, box_from_json, tokenize
+from wsodkit.errors import ParseError, ValidationError, WsodkitError
 from wsodkit.evaluate import Detection
+from wsodkit.jsonio import as_float, as_int, as_number, as_type, read_jsonl, require
 from wsodkit.refine import PseudoBoxes
 
 EPS = 1e-7
@@ -222,6 +224,56 @@ def save_detections_dumps(dets, path):
                 "score": float(d.score),
             }
             fh.write(json.dumps(obj) + "\n")
+
+
+def save_detections_rows(dets, path):
+    """The literal writer under the columnar contract.
+
+    ``save_detections_dumps``, except that an image id must be a str
+    (TypeError otherwise, after the class id and score convert) and the
+    corners, once ``json.dumps`` accepts them, are written as floats.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in dets:
+            cid, score = int(d.class_id), float(d.score)
+            if not isinstance(d.image_id, str):
+                raise TypeError("image id is not a str")
+            box = d.box.as_list()
+            json.dumps(box)
+            obj = {
+                "image_id": d.image_id,
+                "box": [float(v) for v in box],
+                "class_id": cid,
+                "score": score,
+            }
+            fh.write(json.dumps(obj) + "\n")
+
+
+def load_detections_lines(path, vocab=None):
+    """The per-line detection loader: one ``Detection`` per line, in order.
+
+    Each line's fields are checked as they are read: box, score, image id,
+    class id. The one rule it adds to the loader it reproduces: without a
+    vocabulary, a class id outside int64 is a bad line.
+    """
+    dets = []
+    num_classes = None if vocab is None else len(vocab)
+    for lineno, obj in read_jsonl(path, "detections", ParseError):
+        bad = f"{path}: line {lineno}: bad detection"
+        box = box_from_json(require(obj, "box", bad), bad)
+        score = as_float(as_number(obj.get("score"), bad), bad)
+        if not math.isfinite(score):
+            raise ValidationError(f"{path}: line {lineno}: non-finite score {score}")
+        image_id = as_type(obj.get("image_id"), str, bad)
+        cid = as_int(as_number(obj.get("class_id"), bad), bad)
+        if num_classes is None and not -(2**63) <= cid < 2**63:
+            raise ValidationError(bad)
+        if num_classes is not None and not 0 <= cid < num_classes:
+            raise ValidationError(
+                f"{path}: line {lineno}: class {cid} outside 0..{num_classes - 1}"
+            )
+        dets.append(Detection(image_id, cid, box, score))
+    return dets
 
 
 def infer_candidates(model, records, mode, min_score, nms_thresh):

@@ -21,11 +21,11 @@ import pytest
 from wsodkit.contrastive import nce_chain
 from wsodkit.data import Box
 from wsodkit.evaluate import (
-    Detection,
     IOU_GRID,
+    Detection,
+    Detections,
     average_precision,
     corloc,
-    detection_columns,
     rank,
 )
 from wsodkit.fusion import FusionMode
@@ -241,7 +241,7 @@ def test_criterion_4_evaluator_oracle():
                 continue
             usable += 1
             tps = []
-            ranked = rank(detection_columns(dets), gts)
+            ranked = rank(Detections.from_rows(dets), gts)
             results = average_precision(ranked, IOU_GRID)
             fractions = corloc(ranked, IOU_GRID)
             for thresh, res, frac in zip(IOU_GRID, results, fractions):

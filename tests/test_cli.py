@@ -325,6 +325,28 @@ def test_bad_threshold_exit_2(tmp_path, capsys, command, option, field):
     assert code == 2 and f"{field} must lie in [0, 1" in err
 
 
+def test_min_score_one_exit_2_for_infer_as_for_train(tmp_path, capsys):
+    # No score lies above 1: infer refuses the floor as RunConfig does,
+    # instead of writing an empty file.
+    data, vocab = gen_small(capsys, tmp_path)
+    common = ["--data", str(data), "--vocab", str(vocab)]
+    ckpt, out = tmp_path / "model.ckpt", tmp_path / "dets.jsonl"
+    code, _, _ = run(
+        capsys, "train", *common, "--set", "epochs=0",
+        "--checkpoint-out", str(ckpt), "--quiet",
+    )
+    assert code == 0
+    code, _, train_err = run(capsys, "train", *common, "--set", "min_score=1.0")
+    assert code == 2
+    code, _, err = run(
+        capsys, "infer", *common, "--checkpoint", str(ckpt), "--out", str(out),
+        "--min-score", "1",
+    )
+    assert code == 2 and err == train_err
+    assert "min_score must lie in [0, 1), got 1.0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,option,message",
     [

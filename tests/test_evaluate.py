@@ -4,6 +4,9 @@ import dataclasses
 import importlib
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +19,10 @@ from wsodkit.errors import ConfigError, ParseError, ValidationError
 from wsodkit.evaluate import (
     IOU_GRID,
     Detection,
+    Detections,
     EvalReport,
     average_precision,
     corloc,
-    detection_columns,
     evaluate,
     format_table,
     load_detections,
@@ -33,8 +36,10 @@ from reference import (
     all_point_ap,
     greedy_hits,
     greedy_match,
+    load_detections_lines,
     nms_sequential,
     save_detections_dumps,
+    save_detections_rows,
     top1_corloc,
 )
 
@@ -133,7 +138,7 @@ class TestIou:
 class TestAveragePrecision:
     def test_single_hit_perfect(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
-        dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
+        dets = Detections.from_rows([det("a", [0, 0, 10, 10], 0.9)])
         res = average_precision(rank(dets, gts), [0.5])[0]
         assert res.ap == pytest.approx(1.0, abs=1e-12)
         assert (res.tp, res.fp, res.n_gt) == (1, 1 - 1, 1)
@@ -145,7 +150,7 @@ class TestAveragePrecision:
             det("a", [50, 50, 60, 60], 0.9),
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(rank(detection_columns(dets), gts), [0.5])[0]
+        res = average_precision(rank(Detections.from_rows(dets), gts), [0.5])[0]
         assert res.ap == pytest.approx(0.5, abs=1e-12)
 
     def test_duplicate_detection_is_fp(self):
@@ -154,7 +159,7 @@ class TestAveragePrecision:
             det("a", [0, 0, 10, 10], 0.9),
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        res = average_precision(rank(detection_columns(dets), gts), [0.5])[0]
+        res = average_precision(rank(Detections.from_rows(dets), gts), [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
         assert res.ap == pytest.approx(1.0, abs=1e-12)
 
@@ -162,16 +167,17 @@ class TestAveragePrecision:
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         loose = det("a", [0, 0, 12, 10], 0.9)  # IoU 5/6
         tight = det("a", [0, 0, 10, 10], 0.5)
-        res = average_precision(rank(detection_columns([tight, loose]), gts), [0.5])[0]
+        ranked = rank(Detections.from_rows([tight, loose]), gts)
+        res = average_precision(ranked, [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
 
     def test_no_detections_zero(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
-        res = average_precision(rank(detection_columns([]), gts), [0.5])[0]
+        res = average_precision(rank(Detections.from_rows([]), gts), [0.5])[0]
         assert res.ap == 0.0 and res.n_gt == 1
 
     def test_no_gt_rejected(self):
-        cols = detection_columns([det("a", [0, 0, 1, 1], 0.5)])
+        cols = Detections.from_rows([det("a", [0, 0, 1, 1], 0.5)])
         ranked = rank(cols, {"a": np.zeros((0, 4))})
         with pytest.raises(ValidationError):
             average_precision(ranked, [0.5])
@@ -182,7 +188,7 @@ class TestAveragePrecision:
         gts = {
             "a": np.array([[0.0, 0.0, 10.0, 10.0], [50.0, 50.0, 60.0, 60.0]])
         }
-        dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
+        dets = Detections.from_rows([det("a", [0, 0, 10, 10], 0.9)])
         assert average_precision(rank(dets, gts), [0.5])[0].ap == (
             pytest.approx(0.5, abs=1e-12)
         )
@@ -197,7 +203,7 @@ class TestAveragePrecision:
             det("a", [50, 50, 60, 60], 0.9),  # absorbed, not an FP
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        cols = detection_columns(dets)
+        cols = Detections.from_rows(dets)
         res = ap_ignoring(cols, gts, ignore, [0.5])[0]
         assert (res.tp, res.fp) == (1, 0)
         assert res.ap == pytest.approx(1.0, abs=1e-12)
@@ -208,7 +214,7 @@ class TestAveragePrecision:
         n_gt = sum(len(g) for g in gts.values())
         if n_gt == 0:
             return
-        ranked = rank(detection_columns(dets), gts)
+        ranked = rank(Detections.from_rows(dets), gts)
         for thresh in (0.3, 0.5, 0.75):
             got = average_precision(ranked, [thresh])[0]
             assert got.ap == pytest.approx(all_point_ap(dets, gts, thresh), abs=1e-12)
@@ -221,7 +227,7 @@ class TestAveragePrecision:
         dets, gts = random_scenario(seed, num_images=3)
         if sum(len(g) for g in gts.values()) == 0:
             return
-        results = average_precision(rank(detection_columns(dets), gts), IOU_GRID)
+        results = average_precision(rank(Detections.from_rows(dets), gts), IOU_GRID)
         tps = [res.tp for res in results]
         assert all(a >= b for a, b in zip(tps, tps[1:]))
 
@@ -232,7 +238,7 @@ class TestIgnoreAwareMatching:
     def test_matches_oracle(self, seed, use_ignore):
         dets, gts, ignored = ignore_scenario(seed)
         ign = ignored if use_ignore else None
-        cols = detection_columns(dets)
+        cols = Detections.from_rows(dets)
         for thresh in (0.3, 0.5, 0.75):
             got = ap_ignoring(cols, gts, ign, [thresh])[0]
             tp, fp = greedy_match(dets, gts, thresh, ign)
@@ -260,7 +266,7 @@ class TestIgnoreAwareMatching:
             det("a", [0, 0, 10, 10], 0.8),
             det("b", [60, 60, 70, 70], 0.7),  # overlaps nothing: still an FP
         ]
-        cols = detection_columns(dets)
+        cols = Detections.from_rows(dets)
         res = ap_ignoring(cols, gts, ignore, [0.5])[0]
         assert (res.tp, res.fp) == (1, 1)
 
@@ -272,7 +278,7 @@ class TestIgnoreAwareMatching:
             det("a", [0, 0, 20, 10], 0.9),
             det("a", [50, 50, 70, 60], 0.8),
         ]
-        cols = detection_columns(dets)
+        cols = Detections.from_rows(dets)
         res = ap_ignoring(cols, gts, ignore, [0.5])[0]
         assert (res.tp, res.fp) == (1, 0)
         assert greedy_match(dets, gts, 0.5, ignore) == ([1.0], [0.0])
@@ -296,7 +302,7 @@ class TestTruthSubsets:
             }
             for name, frac in (("none", 0.0), ("some", 0.5), ("all", 1.0))
         }
-        ranked = rank(detection_columns(dets), truth)
+        ranked = rank(Detections.from_rows(dets), truth)
         got = average_precision(ranked, IOU_GRID, subsets=subsets)
         plain = average_precision(ranked, IOU_GRID)
         fields = lambda res: (res.ap, res.tp, res.fp, res.n_gt)
@@ -321,7 +327,7 @@ class TestOneCallPerGrid:
     """One call over IOU_GRID equals the literal oracles at every threshold."""
 
     def check_ap(self, dets, gts, ign=None):
-        results = ap_ignoring(detection_columns(dets), gts, ign, IOU_GRID)
+        results = ap_ignoring(Detections.from_rows(dets), gts, ign, IOU_GRID)
         assert len(results) == len(IOU_GRID)
         for t, res in zip(IOU_GRID, results):
             tp, fp = greedy_match(dets, gts, t, ign)
@@ -331,7 +337,7 @@ class TestOneCallPerGrid:
             ), t
 
     def check_corloc(self, dets, gts):
-        assert corloc(rank(detection_columns(dets), gts), IOU_GRID) == pytest.approx(
+        assert corloc(rank(Detections.from_rows(dets), gts), IOU_GRID) == pytest.approx(
             [top1_corloc(dets, gts, t) for t in IOU_GRID], abs=1e-12
         )
 
@@ -354,7 +360,7 @@ class TestOneCallPerGrid:
         _, gts, ignored = ignore_scenario(0)
         for ign in (None, ignored):
             self.check_ap([], gts, ign)
-            results = ap_ignoring(detection_columns([]), gts, ign, IOU_GRID)
+            results = ap_ignoring(Detections.from_rows([]), gts, ign, IOU_GRID)
             assert all(r.ap == 0.0 for r in results)
         self.check_corloc([], gts)
 
@@ -367,8 +373,9 @@ class TestOneCallPerGrid:
             self.check_ap(dets, gts)
             self.check_corloc(dets, gts)
         expected = [1.0 if t <= 0.7 else 0.0 for t in IOU_GRID]
-        assert corloc(rank(detection_columns([hit, miss]), gts), IOU_GRID) == expected
-        missed = corloc(rank(detection_columns([miss, hit]), gts), IOU_GRID)
+        found = corloc(rank(Detections.from_rows([hit, miss]), gts), IOU_GRID)
+        assert found == expected
+        missed = corloc(rank(Detections.from_rows([miss, hit]), gts), IOU_GRID)
         assert missed == [0.0] * len(IOU_GRID)
 
 
@@ -442,7 +449,7 @@ class TestLockstepMatcher:
             for name, masks in evaluate_module._area_buckets(truth).items()
         }
         got = average_precision(
-            rank(detection_columns(dets), truth),
+            rank(Detections.from_rows(dets), truth),
             IOU_GRID,
             subsets={"truth": rows, **buckets},
         )
@@ -504,7 +511,10 @@ class TestMatcherCallCount:
 
         monkeypatch.setattr(kernels, "iou_matrix", counting)
         # NMS keeps every detection.
-        evaluate(dets, records, iou_thresholds=iou_thresholds, nms_thresh=1.0)
+        evaluate(
+            Detections.from_rows(dets), records, iou_thresholds=iou_thresholds,
+            nms_thresh=1.0,
+        )
         monkeypatch.undo()
         return len(calls), sum(calls)
 
@@ -548,7 +558,7 @@ class TestMatcherCallCount:
             monkeypatch.setattr(
                 kernels, "iou_matrix", lambda a, b: count.append(1) or real(a, b)
             )
-            report = evaluate(dets, records, nms_thresh=1.0)
+            report = evaluate(Detections.from_rows(dets), records, nms_thresh=1.0)
             monkeypatch.undo()
             calls[name] = len(count)
             area_avg[name] = report.area_avg
@@ -567,7 +577,7 @@ class TestCorloc:
             det("a", [0, 0, 10, 10], 0.9),
             det("b", [50, 50, 60, 60], 0.9),
         ]
-        got = corloc(rank(detection_columns(dets), gts), [0.5])[0]
+        got = corloc(rank(Detections.from_rows(dets), gts), [0.5])[0]
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_only_top_scorer_counts(self):
@@ -576,14 +586,14 @@ class TestCorloc:
             det("a", [50, 50, 60, 60], 0.9),  # top-1 misses
             det("a", [0, 0, 10, 10], 0.8),
         ]
-        assert corloc(rank(detection_columns(dets), gts), [0.5])[0] == 0.0
+        assert corloc(rank(Detections.from_rows(dets), gts), [0.5])[0] == 0.0
 
     def test_score_tie_keeps_earliest(self):
         gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0]])}
         hit = det("a", [0, 0, 10, 10], 0.9)
         miss = det("a", [50, 50, 60, 60], 0.9)
-        assert corloc(rank(detection_columns([hit, miss]), gts), [0.5])[0] == 1.0
-        assert corloc(rank(detection_columns([miss, hit]), gts), [0.5])[0] == 0.0
+        assert corloc(rank(Detections.from_rows([hit, miss]), gts), [0.5])[0] == 1.0
+        assert corloc(rank(Detections.from_rows([miss, hit]), gts), [0.5])[0] == 0.0
         # The tied pair behind a lower score of its image and among another
         # image's rows: the earliest of the tie still wins.
         gts["b"] = gts["a"]
@@ -592,7 +602,7 @@ class TestCorloc:
             ([low, other, hit, other, miss], 1.0),
             ([low, other, miss, other, hit], 0.5),
         ):
-            assert corloc(rank(detection_columns(dets), gts), [0.5])[0] == want
+            assert corloc(rank(Detections.from_rows(dets), gts), [0.5])[0] == want
             assert top1_corloc(dets, gts, 0.5) == want
 
     def test_image_without_detection_misses(self):
@@ -600,12 +610,12 @@ class TestCorloc:
             "a": np.array([[0.0, 0.0, 10.0, 10.0]]),
             "b": np.array([[0.0, 0.0, 10.0, 10.0]]),
         }
-        dets = detection_columns([det("a", [0, 0, 10, 10], 0.9)])
+        dets = Detections.from_rows([det("a", [0, 0, 10, 10], 0.9)])
         assert corloc(rank(dets, gts), [0.5])[0] == 0.5
 
     def test_no_class_images_rejected(self):
         with pytest.raises(ValidationError):
-            corloc(rank(detection_columns([]), {"a": np.zeros((0, 4))}), [0.5])
+            corloc(rank(Detections.from_rows([]), {"a": np.zeros((0, 4))}), [0.5])
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
@@ -632,7 +642,7 @@ class TestCorloc:
             dets.append(det(iid, box, score))
         if not any(len(g) for g in gts.values()):
             return
-        cols = detection_columns(dets)
+        cols = Detections.from_rows(dets)
         keep = nms_detections(cols.boxes, cols.scores, nms_thresh, cols.image)
         got = corloc(rank(cols.take(keep), gts), IOU_GRID)
         assert got == corloc(rank(cols, gts), IOU_GRID)
@@ -735,19 +745,36 @@ def written(write, dets, path):
     return path.read_bytes()
 
 
+def save_rows(dets, path):
+    """Rows through a set into the writer, as a caller holding rows does."""
+    save_detections(Detections.from_rows(dets), path)
+
+
+def same_columns(a, b):
+    """Two sets equal column by column, bit for bit, tables included."""
+    return (
+        a.image_ids == b.image_ids
+        and np.array_equal(a.image, b.image)
+        and np.array_equal(a.class_ids, b.class_ids)
+        and a.boxes.tobytes() == b.boxes.tobytes()
+        and a.scores.tobytes() == b.scores.tobytes()
+    )
+
+
 class TestDetectionIO:
     def test_round_trip(self, tmp_path):
-        dets = [
+        dets = Detections.from_rows([
             det("a", [0.5, 1.5, 10.25, 11.75], 0.875, cid=2),
             det("b", [3, 4, 5, 6], 0.125),
-        ]
+        ])
         p = tmp_path / "dets.jsonl"
         save_detections(dets, p)
         loaded = load_detections(p)
         assert loaded == dets
+        assert same_columns(loaded, dets)
 
     def test_save_byte_stable(self, tmp_path):
-        dets = [det("a", [1, 2, 3, 4], 1.0 / 3.0)]
+        dets = Detections.from_rows([det("a", [1, 2, 3, 4], 1.0 / 3.0)])
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_detections(dets, p1)
         save_detections(dets, p2)
@@ -763,18 +790,28 @@ class TestDetectionIO:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_save_matches_dumps_oracle(self, tmp_path, dets):
-        got = written(save_detections, dets, tmp_path / "got.jsonl")
-        want = written(save_detections_dumps, dets, tmp_path / "want.jsonl")
-        assert got == want
+        path = tmp_path / "f.jsonl"
+        # Each row the literal writer refuses, the set refuses the same way.
+        for d in dets:
+            refused = written(save_detections_dumps, [d], path)
+            if isinstance(refused, type):
+                assert written(save_rows, [d], path) is refused
+        # The whole list writes what the literal writer writes, with str ids
+        # and float corners.
+        assert written(save_rows, dets, path) == written(
+            save_detections_rows, dets, path
+        )
 
-    def test_many_lines_match_oracle(self, tmp_path):
-        # More lines than the writer joins into one write.
+    def test_many_lines_match_oracle(self, tmp_path, monkeypatch):
+        # Lines cross many of the writer's chunks, each with its own boxes.
+        monkeypatch.setattr(evaluate_module, "DETECTION_CHUNK", 64)
         r = np.random.default_rng(0)
+        boxes = random_boxes(r, 400)
         dets = [
-            det(f"i{k % 7}", box, float(r.uniform()), k % 3)
-            for k, box in enumerate(random_boxes(r, 1100))
+            det(f"i{k % 7}", boxes[k % 400], float(r.uniform()), k % 3)
+            for k in range(1100)
         ]
-        save_detections(dets, tmp_path / "got.jsonl")
+        save_rows(dets, tmp_path / "got.jsonl")
         save_detections_dumps(dets, tmp_path / "want.jsonl")
         got = (tmp_path / "got.jsonl").read_bytes()
         assert got == (tmp_path / "want.jsonl").read_bytes()
@@ -788,52 +825,47 @@ class TestDetectionIO:
             [Detection("a", "x", Box(0, 0, 1, 1), 0.5)],
             [Detection(object(), 0, Box(0, 0, 1, 1), 0.5)],
         ]
-        got = [written(save_detections, c, tmp_path / "f.jsonl") for c in cases]
-        assert isinstance(got[0], bytes)
-        assert got[1:] == [TypeError, ValueError, TypeError]
+        for write in (save_rows, save_detections_dumps):
+            got = [written(write, c, tmp_path / "f.jsonl") for c in cases]
+            assert isinstance(got[0], bytes)
+            assert got[1:] == [TypeError, ValueError, TypeError]
 
-    def test_one_box_per_distinct_box(self, tmp_path):
+    def test_shared_boxes_round_trip(self, tmp_path):
         a, b = Box(1.0, 2.0, 3.0, 4.0), Box(0.0, 0.5, 2.0, 2.5)
-        dets = [
+        dets = Detections.from_rows([
             det("i0", [1.0, 2.0, 3.0, 4.0], 0.9),  # equal to a, not a itself
             Detection("i0", 1, a, 0.8),
             Detection("i1", 0, b, 0.7),
             Detection("i1", 2, a, 0.6),
             Detection("i2", 0, b, 0.5),
-        ]
+        ])
         p = tmp_path / "dets.jsonl"
         save_detections(dets, p)
-        loaded = load_detections(p)
-        assert loaded == dets
-        assert len({id(d.box) for d in loaded}) == 2
-        assert loaded[0].box is loaded[1].box is loaded[3].box
-        assert loaded[2].box is loaded[4].box
-        # A second file builds its own boxes.
-        assert load_detections(p)[0].box is not loaded[0].box
+        assert load_detections(p) == dets
 
     def test_signed_zero_boxes_stay_apart(self, tmp_path):
         # -0.0 == 0.0, and both pass Box validation.
-        dets = [
+        dets = Detections.from_rows([
             det("a", [0.0, 0.0, 1.0, 1.0], 0.5),
             det("a", [-0.0, 0.0, 1.0, 1.0], 0.5),
             det("a", [0.0, -0.0, 1.0, 1.0], 0.5),
             det("a", [-0.0, 0.0, 1.0, 1.0], 0.5),
             det("a", [0, 0, 1, 1], 0.5),
-        ]
+        ])
         p, again = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_detections(dets, p)
         loaded = load_detections(p)
         signs = [[math.copysign(1.0, v) for v in d.box.as_list()] for d in loaded]
         assert signs == [[1, 1, 1, 1], [-1, 1, 1, 1], [1, -1, 1, 1], [-1, 1, 1, 1],
                          [1, 1, 1, 1]]
-        assert loaded[1].box is loaded[3].box
-        assert loaded[0].box is not loaded[1].box
+        assert same_columns(loaded, dets)
         save_detections(loaded, again)
-        assert again.read_bytes() == p.read_bytes().replace(b"[0, 0, 1, 1]",
-                                                             b"[0.0, 0.0, 1.0, 1.0]")
+        assert again.read_bytes() == p.read_bytes()
 
     # Each bad line follows a good one with the same box, so the box cache
     # already holds it; a line's number and error class do not depend on that.
+    # Each bad line follows a good one, so the loader has columns in hand
+    # when it meets it; a line's number and error class do not depend on that.
     GOOD = {"image_id": "a", "box": [1, 0, 2, 2], "class_id": 0, "score": 0.5}
     BAD_LINES = [
         ('{"image_id": "a"', ParseError, "line 2"),
@@ -864,6 +896,8 @@ class TestDetectionIO:
         ({"class_id": 3}, ValidationError, "line 2: class 3 outside 0..2"),
         ({"class_id": 2**53 + 1}, ValidationError, "line 2: class 9007199254740993 "),
         ({"class_id": -1.0}, ValidationError, "line 2: class -1 outside"),
+        ({"box": [1, 0, 1, 2]}, ValidationError, "degenerate box"),
+        ({"box": [1, 0, 2, 0]}, ValidationError, "degenerate box"),
     ] + [
         pytest.param(line, ParseError, json_error(line, 2), id=name)
         for name, line in UNPARSABLE_LINES.items()
@@ -914,6 +948,179 @@ class TestDetectionIO:
         with pytest.raises(ValidationError, match=f"line 2: {problem}"):
             load_detections(p)
 
+    def test_class_id_outside_int64(self, tmp_path):
+        # Without a vocabulary the column holds int64; with one, the range
+        # check names the class as before.
+        lines = [{**self.GOOD, "class_id": c} for c in (2**63 - 1, -(2**63), 2**63)]
+        p = tmp_path / "dets.jsonl"
+        p.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"line 3: bad detection\Z"):
+            load_detections(p)
+        vocab = ClassVocabulary(["x", "y", "z"])
+        with pytest.raises(ValidationError, match=r"line 1: class 9223372036854775807"):
+            load_detections(p, vocab)
+        p.write_text("".join(json.dumps(x) + "\n" for x in lines[:2]), encoding="utf-8")
+        assert list(load_detections(p).class_ids) == [2**63 - 1, -(2**63)]
+
+
+# Detection lines for the loader's oracle: good ones, ones with one field
+# replaced or missing, and lines that are not a detection object at all.
+GOOD_OBJECTS = [
+    {"image_id": iid, "box": box, "class_id": cid, "score": score}
+    for iid, box, cid, score in [
+        ("a", [1, 0, 2, 2], 0, 0.5),
+        ("b", [0.5, -0.0, 3.25, 1e300], 2, -3),
+        ('c"é', [0, 0, 1.0, 1], 2.0, 1e-300),
+        ("a", [1, 0, 2, 2], -0.0, -0.0),
+    ]
+]
+BAD_FIELDS = {
+    "box": [None, "x", [1, 0, 2], [True, 0, 2, 2], ["1", 0, 2, 2], [1, 0, 2, [2]],
+            [1, 0, 2, 10**400], [2, 0, 1, 2], [-1, 0, 2, 2], [1, 0, 2, 1e999],
+            [-1, 0, math.nan, 2], [1, 0, 1, 2]],
+    "score": [None, "0.5", True, 10**400, 1e999, -1e999, math.nan],
+    "image_id": [7, None, ["a"], {"a": 1}],
+    "class_id": [0.5, True, "0", None, 10**400, 1e999, math.nan, 3, -1, -1.0,
+                 2**53 + 1, 2**63, -(2**63) - 1, 1e300],
+}
+LINE_POOL = (
+    [json.dumps(obj) for obj in GOOD_OBJECTS] * 8
+    + [
+        json.dumps({**obj, key: value})
+        for obj in GOOD_OBJECTS[:2]
+        for key, values in BAD_FIELDS.items()
+        for value in values
+    ]
+    + [json.dumps({k: v for k, v in GOOD_OBJECTS[0].items() if k != key})
+       for key in GOOD_OBJECTS[0]]
+    + ["", "   ", "[1, 2]", "null", "7", '"a"', *UNPARSABLE_LINES.values()]
+)
+
+
+def loaded(load, path, vocab):
+    """The set or rows ``load`` gives, or its exception's type and message."""
+    try:
+        return load(path, vocab)
+    except Exception as e:  # noqa: BLE001 - the error is the result
+        return type(e), str(e)
+
+
+LINE = '{"image_id": "a", "box": [1, 0, 2, 2], "class_id": 0, "score": 0.5}\n'
+SCORE_INF = LINE.replace("0.5", "1e999")
+DEGENERATE = LINE.replace("[1,", "[3,")
+CLASS_HALF = LINE.replace('"class_id": 0', '"class_id": 0.5')
+ID_SEVEN = LINE.replace('"a"', "7")
+
+
+class TestLoaderOracle:
+    """The column loader against the per-line loader it replaced."""
+
+    @given(
+        text=st.lists(st.sampled_from(LINE_POOL), max_size=7).map(
+            lambda lines: "".join(line + "\n" for line in lines)
+        ),
+        vocab=st.sampled_from([None, ClassVocabulary(["x", "y", "z"])]),
+        chunk=st.sampled_from([1, 2, 3, 4096]),
+    )
+    # Two bad lines of different kinds: the first in file order wins.
+    @example(text=LINE + SCORE_INF + DEGENERATE, vocab=None, chunk=4096)
+    # A line that is not JSON comes second to a bad value before it, also
+    # when the two fall in one chunk.
+    @example(text=LINE + CLASS_HALF + '{"a": 1\n', vocab=None, chunk=4096)
+    @example(text=ID_SEVEN + "\n", vocab=None, chunk=2)
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_matches_per_line_loader(self, text, vocab, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dets.jsonl"
+            path.write_text(text, encoding="utf-8")
+            want = loaded(load_detections_lines, path, vocab)
+            with mock.patch.object(evaluate_module, "DETECTION_CHUNK", chunk):
+                got = loaded(load_detections, path, vocab)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert same_columns(got, Detections.from_rows(want))
+
+
+def row_bits(d):
+    """A row's fields as converted, floats by their bits (-0.0 and NaN apart)."""
+    return (
+        d.image_id,
+        int(d.class_id),
+        tuple(float(v).hex() for v in d.box.as_list()),
+        float(d.score).hex(),
+    )
+
+
+def rows_equal(a, b):
+    """Lists of rows compared field by field: -0.0 == 0.0, NaN equals nothing."""
+    return len(a) == len(b) and all(
+        x.image_id == y.image_id and x.class_id == y.class_id and x.box == y.box
+        and x.score == y.score
+        for x, y in zip(a, b)
+    )
+
+
+ROW_ZEROS = st.sampled_from([0.0, -0.0, 1.5])
+ROW_SCORES = st.sampled_from([0.0, -0.0, 0.25, math.nan])
+
+
+@st.composite
+def row_pairs(draw):
+    """Two row lists, the second often equal to the first or nearly so."""
+    a = [
+        Detection(draw(st.sampled_from("abc")), draw(st.integers(0, 2)),
+                  Box(draw(ROW_ZEROS), draw(ROW_ZEROS), 2.0, 3.0), draw(ROW_SCORES))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    flip = lambda v: -v if v == 0.0 else v  # noqa: E731
+    b = [
+        Detection(d.image_id, d.class_id, Box(flip(d.box.x1), d.box.y1, 2.0, 3.0),
+                  flip(d.score))
+        for d in a
+    ]
+    change = draw(st.sampled_from(["none", "id", "class", "box", "score", "drop"]))
+    if b and change != "none":
+        k = draw(st.integers(0, len(b) - 1))
+        d = b[k]
+        b[k] = {
+            "id": Detection(d.image_id + "x", d.class_id, d.box, d.score),
+            "class": Detection(d.image_id, d.class_id + 1, d.box, d.score),
+            "box": Detection(d.image_id, d.class_id, Box(0.5, 0.0, 2.0, 3.0), d.score),
+            "score": Detection(d.image_id, d.class_id, d.box, 0.75),
+            "drop": None,
+        }[change]
+        b = [d for d in b if d is not None]
+    return a, b
+
+
+class TestDetectionsRows:
+    """A set against the list of ``Detection`` rows it stands for."""
+
+    @given(pair=row_pairs(), order=st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None, database=None)
+    def test_equality_iteration_and_from_rows(self, pair, order):
+        a, b = pair
+        sa, sb = Detections.from_rows(a), Detections.from_rows(b)
+        assert len(sa) == len(a)
+        assert [row_bits(d) for d in sa] == [row_bits(d) for d in a]
+        assert same_columns(Detections.from_rows(sa), sa)
+        # The same rows over the table in another order.
+        table = list(sb.image_ids)
+        order.shuffle(table)
+        where = np.array([table.index(iid) for iid in sb.image_ids], dtype=np.intp)
+        shuffled = Detections(table, where[sb.image], sb.class_ids, sb.boxes,
+                              sb.scores)
+        assert (sa == sb) is (sa == shuffled) is (sb == sa) is rows_equal(a, b)
+        assert (sa == sa) is rows_equal(a, a)
+
+    def test_empty_sets(self):
+        empty = Detections.from_rows([])
+        assert len(empty) == 0 and list(empty) == []
+        assert empty == Detections.from_rows([])
+        assert empty.boxes.shape == (0, 4)
+        assert empty != Detections.from_rows([det("a", [0, 0, 1, 1], 0.5)])
+
 
 class TestEvaluate:
     def build(self, rng, n=4):
@@ -933,34 +1140,34 @@ class TestEvaluate:
     def test_bad_nms_thresh_rejected(self, rng, thresh):
         records, dets = self.build(rng)
         with pytest.raises(ConfigError, match="nms_thresh"):
-            evaluate(dets, records, nms_thresh=thresh)
+            evaluate(Detections.from_rows(dets), records, nms_thresh=thresh)
 
     @pytest.mark.parametrize("grid", [[1.5], [float("nan")], [-0.2]])
     def test_threshold_outside_unit_rejected(self, rng, grid):
         records, dets = self.build(rng)
         with pytest.raises(ConfigError, match="iou_thresholds must lie in"):
-            evaluate(dets, records, iou_thresholds=grid)
+            evaluate(Detections.from_rows(dets), records, iou_thresholds=grid)
 
     def test_empty_grid_rejected(self, rng):
         records, dets = self.build(rng)
         with pytest.raises(ConfigError, match="iou_thresholds must not be empty"):
-            evaluate(dets, records, iou_thresholds=[])
+            evaluate(Detections.from_rows(dets), records, iou_thresholds=[])
 
     def test_colliding_keys_rejected(self, rng):
         records, dets = self.build(rng)
         with pytest.raises(ConfigError, match="repeat a two-decimal key"):
-            evaluate(dets, records, iou_thresholds=[0.5, 0.501])
+            evaluate(Detections.from_rows(dets), records, iou_thresholds=[0.5, 0.501])
 
     def test_perfect_detections_score_one(self, rng):
         records, dets = self.build(rng)
-        rep = evaluate(dets, records, iou_thresholds=(0.5,))
+        rep = evaluate(Detections.from_rows(dets), records, iou_thresholds=(0.5,))
         assert rep.map50 == pytest.approx(1.0, abs=1e-12)
         assert rep.corloc50 == pytest.approx(1.0, abs=1e-12)
         assert rep.class_ids == [0, 1]
 
     def test_map75_nan_when_grid_lacks_it(self, rng):
         records, dets = self.build(rng)
-        rep = evaluate(dets, records, iou_thresholds=(0.5,))
+        rep = evaluate(Detections.from_rows(dets), records, iou_thresholds=(0.5,))
         assert rep.map75 != rep.map75
         obj = rep.to_json()
         assert obj["map75"] is None
@@ -968,7 +1175,7 @@ class TestEvaluate:
 
     def test_full_grid_means(self, rng):
         records, dets = self.build(rng)
-        rep = evaluate(dets, records)
+        rep = evaluate(Detections.from_rows(dets), records)
         assert rep.thresholds == list(IOU_GRID)
         assert rep.map_avg == pytest.approx(
             float(np.mean([rep.map_by_thresh[t] for t in rep.thresholds])),
@@ -982,17 +1189,19 @@ class TestEvaluate:
     def test_unknown_image_rejected(self, rng):
         records, dets = self.build(rng)
         with pytest.raises(ValidationError):
-            evaluate([det("ghost", [0, 0, 1, 1], 0.5)], records)
+            evaluate(Detections.from_rows([det("ghost", [0, 0, 1, 1], 0.5)]), records)
 
     def test_no_gt_rejected(self, rng):
         records = [make_record(rng, "a", with_gt=False)]
         with pytest.raises(ValidationError):
-            evaluate([], records)
+            evaluate(Detections.from_rows([]), records)
 
     def test_class_without_gt_excluded(self, rng):
         records, dets = self.build(rng)
         extra = [Detection("i0", 7, Box(0, 0, 5, 5), 0.99)]
-        rep = evaluate(dets + extra, records, iou_thresholds=(0.5,))
+        rep = evaluate(
+            Detections.from_rows(dets + extra), records, iou_thresholds=(0.5,)
+        )
         assert 7 not in rep.class_ids
         assert rep.map50 == pytest.approx(1.0, abs=1e-12)
 
@@ -1002,7 +1211,9 @@ class TestEvaluate:
         rec = records[0]
         box, cid = rec.gt_boxes[0]
         dup = Detection(rec.image_id, cid, box, 0.89)
-        rep = evaluate(dets + [dup], records, iou_thresholds=(0.5,))
+        rep = evaluate(
+            Detections.from_rows(dets + [dup]), records, iou_thresholds=(0.5,)
+        )
         assert rep.map50 == pytest.approx(1.0, abs=1e-12)
 
     def test_area_buckets_partition_and_absorb(self):
@@ -1014,7 +1225,7 @@ class TestEvaluate:
             rec, gt_boxes=[(Box(*small), 0), (Box(*large), 0)]
         )
         dets = [det("a", small, 0.9), det("a", large, 0.8)]
-        rep = evaluate(dets, [rec], iou_thresholds=(0.5,))
+        rep = evaluate(Detections.from_rows(dets), [rec], iou_thresholds=(0.5,))
         assert rep.area_ap["small"][0.5] == pytest.approx(1.0, abs=1e-12)
         assert rep.area_ap["large"][0.5] == pytest.approx(1.0, abs=1e-12)
         # No medium ground truth anywhere: NaN in the report, None in JSON.
@@ -1023,8 +1234,8 @@ class TestEvaluate:
 
     def test_report_json_round_trip_stable(self, rng):
         records, dets = self.build(rng)
-        a = evaluate(dets, records).to_json()
-        b = evaluate(dets, records).to_json()
+        a = evaluate(Detections.from_rows(dets), records).to_json()
+        b = evaluate(Detections.from_rows(dets), records).to_json()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -1036,7 +1247,7 @@ class TestFormatTable:
             for rec in records
             for box, cid in rec.gt_boxes
         ]
-        rep = evaluate(dets, records)
+        rep = evaluate(Detections.from_rows(dets), records)
         text = format_table([("baseline", rep), ("full", rep)])
         lines = text.splitlines()
         assert "method" in lines[1]
@@ -1049,6 +1260,6 @@ class TestFormatTable:
         dets = [
             Detection("a", cid, box, 0.9) for box, cid in records[0].gt_boxes
         ]
-        rep = evaluate(dets, records, iou_thresholds=(0.5,))
+        rep = evaluate(Detections.from_rows(dets), records, iou_thresholds=(0.5,))
         text = format_table([("run", rep)])
         assert "-" in text  # map75 column has no 0.75 threshold

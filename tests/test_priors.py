@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wsodkit import kernels
 from wsodkit.data import Box, DepthMap, tokenize
 from wsodkit.errors import ConfigError, DataError, ParseError, ValidationError
-from wsodkit.evaluate import Detection
+from wsodkit.evaluate import Detection, Detections
 from wsodkit.priors import (
     MIN_COUNT_CLASS,
     CoverageReport,
@@ -24,6 +25,8 @@ from wsodkit.priors import (
 
 from conftest import make_record
 from reference import depth_mask_loop
+
+det_set = Detections.from_rows
 
 
 class TestRunningMoments:
@@ -140,7 +143,7 @@ class TestPriorStats:
         """Statistics of one accepted class-1 box, through ``estimate_priors``."""
         rec = make_record(rng, "a", num_proposals=2, caption=caption)
         det = Detection(rec.image_id, 1, Box(*rec.proposals[0]), 0.9)
-        stats, _, _ = estimate_priors([rec], [det], min_count_word=1)
+        stats, _, _ = estimate_priors([rec], det_set([det]), min_count_word=1)
         return stats
 
     def test_keys_by_class_and_word(self, rng):
@@ -380,14 +383,14 @@ class TestAccumulate:
             rng, "a", num_proposals=2, depths=np.array([0.33, 0.77])
         )
         match = self.det(rec, Box(*rec.proposals[1]))
-        stats, _, coverage = estimate_priors([rec], [match])
+        stats, _, coverage = estimate_priors([rec], det_set([match]))
         assert stats.by_class[0].mean() == pytest.approx(0.77, abs=1e-12)
         assert (coverage.accepted, stats.skipped_boxes) == (1, 0)
 
     def test_unmatched_box_without_map_skipped(self, rng):
         rec = make_record(rng, "a", num_proposals=2, size=50.0)
         stray = Box(1.0, 1.0, 9.0, 9.0)
-        stats, _, coverage = estimate_priors([rec], [self.det(rec, stray)])
+        stats, _, coverage = estimate_priors([rec], det_set([self.det(rec, stray)]))
         assert (coverage.accepted, stats.skipped_boxes) == (0, 1)
         assert not stats.by_class
 
@@ -398,17 +401,45 @@ class TestAccumulate:
         pooled = self.det(rec, Box(1.0, 1.0, 9.0, 9.0))
         # Between pixel centres: no depth to pool, so skipped, not raised.
         speck = self.det(rec, Box(1.1, 1.1, 1.2, 1.2))
-        stats, _, coverage = estimate_priors([rec], [pooled, speck])
+        stats, _, coverage = estimate_priors([rec], det_set([pooled, speck]))
         assert stats.by_class[0].mean() == pytest.approx(0.42, abs=1e-12)
         assert stats.skipped_boxes == 1 and stats.by_class[0].count == 1
         assert (coverage.accepted, coverage.skipped) == (1, 1)
-        _, _, coverage = estimate_priors([rec], [speck])
+        _, _, coverage = estimate_priors([rec], det_set([speck]))
         assert (coverage.accepted, coverage.skipped) == (0, 1)
+
+    def test_unmatched_boxes_pool_in_one_call(self, rng, monkeypatch):
+        # One record, a random depth map, a proposal and six boxes that match
+        # none: four pool, one lies past the image and one between pixel
+        # centres. Each box has its own class, so a class's mean is its depth.
+        rec = make_record(rng, "a", num_proposals=3, size=64.0)
+        values = rng.uniform(0.0, 1.0, (64, 64))
+        rec = dataclasses.replace(
+            rec, depth_map=DepthMap(values=values, width=64, height=64)
+        )
+        pooled = [Box(1.0, 1.0, 9.0, 9.0), Box(0.0, 0.0, 64.0, 48.0),
+                  Box(30.2, 10.7, 31.6, 11.6), Box(5.5, 40.25, 20.0, 47.5)]
+        boxes = [Box(*rec.proposals[0]), *pooled, Box(10.0, 10.0, 20.0, 65.0),
+                 Box(1.1, 1.1, 1.2, 1.2)]
+        dets = det_set([self.det(rec, b, class_id=c) for c, b in enumerate(boxes)])
+        calls = []
+        pool = kernels.box_mean_pool
+        monkeypatch.setattr(kernels, "box_mean_pool",
+                            lambda grid, b: calls.append(len(b)) or pool(grid, b))
+        stats, _, coverage = estimate_priors([rec], dets)
+        assert calls == [5]
+        assert (coverage.accepted, stats.skipped_boxes) == (5, 2)
+        assert stats.by_class[0].mean() == rec.proposal_depths[0]
+        for c, box in enumerate(pooled, start=1):
+            # One box at a time, within the rounding of box_mean_pool's table.
+            alone = pool(values, box.as_array()[None])[0]
+            assert stats.by_class[c].mean() == pytest.approx(alone, abs=1e-12)
+        assert sorted(stats.by_class) == [0, 1, 2, 3, 4]
 
     def test_out_of_image_box_skipped(self, rng):
         rec = make_record(rng, "a", size=50.0)
         big = Box(0.0, 0.0, 60.0, 40.0)
-        stats, _, coverage = estimate_priors([rec], [self.det(rec, big)])
+        stats, _, coverage = estimate_priors([rec], det_set([self.det(rec, big)]))
         assert (coverage.accepted, stats.skipped_boxes) == (0, 1)
 
 
@@ -439,7 +470,7 @@ class TestEstimatePriors:
         preds[0] = dataclasses.replace(preds[0], score=0.5001)
         preds.append(Detection(recs[0].image_id, 0, Box(*recs[0].proposals[3]), 0.5))
         stats, frozen, report = estimate_priors(
-            recs, preds, score_threshold=0.5, min_count_word=2
+            recs, det_set(preds), score_threshold=0.5, min_count_word=2
         )
         assert stats.by_class[0].count == 9
         assert report.accepted == 9 and report.skipped == 0
@@ -456,10 +487,18 @@ class TestEstimatePriors:
     def test_bad_threshold_rejected(self, rng, thresh):
         recs, preds = self.build(rng)
         with pytest.raises(ConfigError, match="score_threshold"):
-            estimate_priors(recs, preds, score_threshold=thresh)
+            estimate_priors(recs, det_set(preds), score_threshold=thresh)
+
+    def test_nan_score_not_accumulated(self, rng):
+        # NaN is not above the floor, as a low score is not.
+        recs, preds = self.build(rng)
+        preds[0] = dataclasses.replace(preds[0], score=math.nan)
+        stats, _, report = estimate_priors(recs, det_set(preds), score_threshold=0.5)
+        assert report.accepted == 8 and stats.skipped_boxes == 0
 
     def test_high_threshold_accepts_nothing(self, rng):
         recs, preds = self.build(rng)
+        preds = det_set(preds)
         stats, frozen, report = estimate_priors(recs, preds, score_threshold=0.95)
         assert report.accepted == 0
         assert not frozen.by_class
@@ -468,11 +507,11 @@ class TestEstimatePriors:
         recs, preds = self.build(rng)
         bad = Detection("nope", 0, preds[0].box, 0.9)
         with pytest.raises(DataError):
-            estimate_priors(recs, [bad])
+            estimate_priors(recs, det_set([bad]))
 
     def test_coverage_text(self, rng):
         recs, preds = self.build(rng)
-        _, _, report = estimate_priors(recs, preds)
+        _, _, report = estimate_priors(recs, det_set(preds))
         assert report.accepted == 9
         assert report.rows[0].class_id == 0
         assert "accepted boxes: 9" in report.to_text()
@@ -517,7 +556,7 @@ class TestTokenizeOnce:
             for rec in recs
             for j in range(4)
         ]
-        stats, _, report = estimate_priors(recs, preds, min_count_word=1)
+        stats, _, report = estimate_priors(recs, det_set(preds), min_count_word=1)
         assert report.accepted == 24
         assert sorted(calls) == ["cat 0", "cat 1", "cat 2"]
         assert stats.by_class_word[(0, "cat")].count == 12

@@ -16,7 +16,7 @@ from wsodkit import contrastive, fusion, milhead, refine
 from wsodkit.data import Box, ClassVocabulary
 from wsodkit.errors import CheckpointError, ConfigError, DataError
 from wsodkit.fusion import FusionMode
-from wsodkit.evaluate import DEFAULT_NMS_THRESH
+from wsodkit.evaluate import DEFAULT_NMS_THRESH, Detections
 from wsodkit.model import DEFAULT_INIT_SCALE, ModelDims, ModelParams
 from wsodkit.priors import DepthRange, FrozenPriors, depth_mask, estimate_priors
 from wsodkit.synth import SyntheticConfig, generate_synthetic
@@ -613,9 +613,13 @@ class TestInfer:
         model, _ = train(tiny_config(epochs=2), records, vocab)
         return model, records
 
-    def test_min_score_one_empty(self, trained):
+    def test_min_score_one_rejected(self, trained):
+        # No probability lies above 1, and RunConfig refuses 1.0 too.
         model, records = trained
-        assert infer(model, records, min_score=1.0) == []
+        with pytest.raises(ConfigError, match=r"min_score must lie in \[0, 1\)"):
+            infer(model, records, min_score=1.0)
+        with pytest.raises(ConfigError, match=r"min_score must lie in \[0, 1\)"):
+            RunConfig(min_score=1.0).validate()
 
     @pytest.mark.parametrize(
         "kw",
@@ -636,7 +640,7 @@ class TestInfer:
         everything = infer(model, records, min_score=0.0)
         floor = float(np.median([d.score for d in everything]))
         kept = infer(model, records, min_score=floor)
-        assert kept == [d for d in everything if d.score > floor]
+        assert kept == Detections.from_rows([d for d in everything if d.score > floor])
         assert 0 < len(kept) < len(everything)
 
     def test_kept_boxes_nms_separated(self, trained):
@@ -680,19 +684,8 @@ class TestInfer:
         ):
             got = infer(model, mixed, mode, min_score, nms_thresh)
             want = infer_candidates(model, mixed, mode, min_score, nms_thresh)
-            assert got == want
-
-    def test_one_box_object_per_proposal(self, trained):
-        # Every class's detection of a proposal holds the same Box object.
-        model, records = trained
-        dets = infer(model, records, min_score=0.0)
-        first: dict[tuple, Box] = {}
-        classes: dict[tuple, int] = {}
-        for d in dets:
-            key = (d.image_id, tuple(d.box.as_list()))
-            assert first.setdefault(key, d.box) is d.box
-            classes[key] = classes.get(key, 0) + 1
-        assert max(classes.values()) > 1
+            assert got == Detections.from_rows(want)
+            assert got.image_ids == [rec.image_id for rec in mixed]
 
     def test_feat_dim_mismatch_rejected(self, trained, rng):
         model, _ = trained
