@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import re
+import runpy
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,27 @@ import pytest
 from wsodkit.data import Box, ClassVocabulary, ImageRecord
 from wsodkit.milhead import HeadParams
 from wsodkit.numkit import Param
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Benchmark workloads shrunk to a fraction of a second each. A shrunk
+# workload keeps its name, which decides the spans it must call.
+SHRUNK_WORKLOADS = {
+    "dense-eval": dict(images=24, epochs=2, priors_threshold=0.005),
+    "large-proposals": dict(images=6, proposals=40, epochs=2),
+}
+
+
+def perfbench_module(name, monkeypatch):
+    """A perfbench module run from its source and importable by its name.
+
+    Running the source writes no bytecode cache beside it.
+    """
+    module = types.ModuleType(name)
+    module.__dict__.update(runpy.run_path(str(PERFBENCH / f"{name}.py")))
+    monkeypatch.setitem(sys.modules, name, module)
+    return module
 
 
 # Lines json.loads refuses, by what is wrong with them. The JSONL readers

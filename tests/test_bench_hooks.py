@@ -10,15 +10,13 @@ cache is written beside them.
 import dataclasses
 import importlib
 import runpy
-import sys
-import types
-from pathlib import Path
 
 import pytest
 
 import wsodkit
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import PERFBENCH, SHRUNK_WORKLOADS, perfbench_module
+
 SPANS = PERFBENCH / "spans.py"
 
 
@@ -36,23 +34,8 @@ def test_kernel_backend_reported():
     assert wsodkit.kernels.BACKEND in ("cython", "python")
 
 
-def perfbench_module(name, monkeypatch):
-    """A perfbench module run from its source and importable by its name."""
-    module = types.ModuleType(name)
-    module.__dict__.update(runpy.run_path(str(PERFBENCH / f"{name}.py")))
-    monkeypatch.setitem(sys.modules, name, module)
-    return module
-
-
-@pytest.mark.parametrize(
-    "workload, shrink",
-    [
-        ("dense-eval", dict(images=24, epochs=2, priors_threshold=0.005)),
-        ("large-proposals", dict(images=6, proposals=40, epochs=2)),
-    ],
-)
+@pytest.mark.parametrize("workload, shrink", list(SHRUNK_WORKLOADS.items()))
 def test_traced_pipeline_calls_every_target(workload, shrink, monkeypatch, tmp_path):
-    # A shrunken workload keeps its name, which decides the targets it must call.
     workloads = perfbench_module("workloads", monkeypatch)
     pipeline = perfbench_module("pipeline", monkeypatch)
     spans = perfbench_module("spans", monkeypatch)
