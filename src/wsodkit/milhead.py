@@ -115,7 +115,7 @@ def forward(
         cls_prob=cls_prob,
         combined=combined,
         attended=attended,
-        image_prob=numkit.sigmoid(attended.sum(axis=-2)),
+        image_prob=numkit.sigmoid(np.add.reduce(attended, axis=-2)),
     )
 
 
@@ -131,6 +131,7 @@ def mil_chain(
     labels: np.ndarray,
     attention: np.ndarray | None = None,
     grad_scale: float = 0.0,
+    grads: numkit.GradSpan | None = None,
 ) -> tuple[list[float], ScorePack]:
     """MIL losses of a stack of same-R images: ``forward``, BCE, backward.
 
@@ -140,10 +141,12 @@ def mil_chain(
     image's loss sums, over classes, the binary cross-entropy between its
     image probabilities (clamped before the logs) and its labels. With
     ``grad_scale`` nonzero, gradients of ``grad_scale`` times each loss are
-    added into every stream's head parameters image by image in stack
-    order, by one ``numkit.add_in_order`` call over all of them, so a stack
-    leaves the same bits in ``Param.grad`` as its images would one call
-    each.
+    added into ``grads``, the optimizer's span (``SGD.grad_span``) over
+    every stream's head parameters in stream order, image by image in
+    stack order, by one ``numkit.add_in_order`` call, so a stack leaves the
+    same bits in ``Param.grad`` as its images would one call each. Fused
+    streams share their raw scores' gradients, so both streams' bias
+    gradients come from one sum over proposals.
     Returns the per-image losses and the forward's ``ScorePack``.
     """
     pack = forward(streams, attention)
@@ -154,32 +157,29 @@ def mil_chain(
             f"{image_prob.shape}"
         )
     y = labels
+    not_y = 1.0 - y
     p = numkit.clamp_unit(image_prob)
-    losses = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=-1)
+    losses = -np.add.reduce(y * np.log(p) + not_y * np.log(1.0 - p), axis=-1)
 
     if grad_scale != 0.0:
         # d loss / d image_prob through the clamped logs.
-        dlogp = numkit.dlog_clamped(image_prob)
-        dlog1m = numkit.dlog_clamped(1.0 - image_prob)
-        d_prob = -(y * dlogp - (1.0 - y) * dlog1m)
-        d_total = d_prob * image_prob * (1.0 - image_prob)
+        q = 1.0 - image_prob
+        d_prob = -(y * numkit.dlog_clamped(image_prob) - not_y * numkit.dlog_clamped(q))
+        d_total = d_prob * image_prob * q
         # Every proposal's evidence gets its image's d_total; the products
         # below broadcast it over R.
         d_combined = d_total[:, None, :]
         if attention is not None:
             d_combined = d_combined * attention
-        d_det_prob = d_combined * pack.cls_prob
-        d_cls_prob = d_combined * pack.det_prob
-        d_det = numkit.softmax_cols_backward(pack.det_prob, d_det_prob)
-        d_cls = numkit.softmax_rows_backward(pack.cls_prob, d_cls_prob)
-        totals, stacks = [], []
-        for features, head in streams:
-            for w, b, g in (
-                (head.w_det, head.b_det, d_det),
-                (head.w_cls, head.b_cls, d_cls),
-            ):
-                totals += (w.grad, b.grad)
-                stacks += numkit.affine_backward(features, g)
-        numkit.add_in_order(totals, stacks, scale=grad_scale)
+        d_det = numkit.softmax_cols_backward(pack.det_prob, d_combined * pack.cls_prob)
+        d_cls = numkit.softmax_rows_backward(pack.cls_prob, d_combined * pack.det_prob)
+        # numkit.affine_backward's products, with each bias sum taken once.
+        d_b_det = np.add.reduce(d_det, axis=-2)
+        d_b_cls = np.add.reduce(d_cls, axis=-2)
+        stacks = []
+        for features, _ in streams:
+            x_t = np.swapaxes(features, -1, -2)
+            stacks += (x_t @ d_det, d_b_det, x_t @ d_cls, d_b_cls)
+        numkit.add_in_order(grads, stacks, scale=grad_scale)
 
     return losses.tolist(), pack

@@ -1,14 +1,16 @@
 """Dense float64 building blocks: affine maps, softmaxes, SGD, checkpoints.
 
 Every differentiable operation is an explicit forward/backward pair; callers
-compose them in a fixed order and accumulate into ``Param.grad``: one
-``add_in_order`` call adds the per-image gradient stacks of several
-parameters, image by image. There is no tape. All arrays are plain numpy
-float64.
+compose them in a fixed order. There is one gradient path: a chain stacks
+the per-image gradients of the parameters it trains into one (B, P) block
+and ``add_in_order`` adds its rows, image by image, into the optimizer's
+flat gradient buffer, through the ``GradSpan`` that ``SGD.grad_span``
+found once per run. There is no tape. All arrays are plain numpy float64.
 
 ``SGD`` owns its parameters' storage: it copies every value and gradient
 into one flat buffer each and rebinds ``Param.value``/``Param.grad`` to
-views of them, so a step is a few whole-buffer operations. A ``Param``
+views of them, so a step is a few whole-buffer operations and the
+gradients of consecutive parameters are one 1-D span. A ``Param``
 therefore belongs to one optimizer, and callers update its arrays in place
 rather than assigning new ones.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,37 +57,43 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def add_in_order(
-    totals: Sequence[np.ndarray], stacks: Sequence[np.ndarray], scale: float = 1.0
-) -> None:
-    """Add each stack's rows into its total in place, in stack order.
+class GradSpan(NamedTuple):
+    """The gradients of consecutive parameters as one 1-D buffer view.
 
-    ``stacks[j]`` is a (B, *totals[j].shape) stack of per-image terms, one
-    B for all pairs. Bitwise equal to ``for g in stacks[j]: totals[j] +=
-    scale * g`` for every pair (NaN payloads aside where two NaNs meet,
-    which NumPy's own loops do not fix either). The stacks are flattened
-    into one (B, P) block, scaled once, and its rows are added one at a
-    time into the concatenated totals, which are then written back; every
-    step is elementwise. ``sum`` and ``add.reduce`` may add a stack
-    pairwise, which changes the bits. ``add.accumulate`` keeps them but
-    costs more than B in-place row adds at a train step's sizes: about 25
-    against 10 us on a (9, 660) block.
+    ``flat`` is the slice of an optimizer's gradient buffer that the
+    parameters occupy, and ``shapes`` are their shapes, in order.
+    ``SGD.grad_span`` builds one.
+    """
+
+    flat: np.ndarray
+    shapes: tuple[tuple[int, ...], ...]
+
+
+def add_in_order(span: GradSpan, stacks: Sequence[np.ndarray], scale: float = 1.0) -> None:
+    """Add per-image gradient stacks into a span of gradients, image by image.
+
+    ``stacks[j]`` is a (B, *span.shapes[j]) stack of per-image terms, one
+    B >= 1 for all of them. Bitwise equal to ``for g in stacks[j]:
+    grad_j += scale * g`` for every parameter j of the span (NaN payloads
+    aside where two NaNs meet, which NumPy's own loops do not fix either).
+    The stacks are flattened into one (B, P) block, scaled once, and its
+    rows are added one at a time into the span's flat view; every step is
+    elementwise. ``sum`` and ``add.reduce`` may add a stack pairwise, which
+    changes the bits. ``add.accumulate`` keeps them but costs more than B
+    in-place row adds at a train step's sizes.
     """
     b = len(stacks[0])
-    if len(totals) != len(stacks) or any(
-        len(g) != b or g.shape[1:] != t.shape for t, g in zip(totals, stacks)
+    if (
+        b < 1
+        or len(stacks) != len(span.shapes)
+        or any(len(g) != b or g.shape[1:] != shape for g, shape in zip(stacks, span.shapes))
     ):
-        raise ShapeError("add_in_order needs one (B, *total.shape) stack per total")
-    pairs = zip(totals, stacks)
-    block = np.concatenate([g.reshape(b, t.size) for t, g in pairs], axis=1)
+        raise ShapeError("add_in_order needs one (B, *shape) stack per span parameter")
+    block = np.concatenate([g.reshape(b, -1) for g in stacks], axis=1)
     block *= scale
-    acc = np.concatenate([t.reshape(-1) for t in totals])
+    flat = span.flat
     for row in block:
-        acc += row
-    start = 0
-    for t in totals:
-        t[...] = acc[start : start + t.size].reshape(t.shape)
-        start += t.size
+        flat += row
 
 
 def affine_backward(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +103,7 @@ def affine_backward(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     the stack of per-matrix gradients, (..., d, m) and (..., m), which the
     caller sums into ``Param.grad`` in the order it needs.
     """
-    return np.swapaxes(x, -1, -2) @ g, g.sum(axis=-2)
+    return np.swapaxes(x, -1, -2) @ g, np.add.reduce(g, axis=-2)
 
 
 def softmax_cols(s: np.ndarray) -> np.ndarray:
@@ -105,24 +113,36 @@ def softmax_cols(s: np.ndarray) -> np.ndarray:
     cannot overflow. A stack of matrices is normalized matrix by matrix.
     """
     s = np.asarray(s, dtype=np.float64)
-    e = np.exp(s - s.max(axis=-2, keepdims=True))
-    return e / e.sum(axis=-2, keepdims=True)
+    e = np.exp(s - np.maximum.reduce(s, axis=-2, keepdims=True))
+    return e / np.add.reduce(e, axis=-2, keepdims=True)
 
 
 def softmax_rows(s: np.ndarray) -> np.ndarray:
-    """Softmax along each row (axis -1); every row sums to 1."""
+    """Softmax along each row (axis -1); every row sums to 1.
+
+    The row max folds over the C columns with C - 1 ``np.maximum`` calls.
+    NumPy's reduce along a short contiguous axis pays a per-row setup that
+    costs more than the comparisons (at (8, 20, 5) about 15 against 6 us,
+    at (1, 2000, 5) 128 against 18 us). The fold is exact: a maximum does
+    not depend on the order it is taken in, NaN propagates either way, and
+    where it picks the other zero of a +0.0/-0.0 tie, ``exp(s - m)`` is
+    still 1. The sum stays one reduce, because its order sets its bits.
+    """
     s = np.asarray(s, dtype=np.float64)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    m = s[..., 0]
+    for c in range(1, s.shape[-1]):
+        m = np.maximum(m, s[..., c])
+    e = np.exp(s - m[..., None])
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_cols_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     # ds = y * (g - <g, y>_col), the softmax Jacobian applied columnwise.
-    return y * (g - (g * y).sum(axis=-2, keepdims=True))
+    return y * (g - np.add.reduce(g * y, axis=-2, keepdims=True))
 
 
 def softmax_rows_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -135,8 +155,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def clamp_unit(p: np.ndarray) -> np.ndarray:
-    """Clamp probabilities into [LOG_EPS, 1 - LOG_EPS]."""
-    return np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
+    """Clamp an array of probabilities into [LOG_EPS, 1 - LOG_EPS]."""
+    return p.clip(LOG_EPS, 1.0 - LOG_EPS)
 
 
 def log_clamped(p: np.ndarray) -> np.ndarray:
@@ -162,7 +182,9 @@ class SGD:
     one flat buffer each, in parameter order; from construction on each
     ``Param.value`` and ``Param.grad`` is a view into the first two, and
     ``velocity`` is the third. The update is elementwise, so it gives the
-    bits of one update per parameter.
+    bits of one update per parameter. Gradients reach the buffer through
+    ``grad_span``: a chain takes the span of the parameters it trains once
+    per run, and ``add_in_order`` adds its per-image rows into it.
     """
 
     def __init__(
@@ -179,6 +201,7 @@ class SGD:
         self._value = np.zeros(sum(sizes))
         self._grad = np.zeros_like(self._value)
         self.velocity = np.zeros_like(self._value)
+        self._starts = []
         start = 0
         for p, size in zip(self.params, sizes):
             span, shape = slice(start, start + size), p.value.shape
@@ -186,7 +209,26 @@ class SGD:
             self._grad[span] = p.grad.reshape(-1)
             p.value = self._value[span].reshape(shape)
             p.grad = self._grad[span].reshape(shape)
+            self._starts.append(start)
             start += size
+        self._starts.append(start)
+
+    def grad_span(self, params: Sequence[Param]) -> GradSpan:
+        """The gradients of ``params`` as one span of the flat buffer.
+
+        ``params`` must be a nonempty run of consecutive parameters of this
+        optimizer, in its order.
+        """
+        params = list(params)
+        k = next((i for i, p in enumerate(self.params) if p is params[0]), None)
+        run = self.params[k : k + len(params)] if k is not None else []
+        if len(run) != len(params) or any(a is not b for a, b in zip(run, params)):
+            names = [p.name for p in params]
+            raise OptimizerError(f"{names} are not consecutive parameters of this optimizer")
+        return GradSpan(
+            self._grad[self._starts[k] : self._starts[k + len(params)]],
+            tuple(p.grad.shape for p in params),
+        )
 
     def step(self) -> None:
         if not np.isfinite(self._grad).all():

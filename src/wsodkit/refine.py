@@ -180,6 +180,7 @@ def refinement_chain(
     targets: np.ndarray,
     weights: np.ndarray,
     grad_scale: float = 0.0,
+    grads: numkit.GradSpan | None = None,
 ) -> list[float]:
     """Weighted cross-entropy of the branch over a stack of same-R images.
 
@@ -187,10 +188,11 @@ def refinement_chain(
     (B, R). Image b's loss is ``-(1/R) * sum_i w_i * log q_i[target_i]``
     with q the row softmax of the branch scores over C + 1 classes.
     Supervision weights are constants; with ``grad_scale`` nonzero,
-    gradients of ``grad_scale`` times each loss are added into the branch
-    parameters only, image by image in stack order, by one
-    ``numkit.add_in_order`` call over ``w`` and ``b``, so a stack leaves
-    the same bits in ``Param.grad`` as its images would one call each.
+    gradients of ``grad_scale`` times each loss are added into ``grads``,
+    the optimizer's span (``SGD.grad_span``) over the branch's ``w`` and
+    ``b``, image by image in stack order, by one ``numkit.add_in_order``
+    call, so a stack leaves the same bits in ``Param.grad`` as its images
+    would one call each.
 
     Returns the per-image losses, in stack order.
     """
@@ -206,7 +208,7 @@ def refinement_chain(
     k = q.shape[-1]
     at = np.arange(0, q.size, k) + targets.reshape(-1)
     picked = q.reshape(-1)[at].reshape(targets.shape)
-    losses = -(weights * numkit.log_clamped(picked)).sum(axis=-1) / r
+    losses = -np.add.reduce(weights * numkit.log_clamped(picked), axis=-1) / r
     if grad_scale != 0.0:
         # Rows where the clamp binds contribute no gradient.
         live = numkit.dlog_clamped(picked) * picked
@@ -214,9 +216,7 @@ def refinement_chain(
         d_logits = q * coef[..., None]
         d_logits.reshape(-1)[at] -= coef.reshape(-1)
         d_logits *= grad_scale
-        numkit.add_in_order(
-            [branch.w.grad, branch.b.grad], numkit.affine_backward(features, d_logits)
-        )
+        numkit.add_in_order(grads, numkit.affine_backward(features, d_logits))
     return losses.tolist()
 
 

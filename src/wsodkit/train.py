@@ -9,18 +9,21 @@ images of a batch gets its MIL losses from one stacked ``mil_chain`` call
 of at most ``MIL_ROW_BUDGET`` proposal rows. The labelled images of the
 run are then mined image by image from the MIL head's scores and go
 through the refinement branch in one ``refinement_chain`` call over the
-same feature stack. Gradients and losses still add image by image in batch
-order (each chain adds its stack's per-image gradients of every parameter
-it trains through one ``numkit.add_in_order`` call), so stacking changes
-no bit of a run. The optimizer keeps every parameter in one flat buffer and
-steps it whole. What is fixed for the whole run is built once: the (N, C)
-label rows, each record's proposal count, the depth masks (only when depth
-mining or depth attention reads them), their attention multipliers, the
-proposal IoU blocks that mining slices and the pooled RGB and depth
-features that the contrastive loss reads. A chunk's feature and attention
-stacks are one concatenate each. All randomness flows through one
-seeded generator whose draw order does not depend on the toggles, so runs
-differing only in disabled components stay bit-comparable.
+same feature stack (the stack itself when every image is labelled).
+Gradients and losses still add image by image in batch order: the
+optimizer keeps every parameter in one flat buffer, each chain's
+parameters are consecutive in it, and each chain adds its stack's
+per-image gradient rows into that span through one ``numkit.add_in_order``
+call, so stacking changes no bit of a run. The step updates the buffer
+whole. What is fixed for the whole run is built once: the (N, C) label
+rows, each record's proposal count, the chains' gradient spans, the depth
+masks (only when depth mining or depth attention reads them), their
+attention multipliers, the proposal IoU blocks that mining slices and the
+pooled RGB and depth features that the contrastive loss reads. A chunk's
+feature and attention stacks are one concatenate each. All randomness
+flows through one seeded generator whose draw order does not depend on
+the toggles, so runs differing only in disabled components stay
+bit-comparable.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from wsodkit import contrastive, fusion, kernels, milhead, refine
+from wsodkit import contrastive, fusion, kernels, milhead, numkit, refine
 from wsodkit.data import ClassVocabulary, ImageRecord, extract_labels
 from wsodkit.errors import ConfigError, DataError
 from wsodkit.evaluate import (
@@ -359,6 +362,7 @@ def _refinement_losses(
     pair_ious: Sequence[np.ndarray | None],
     config: RunConfig,
     grad_scale: float,
+    grads: numkit.GradSpan,
 ) -> list[float]:
     """Loss of the refinement branch on each image of a stack.
 
@@ -366,8 +370,9 @@ def _refinement_losses(
     labelled images, in stack order: ``features`` is their (B, R, d) RGB
     stack and ``scores`` the MIL head's (B, R, C) combined scores. Each
     image is mined for pseudo boxes from its scores, then the branch scores
-    the stack in one ``refinement_chain`` call and accumulates the
-    gradients of ``grad_scale`` times each image's loss.
+    the stack in one ``refinement_chain`` call and adds the gradients of
+    ``grad_scale`` times each image's loss into ``grads``, the branch's
+    span.
     """
     num_classes = model.dims.num_classes
     targets = np.empty(scores.shape[:2], dtype=np.int64)
@@ -385,7 +390,9 @@ def _refinement_losses(
         targets[k], weights[k] = refine.assign_targets(
             rec, pseudo, num_classes, config.refine_iou_thresh, pair_ious[k]
         )
-    return refine.refinement_chain(features, model.refine, targets, weights, grad_scale)
+    return refine.refinement_chain(
+        features, model.refine, targets, weights, grad_scale, grads
+    )
 
 
 def train(
@@ -447,6 +454,9 @@ def train(
         rho_init=config.rho_init,
     )
     opt = SGD(model.params(), config.learning_rate, config.momentum)
+    heads = [model.rgb_head, model.depth_head] if config.fusion else [model.rgb_head]
+    mil_grads = opt.grad_span([p for head in heads for p in head.params()])
+    refine_grads = opt.grad_span(model.refine.params())
 
     use_refine = config.lambda_ref > 0.0
     pair_ious = [refine.pair_iou(rec) for rec in records] if use_refine else None
@@ -479,22 +489,27 @@ def train(
                         else None
                     ),
                     grad_scale=config.lambda_mil / bsz,
+                    grads=mil_grads,
                 )
                 for loss in mil_losses:
                     mil_sum += loss
                 live = [k for k, idx in enumerate(chunk) if labels[idx]]
                 if use_refine and live:
                     ids = [chunk[k] for k in live]
+                    features, scores = rgb, pack.combined
+                    if len(live) < len(chunk):
+                        features, scores = rgb[live], scores[live]
                     for loss in _refinement_losses(
                         model,
                         [records[idx] for idx in ids],
-                        rgb[live],
-                        pack.combined[live],
+                        features,
+                        scores,
                         [labels[idx] for idx in ids],
                         [mine_masks[idx] for idx in ids],
                         [pair_ious[idx] for idx in ids],
                         config,
                         config.lambda_ref / bsz,
+                        refine_grads,
                     ):
                         ref_sum += loss
             if use_nce:

@@ -14,7 +14,7 @@ import pytest
 
 from wsodkit.data import Box, ClassVocabulary, ImageRecord
 from wsodkit.milhead import HeadParams
-from wsodkit.numkit import Param
+from wsodkit.numkit import SGD, GradSpan, Param
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -99,6 +99,15 @@ def make_record(
         labels=labels,
         gt_boxes=gt,
     )
+
+
+def grad_span(params: list[Param]) -> GradSpan:
+    """The gradient span of ``params`` under an optimizer over just them.
+
+    The optimizer rebinds each ``Param.grad`` to a view of its buffer, so
+    the chains' in-order adds into the span show in the parameters' grads.
+    """
+    return SGD(params, lr=1.0).grad_span(params)
 
 
 def score_stream(det: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, HeadParams]:

@@ -5,10 +5,12 @@ layers (Param, SGD, mil_chain), so agreement is evidence rather than
 tautology. The package ships one forward path per component; the
 standalone pieces only tests call live here instead: the contrastive loss
 of a projected batch, box-pair IoU, the broadcast IoU matrix, greedy NMS
-one kept box at a time, the two-branch sigmoid, the depth mask one class
-and one proposal at a time, pseudo-box mining and target assignment one
-proposal at a time, the momentum-SGD update one parameter at a time, the
-finite-difference gradient check, the detection writer that encodes
+one kept box at a time, the two-branch sigmoid, the softmax formulas
+with a reduced max, gradient stacks added through a concatenated copy of
+their totals, the depth mask one class and one proposal at a time,
+pseudo-box mining and target assignment one proposal at a time, the
+momentum-SGD update one parameter at a time, the finite-difference
+gradient check, the detection writer that encodes
 each line as a dict through ``json.dumps``, the detection loader that
 checks one line at a time, and greedy matching on one image's IoU block
 for one threshold at a time.
@@ -527,6 +529,36 @@ def pseudo_boxes(by_class):
         indices=np.array([e[1] for e in entries], dtype=np.int64),
         scores=np.array([e[2] for e in entries], dtype=np.float64),
     )
+
+
+def softmax_cols_formula(s):
+    """Softmax down each column, its max and sum as ndarray reductions."""
+    e = np.exp(s - s.max(axis=-2, keepdims=True))
+    return e / e.sum(axis=-2, keepdims=True)
+
+
+def softmax_rows_formula(s):
+    """Softmax along each row, its max and sum as ndarray reductions."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def add_in_order_scatter(totals, stacks, scale=1.0):
+    """Add (B, *total.shape) stacks into separate totals, image by image.
+
+    The stacks become one scaled (B, P) block whose rows are added into a
+    concatenated copy of the totals, which is then written back.
+    """
+    b = len(stacks[0])
+    block = np.concatenate([g.reshape(b, t.size) for t, g in zip(totals, stacks)], axis=1)
+    block *= scale
+    acc = np.concatenate([t.reshape(-1) for t in totals])
+    for row in block:
+        acc += row
+    start = 0
+    for t in totals:
+        t[...] = acc[start : start + t.size].reshape(t.shape)
+        start += t.size
 
 
 def sgd_step_loop(values, grads, velocity, lr, momentum):

@@ -44,7 +44,7 @@ from wsodkit.train import (
     train,
 )
 
-from conftest import make_record, random_boxes
+from conftest import grad_span, make_record, random_boxes
 from reference import all_point_ap, bare_mil_run, grad_check, top1_corloc
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -126,12 +126,14 @@ def test_criterion_2_gradient_integrity():
             labels = set(r.choice(num_c, size=int(r.integers(1, num_c + 1)),
                                   replace=False).tolist())
             params = rgb.params() + depth.params()
+            mil_grads = grad_span(params)
 
             def f_mil():
                 [loss], _ = mil_chain(
                     [(xv[None], rgb), (xd[None], depth)],
                     label_vector(labels, num_c)[None],
                     grad_scale=1.0,
+                    grads=mil_grads,
                 )
                 return loss
 
@@ -154,11 +156,12 @@ def test_criterion_2_gradient_integrity():
             branch = RefineBranch.create(r, dim, num_c, 0.3)
             targets = r.integers(0, num_c + 1, size=num_p)
             weights = r.uniform(0.1, 1.0, size=num_p)
+            ref_grads = grad_span(branch.params())
 
             def f_ref():
                 [loss] = refinement_chain(rec.rgb_features[None], branch,
                                           targets[None], weights[None],
-                                          grad_scale=1.0)
+                                          grad_scale=1.0, grads=ref_grads)
                 return loss
 
             worst = max(worst, grad_check(f_ref, branch.params()))

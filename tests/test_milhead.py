@@ -10,7 +10,7 @@ from wsodkit import milhead
 from wsodkit.errors import ShapeError
 from wsodkit.milhead import HeadParams, ScorePack, label_vector, mil_chain
 
-from conftest import score_stream
+from conftest import grad_span, score_stream
 from reference import grad_check
 
 
@@ -215,8 +215,12 @@ class TestMilChain:
         head = make_head(rng, feat_dim=4, num_classes=3)
         x = rng.standard_normal((5, 4))
 
+        grads = grad_span(head.params())
+
         def f():
-            [loss], _ = mil_chain([(x[None], head)], rows([{1}], 3), grad_scale=1.0)
+            [loss], _ = mil_chain(
+                [(x[None], head)], rows([{1}], 3), grad_scale=1.0, grads=grads
+            )
             return loss
 
         assert grad_check(f, head.params()) < 1e-6
@@ -227,12 +231,14 @@ class TestMilChain:
         xv = rng.standard_normal((4, 4))
         xd = rng.standard_normal((4, 4))
         params = rgb_head.params() + depth_head.params()
+        grads = grad_span(params)
 
         def f():
             [loss], _ = mil_chain(
                 [(xv[None], rgb_head), (xd[None], depth_head)],
                 rows([{0, 2}], 3),
                 grad_scale=1.0,
+                grads=grads,
             )
             return loss
 
@@ -242,10 +248,15 @@ class TestMilChain:
         head = make_head(rng, feat_dim=4, num_classes=2)
         x = rng.standard_normal((4, 4))
         att = np.where(rng.uniform(size=(4, 2)) < 0.5, 0.5, 1.0)
+        grads = grad_span(head.params())
 
         def f():
             [loss], _ = mil_chain(
-                [(x[None], head)], rows([{0}], 2), attention=att[None], grad_scale=1.0
+                [(x[None], head)],
+                rows([{0}], 2),
+                attention=att[None],
+                grad_scale=1.0,
+                grads=grads,
             )
             return loss
 
@@ -274,13 +285,12 @@ class TestMilChain:
     def test_grad_scale_scales_linearly(self, rng):
         head = make_head(rng, feat_dim=3, num_classes=2)
         x = rng.standard_normal((3, 3))
-        for p in head.params():
-            p.grad[...] = 0.0
-        mil_chain([(x[None], head)], rows([{0}], 2), grad_scale=1.0)
+        grads = grad_span(head.params())
+        mil_chain([(x[None], head)], rows([{0}], 2), grad_scale=1.0, grads=grads)
         g1 = [p.grad.copy() for p in head.params()]
         for p in head.params():
             p.grad[...] = 0.0
-        mil_chain([(x[None], head)], rows([{0}], 2), grad_scale=0.25)
+        mil_chain([(x[None], head)], rows([{0}], 2), grad_scale=0.25, grads=grads)
         for a, p in zip(g1, head.params()):
             assert np.allclose(p.grad, 0.25 * a, atol=1e-15)
 
@@ -312,6 +322,7 @@ class TestStackedChain:
             c,
         )
         fused = mode == "fused"
+        span = grad_span(rgb.params() + (depth.params() if fused else []))
 
         def run(lo, hi):
             streams = [(xv[lo:hi], rgb)] + ([(xd[lo:hi], depth)] if fused else [])
@@ -320,6 +331,7 @@ class TestStackedChain:
                 labels[lo:hi],
                 attention=att[lo:hi] if mode == "attention" else None,
                 grad_scale=0.125,
+                grads=span,
             )
 
         for p in params:
@@ -354,10 +366,14 @@ class TestStackedChain:
         labels = rows(
             [set(rng.choice(1, size=int(rng.integers(0, 2)))) for _ in range(b)], 1
         )
+        grads = grad_span(params)
 
         def run(lo, hi):
             return mil_chain(
-                [(xv[lo:hi], rgb), (xd[lo:hi], depth)], labels[lo:hi], grad_scale=0.25
+                [(xv[lo:hi], rgb), (xd[lo:hi], depth)],
+                labels[lo:hi],
+                grad_scale=0.25,
+                grads=grads,
             )
 
         per_image = []

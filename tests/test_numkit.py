@@ -12,11 +12,15 @@ from wsodkit import numkit
 from wsodkit.errors import CheckpointError, OptimizerError, ShapeError
 from wsodkit.numkit import Param
 
+from conftest import grad_span
 from reference import (
     GradCheckError,
+    add_in_order_scatter,
     grad_check,
     sgd_step_loop,
     sigmoid_two_branch,
+    softmax_cols_formula,
+    softmax_rows_formula,
 )
 
 
@@ -94,7 +98,50 @@ class TestStacks:
             numkit.affine(np.zeros(3), np.zeros((3, 2)), np.zeros(2))
 
 
+# Score entries the softmaxes treat specially: signed zeros, the largest
+# and smallest magnitudes, infinities and NaN.
+SCORE_SPECIALS = [0.0, -0.0, 1.7e308, -1.7e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def score_stacks(draw):
+    """(B, R, C) score stacks, C = 1 to 11, from one drawn seed.
+
+    Entries are normal draws at scales 1e-300 to 1e300, about a fifth of
+    them replaced by ``SCORE_SPECIALS``; some entries copy another of their
+    row (ties) and some rows are all NaN.
+    """
+    b, r = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    c = draw(st.sampled_from([1, 2, 3, 5, 8, 11]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((b, r, c)) * 10.0 ** rng.integers(-300, 301, (b, r, c))
+    special = rng.random(x.shape) < 0.2
+    x[special] = rng.choice(SCORE_SPECIALS, int(special.sum()))
+    tie = rng.random(x.shape) < 0.2
+    x[tie] = np.take_along_axis(x, rng.integers(0, c, x.shape), axis=-1)[tie]
+    x[rng.random((b, r)) < 0.1] = math.nan
+    return x
+
+
 class TestSoftmax:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(score_stacks())
+    def test_match_reduced_formulas_bit_for_bit(self, s):
+        with np.errstate(all="ignore"):
+            pairs = [
+                (numkit.softmax_rows(s), softmax_rows_formula(s)),
+                (numkit.softmax_cols(s), softmax_cols_formula(s)),
+                (numkit.softmax_rows(s[0]), softmax_rows_formula(s[0])),
+            ]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_tie_in_row_max(self):
+        # maximum(+0.0, -0.0) may return either zero; exp(s - m) is 1 both ways.
+        s = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+        assert numkit.softmax_rows(s).tobytes() == softmax_rows_formula(s).tobytes()
+        assert (numkit.softmax_rows(s) == 0.5).all()
+
     def test_equal_values_uniform(self):
         out = numkit.softmax_cols(np.zeros((3, 2)))
         assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
@@ -326,6 +373,16 @@ def grad_stacks(draw):
     return [entries(s) for s in shapes], [entries((b, *s)) for s in shapes]
 
 
+def span_of(totals):
+    """Parameters holding ``totals`` as gradients, and their span under one
+    optimizer."""
+    params = [Param(f"p{j}", np.zeros(t.shape)) for j, t in enumerate(totals)]
+    span = grad_span(params)
+    for p, t in zip(params, totals):
+        p.grad[...] = t
+    return params, span
+
+
 class TestAddInOrder:
     def test_matches_sequential_adds_where_a_sum_does_not(self):
         # A 1 ulp step only shows when the tiny terms first meet each other,
@@ -337,8 +394,9 @@ class TestAddInOrder:
             want += g
         pairwise = np.add.reduce(np.concatenate((total[None], stack)), axis=0)
         assert want[0] == 1.0 and pairwise[0] != want[0]
-        numkit.add_in_order([total], [stack])
-        assert total.tobytes() == want.tobytes()
+        [p], span = span_of([total])
+        numkit.add_in_order(span, [stack])
+        assert p.grad.tobytes() == want.tobytes()
 
     def test_stack_of_matrices(self, rng):
         total = rng.standard_normal((3, 2))
@@ -346,8 +404,9 @@ class TestAddInOrder:
         want = total.copy()
         for g in stack:
             want += g
-        numkit.add_in_order([total], [stack])
-        assert total.tobytes() == want.tobytes()
+        [p], span = span_of([total])
+        numkit.add_in_order(span, [stack])
+        assert p.grad.tobytes() == want.tobytes()
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(grad_stacks(), st.sampled_from([1.0, 0.125, -3.0, 1e-300]))
@@ -355,31 +414,82 @@ class TestAddInOrder:
         totals, stacks = pairs
         want = [t.copy() for t in totals]
         before = [g.copy() for g in stacks]
+        params, span = span_of(totals)
         # inf - inf and overflow are part of the property, not warnings.
         with np.errstate(all="ignore"):
             for w, stack in zip(want, stacks):
                 for g in stack:
                     w += scale * g
-            numkit.add_in_order(totals, stacks, scale=scale)
-        for t, w in zip(totals, want):
+            numkit.add_in_order(span, stacks, scale=scale)
+        for p, w in zip(params, want):
             # IEEE 754 leaves open which NaN a sum of two NaNs returns, and
             # NumPy's one-element add loop returns the other operand's than
             # its vector loop, so NaN sums must agree only in being NaN.
+            t = p.grad
             nan = np.isnan(w)
             assert np.array_equal(np.isnan(t), nan)
             assert np.array_equal(t.view(np.uint64)[~nan], w.view(np.uint64)[~nan])
         for g, g0 in zip(stacks, before):
             assert np.array_equal(g.view(np.uint64), g0.view(np.uint64))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        grad_stacks(),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.sampled_from([1.0, 0.125, -3.0, 1e-300]),
+    )
+    def test_span_matches_scatter_oracle(self, pairs, before, after, scale):
+        # The span is a run of parameters of mixed shapes inside a longer
+        # optimizer; the oracle adds into a concatenated copy of the
+        # totals and scatters it back. Every byte agrees, NaNs included.
+        totals, stacks = pairs
+        rng = np.random.default_rng(len(totals) + 10 * before + 100 * after)
+        outside = [rng.standard_normal((2, 3)) for _ in range(before + after)]
+        params = [
+            Param(f"p{j}", np.zeros(t.shape))
+            for j, t in enumerate(outside[:before] + totals + outside[before:])
+        ]
+        opt = numkit.SGD(params, lr=1.0)
+        inside = params[before : before + len(totals)]
+        for p, t in zip(params, outside[:before] + totals + outside[before:]):
+            p.grad[...] = t
+        span = opt.grad_span(inside)
+        want = [t.copy() for t in totals]
+        with np.errstate(all="ignore"):
+            add_in_order_scatter(want, stacks, scale)
+            numkit.add_in_order(span, stacks, scale)
+        for p, w in zip(inside, want):
+            assert p.grad.tobytes() == w.tobytes(), p.name
+        for p, t in zip(params[:before] + params[before + len(totals):], outside):
+            assert p.grad.tobytes() == t.tobytes(), p.name
+
     def test_stacks_must_share_b_and_match_totals(self):
-        totals = [np.zeros(4), np.zeros((2, 3))]
+        params, span = span_of([np.zeros(4), np.zeros((2, 3))])
         with pytest.raises(ShapeError):
-            numkit.add_in_order(totals, [np.ones((2, 4)), np.ones((3, 2, 3))])
+            numkit.add_in_order(span, [np.ones((2, 4)), np.ones((3, 2, 3))])
         with pytest.raises(ShapeError):
-            numkit.add_in_order(totals, [np.ones((2, 4)), np.ones((2, 3, 2))])
+            numkit.add_in_order(span, [np.ones((2, 4)), np.ones((2, 3, 2))])
         with pytest.raises(ShapeError):
-            numkit.add_in_order(totals, [np.ones((2, 4))])
-        assert not any(t.any() for t in totals)
+            numkit.add_in_order(span, [np.ones((2, 4))])
+        with pytest.raises(ShapeError):
+            numkit.add_in_order(span, [np.ones((0, 4)), np.ones((0, 2, 3))])
+        assert not any(p.grad.any() for p in params)
+
+    def test_span_needs_consecutive_parameters_in_order(self):
+        a, b, c = (Param(name, np.zeros(2)) for name in "abc")
+        opt = numkit.SGD([a, b, c], lr=1.0)
+        assert opt.grad_span([b, c]).flat.size == 4
+        for params in ([a, c], [b, a], [c, Param("d", np.zeros(2))]):
+            with pytest.raises(OptimizerError):
+                opt.grad_span(params)
+        with pytest.raises(OptimizerError):
+            opt.grad_span([Param("d", np.zeros(2))])
+        # The span is the buffer itself: an add shows in the gradients.
+        span = opt.grad_span([b, c])
+        numkit.add_in_order(span, [np.ones((1, 2)), np.full((1, 2), 2.0)])
+        assert a.grad.tolist() == [0.0, 0.0]
+        assert b.grad.tolist() == [1.0, 1.0] and c.grad.tolist() == [2.0, 2.0]
 
 
 class TestGradCheck:

@@ -17,7 +17,7 @@ from wsodkit.refine import (
     refinement_chain,
 )
 
-from conftest import make_record
+from conftest import grad_span, make_record
 from reference import assign_targets_loop, grad_check, mine_loop, pseudo_boxes
 
 
@@ -297,11 +297,12 @@ class TestRefinementChain:
         branch = RefineBranch.create(rng, 4, 3, 0.4)
         targets = np.array([0, 3, 1, 2, 3])
         weights = rng.uniform(0.1, 1.0, size=5)
+        grads = grad_span(branch.params())
 
         def f():
             [loss] = refinement_chain(
                 rec.rgb_features[None], branch, targets[None], weights[None],
-                grad_scale=1.0,
+                grad_scale=1.0, grads=grads,
             )
             return loss
 
@@ -324,15 +325,17 @@ class TestRefinementChain:
         x = rng.standard_normal((b, r, d))
         targets = rng.integers(0, c + 1, size=(b, r))
         weights = rng.uniform(0.1, 1.0, size=(b, r))
+        span = grad_span(branch.params())
         for p in branch.params():
             p.grad[...] = 0.0
-        losses = refinement_chain(x, branch, targets, weights, grad_scale=0.25)
+        losses = refinement_chain(x, branch, targets, weights, grad_scale=0.25,
+                                  grads=span)
         grads = [p.grad.copy() for p in branch.params()]
         for p in branch.params():
             p.grad[...] = 0.0
         singles = [
             refinement_chain(x[k : k + 1], branch, targets[k : k + 1],
-                             weights[k : k + 1], grad_scale=0.25)
+                             weights[k : k + 1], grad_scale=0.25, grads=span)
             for k in range(b)
         ]
         assert losses == [loss for one in singles for loss in one]
@@ -349,15 +352,16 @@ class TestRefinementChain:
         targets = rng.integers(0, 2, size=(b, r))
         weights = rng.uniform(0.1, 1.0, size=(b, r))
         start = [rng.standard_normal(p.value.shape) for p in branch.params()]
+        span = grad_span(branch.params())
         for p, g in zip(branch.params(), start):
             p.grad[...] = g
-        refinement_chain(x, branch, targets, weights, grad_scale=0.5)
+        refinement_chain(x, branch, targets, weights, grad_scale=0.5, grads=span)
         grads = [p.grad.copy() for p in branch.params()]
         for p, g in zip(branch.params(), start):
             p.grad[...] = g
         for k in range(b):
             refinement_chain(x[k : k + 1], branch, targets[k : k + 1],
-                             weights[k : k + 1], grad_scale=0.5)
+                             weights[k : k + 1], grad_scale=0.5, grads=span)
         for p, g in zip(branch.params(), grads):
             assert p.grad.tobytes() == g.tobytes(), p.name
 
