@@ -1,7 +1,10 @@
 """Cross-modal contrastive alignment of pooled RGB and depth features.
 
 Both modalities pass through one shared affine projection (Siamese weights),
-are L2-normalized, and compared by temperature-scaled dot products. The loss
+are L2-normalized, and compared by temperature-scaled dot products. The
+normalization divides by ``max(norm, NORM_EPS)``, so it is total: a
+projection of zero norm, such as a zero pooled row's before the bias
+first moves, embeds as zero instead of stopping the run. The loss
 is symmetric noise-contrastive estimation over a batch of images: each RGB
 image must identify its paired depth image among the batch's depth images,
 and vice versa, averaged over both directions.
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wsodkit import numkit
-from wsodkit.errors import ShapeError, WsodkitError
+from wsodkit.errors import ShapeError
 from wsodkit.numkit import Param
 
 RHO_MIN = 0.01
@@ -50,7 +53,7 @@ class ProjectionParams:
 
     def clamp_rho(self) -> None:
         """Keep the temperature inside [RHO_MIN, RHO_MAX]; call after each step."""
-        np.clip(self.rho.value, RHO_MIN, RHO_MAX, out=self.rho.value)
+        self.rho.value.clip(RHO_MIN, RHO_MAX, out=self.rho.value)
 
 
 def pool_features(features: np.ndarray) -> np.ndarray:
@@ -60,19 +63,21 @@ def pool_features(features: np.ndarray) -> np.ndarray:
     return features.mean(axis=0)
 
 
-def _direction(s: np.ndarray) -> tuple[float, np.ndarray]:
+def _direction(s: np.ndarray, eye: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss of one direction and its gradient with respect to ``s``.
 
     Rows of ``s`` are anchors and the diagonal holds the positive pairs;
-    the loss is ``mean_i [log sum_j exp(s_ij) - s_ii]``.
+    the loss is ``mean_i [log sum_j exp(s_ij) - s_ii]``. ``eye`` is the
+    identity of ``s``'s size: subtracting it takes 1 from the diagonal and
+    leaves every other entry's bits as they are.
     """
     n = s.shape[0]
-    m = s.max(axis=1, keepdims=True)
+    m = np.maximum.reduce(s, axis=1, keepdims=True)
     e = np.exp(s - m)
-    z = e.sum(axis=1, keepdims=True)
-    loss = float((m[:, 0] + np.log(z[:, 0]) - np.diag(s)).mean())
+    z = np.add.reduce(e, axis=1, keepdims=True)
+    loss = float(np.add.reduce(m[:, 0] + np.log(z[:, 0]) - s.diagonal()) / n)
     g = e / z
-    g[np.arange(n), np.arange(n)] -= 1.0
+    g -= eye
     return loss, g / n
 
 
@@ -96,29 +101,44 @@ def nce_chain(
     rho = float(proj.rho.value[0])
     z_r = numkit.affine(pooled_rgb, proj.w.value, proj.b.value)
     z_d = numkit.affine(pooled_depth, proj.w.value, proj.b.value)
-    n_r = np.linalg.norm(z_r, axis=1, keepdims=True)
-    n_d = np.linalg.norm(z_d, axis=1, keepdims=True)
-    if (n_r < NORM_EPS).any() or (n_d < NORM_EPS).any():
-        raise WsodkitError("projected feature has near-zero norm")
+    norm_r = np.sqrt(np.add.reduce(z_r * z_r, axis=1, keepdims=True))
+    norm_d = np.sqrt(np.add.reduce(z_d * z_d, axis=1, keepdims=True))
+    n_r = np.maximum(norm_r, NORM_EPS)
+    n_d = np.maximum(norm_d, NORM_EPS)
     e_r = z_r / n_r
     e_d = z_d / n_d
     dot = e_r @ e_d.T
     s = dot / rho
-    loss_r, g_r = _direction(s)
-    loss_d, g_d = _direction(s.T)
+    eye = np.eye(len(s))
+    loss_r, g_r = _direction(s, eye)
+    loss_d, g_d = _direction(s.T, eye)
     loss = 0.5 * (loss_r + loss_d)
 
     if grad_scale != 0.0:
         g_s = 0.5 * (g_r + g_d.T)
         g_dot = g_s / rho
-        g_rho = -float((g_s * s).sum()) / rho
+        g_rho = -float(np.add.reduce(g_s * s, axis=None)) / rho
         g_er = g_dot @ e_d
         g_ed = g_dot.T @ e_r
-        # Through row normalization: project out the radial component.
-        g_zr = (g_er - (g_er * e_r).sum(axis=1, keepdims=True) * e_r) / n_r
-        g_zd = (g_ed - (g_ed * e_d).sum(axis=1, keepdims=True) * e_d) / n_d
+        g_zr = _normalize_backward(g_er, e_r, norm_r, n_r)
+        g_zd = _normalize_backward(g_ed, e_d, norm_d, n_d)
         sc = grad_scale
         proj.w.grad += sc * (pooled_rgb.T @ g_zr + pooled_depth.T @ g_zd)
-        proj.b.grad += sc * (g_zr.sum(axis=0) + g_zd.sum(axis=0))
+        proj.b.grad += sc * (np.add.reduce(g_zr, axis=0) + np.add.reduce(g_zd, axis=0))
         proj.rho.grad += sc * g_rho
     return float(loss)
+
+
+def _normalize_backward(
+    g: np.ndarray, e: np.ndarray, norm: np.ndarray, n: np.ndarray
+) -> np.ndarray:
+    """Gradient through ``e = z / n``, ``n = max(norm, NORM_EPS)``, per row.
+
+    ``norm`` holds the rows' norms, (B, 1), as ``np.linalg.norm`` computes
+    them. Where the norm reaches the floor, the radial component of ``g``
+    is projected out; below it ``n`` is a constant, so the gradient is
+    ``g / n``.
+    """
+    radial = np.add.reduce(g * e, axis=1, keepdims=True)
+    radial *= norm >= NORM_EPS
+    return (g - radial * e) / n

@@ -276,6 +276,8 @@ class ImageRecord:
                 f"image {rid}: rgb and depth feature dims differ "
                 f"({self.rgb_features.shape[1]} vs {self.depth_features.shape[1]})"
             )
+        if self.rgb_features.shape[1] == 0:
+            raise ValidationError(f"image {rid}: features have dimension 0")
         d = self.proposal_depths
         if d.ndim != 1 or d.shape[0] != r:
             raise ValidationError(

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 ``cli.main`` maps these onto exit codes: DataError and its subclasses -> 3,
-ConfigError and every other WsodkitError -> 2. The others are ShapeError,
-OptimizerError and the bare WsodkitError that a projection of near-zero
-norm raises. Any other exception is a programming error and propagates.
+ConfigError and every other WsodkitError -> 2. The others are ShapeError
+and OptimizerError. Any other exception is a programming error and
+propagates.
 """
 
 

@@ -448,6 +448,13 @@ OPTIONAL_KEYS = {
     "vocab": {"synonyms"},
     "config": {"epochs", "proj_dim"},
 }
+# A record valid in every field but its feature rows, which are empty.
+ZERO_FEATURE_RECORD = {
+    "image_id": "img00000", "width": 16, "height": 16,
+    "proposals": [[1.0, 1.0, 8.0, 8.0]] * 4,
+    "rgb_features": [[]] * 4, "depth_features": [[]] * 4,
+    "proposal_depths": [0.5] * 4, "labels": [0],
+}
 JSONL_TARGETS = ("dataset", "dataset+sidecar", "sidecar", "detections")
 FUZZ_TARGETS = JSONL_TARGETS + ("vocab", "priors", "checkpoint", "config")
 
@@ -667,6 +674,8 @@ SPLICE = st.tuples(st.sampled_from(("cut", "byte")), st.integers(0, 1 << 16))
 @example(target="sidecar", mutation=((0, "values"), [[True] * 16] * 16))
 @example(target="checkpoint", mutation=(("rgb.det.b", "values", 0), "0"))
 @example(target="checkpoint", mutation=(("rgb.det.b", "values"), [False] * 2))
+# A record whose features have dimension 0, which every command once loaded.
+@example(target="dataset", mutation=((0,), ZERO_FEATURE_RECORD))
 @settings(
     max_examples=200,
     deadline=None,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsodkit import contrastive
 from wsodkit.contrastive import (
     RHO_MAX,
     RHO_MIN,
@@ -14,7 +15,7 @@ from wsodkit.contrastive import (
     nce_chain,
     pool_features,
 )
-from wsodkit.errors import ShapeError, WsodkitError
+from wsodkit.errors import ShapeError
 from wsodkit.numkit import Param
 
 from reference import grad_check, nce_loss
@@ -72,12 +73,15 @@ class TestPoolProject:
         got = nce_chain(r * scale, d / scale, proj)
         assert got == pytest.approx(nce_chain(r, d, proj), abs=1e-12)
 
-    def test_project_zero_norm_rejected(self, rng):
+    def test_project_zero_norm_embeds_as_zero(self, rng):
+        # Every projection is zero, so every similarity is 0 and each
+        # anchor's loss is log 2; the gradient is exactly zero.
         proj = make_proj(rng, feat_dim=2, proj_dim=2)
         proj.w.value[:] = 0.0
         proj.b.value[:] = 0.0
-        with pytest.raises(WsodkitError):
-            nce_chain(np.ones((2, 2)), np.ones((2, 2)), proj)
+        loss = nce_chain(np.ones((2, 2)), np.ones((2, 2)), proj, grad_scale=1.0)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-15)
+        assert not any(p.grad.any() for p in proj.params())
 
 
 class TestSimilarity:
@@ -132,10 +136,13 @@ class TestNceLoss:
             identity_chain(depth, rgb, 0.2), abs=1e-12
         )
 
-    def test_non_unit_rows_rejected(self):
-        # A zero row has no unit direction to compare.
-        with pytest.raises(WsodkitError):
-            identity_chain(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+    def test_zero_row_embeds_as_zero(self):
+        # A zero row has no unit direction; it embeds as zero, so its
+        # similarities are 0. At rho = 1 the first anchor of each direction
+        # costs log(1 + e^-1) and the second log 2.
+        got = identity_chain(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+        want = 0.5 * (math.log1p(math.exp(-1.0)) + math.log(2.0))
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -164,6 +171,23 @@ class TestNceChain:
         proj = make_proj(rng, feat_dim=5, proj_dim=3, rho_init=0.37)
         pooled_r = rng.standard_normal((batch_size, 5))
         pooled_d = rng.standard_normal((batch_size, 5))
+
+        def f():
+            return nce_chain(pooled_r, pooled_d, proj, grad_scale=1.0)
+
+        assert grad_check(f, proj.params()) < 1e-6
+
+    def test_gradients_finite_difference_below_norm_floor(self, rng, monkeypatch):
+        # With the floor raised above some rows' norms, those rows divide
+        # by the floor, a constant, and the rest normalize as usual; the
+        # differences stay on one side of the floor.
+        monkeypatch.setattr(contrastive, "NORM_EPS", 1.0)
+        proj = make_proj(rng, feat_dim=4, proj_dim=3, scale=0.4, rho_init=0.37)
+        pooled_r = rng.standard_normal((4, 4)) * np.array([[0.2], [3.0], [0.1], [2.0]])
+        pooled_d = rng.standard_normal((4, 4)) * np.array([[3.0], [0.2], [2.0], [0.1]])
+        norms = np.linalg.norm(np.vstack((pooled_r, pooled_d)) @ proj.w.value, axis=1)
+        assert (norms < 0.9).any() and (norms > 1.1).any()
+        assert (abs(norms - 1.0) > 0.01).all()
 
         def f():
             return nce_chain(pooled_r, pooled_d, proj, grad_scale=1.0)

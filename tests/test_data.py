@@ -221,6 +221,11 @@ class TestRecordValidation:
         with pytest.raises(ValidationError, match="count mismatch"):
             rec.validate(3)
 
+    def test_zero_feature_dimension(self, rng):
+        rec = make_record(rng, image_id="imgZ", feat_dim=0)
+        with pytest.raises(ValidationError, match="imgZ: features have dimension 0"):
+            rec.validate(3)
+
     def test_depth_out_of_range(self, rng):
         rec = make_record(rng)
         bad = rec.proposal_depths.copy()

@@ -336,6 +336,22 @@ class TestTrainBasics:
         assert report.seed == 123
 
 
+class TestZeroFeatureRow:
+    # One record's depth features are all zero, so its pooled row projects
+    # to exactly zero until the projection bias first moves. Seeds 10, 14,
+    # 17, 18, 24 and 25 put it in the first batch of epoch 1, where a
+    # normalization that refused a zero norm stopped the run; 0 and 1 put
+    # it later. Every seed must finish the same way.
+    @pytest.mark.parametrize("seed", [10, 14, 17, 18, 24, 25, 0, 1])
+    def test_siamese_run_finishes_at_every_seed(self, seed):
+        records, vocab = generate_synthetic(SyntheticConfig(num_images=40), seed=0)
+        records[0].depth_features[...] = 0.0
+        cfg = RunConfig(epochs=2, siamese_nce=True, seed=seed)
+        model, report = train(cfg, records, vocab, eval_records=[])
+        assert all(np.isfinite(e.total) and e.nce > 0.0 for e in report.epochs)
+        assert all(np.isfinite(p.value).all() for p in model.params())
+
+
 class TestDeterminismAndReductions:
     def test_repeat_runs_byte_identical(self, small_data, tmp_path):
         records, vocab = small_data
