@@ -285,14 +285,17 @@ GRID = [k / 16 for k in range(17)]
 def depth_mask_inputs(draw):
     """Priors, class count, caption, proposal depths and the caption toggle."""
     num_classes = draw(st.integers(1, 4))
-    classes = st.integers(0, num_classes - 1)
     bound = st.sampled_from(GRID) | st.floats(-0.25, 1.25)
 
     def depth_range():
         return DepthRange(*sorted([draw(bound), draw(bound)]))
 
-    by_class = {c: depth_range() for c in sorted(draw(st.sets(classes)))}
-    keys = draw(st.sets(st.tuples(classes, st.sampled_from(CAPTION_WORDS))))
+    # Subsets drawn as bitmasks: sets of ids retried every repeat drawn.
+    pairs = [(c, w) for c in range(num_classes) for w in CAPTION_WORDS]
+    class_bits = draw(st.integers(0, 2**num_classes - 1))
+    pair_bits = draw(st.integers(0, 2 ** len(pairs) - 1))
+    by_class = {c: depth_range() for c in range(num_classes) if class_bits >> c & 1}
+    keys = [k for j, k in enumerate(pairs) if pair_bits >> j & 1]
     by_class_word = {k: depth_range() for k in sorted(keys)}
     spoken = st.sampled_from(CAPTION_WORDS + ("Table,", "bird"))
     caption = draw(st.none() | st.lists(spoken, max_size=4).map(" ".join))
