@@ -550,7 +550,8 @@ def add_in_order_scatter(totals, stacks, scale=1.0):
     concatenated copy of the totals, which is then written back.
     """
     b = len(stacks[0])
-    block = np.concatenate([g.reshape(b, t.size) for t, g in zip(totals, stacks)], axis=1)
+    pairs = zip(totals, stacks)
+    block = np.concatenate([g.reshape(b, t.size) for t, g in pairs], axis=1)
     block *= scale
     acc = np.concatenate([t.reshape(-1) for t in totals])
     for row in block:

@@ -100,7 +100,9 @@ class TestStacks:
 
 # Score entries the softmaxes treat specially: signed zeros, the largest
 # and smallest magnitudes, infinities and NaN.
-SCORE_SPECIALS = [0.0, -0.0, 1.7e308, -1.7e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+SCORE_SPECIALS = [
+    0.0, -0.0, 1.7e308, -1.7e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan
+]
 
 
 @st.composite
@@ -124,7 +126,7 @@ def score_stacks(draw):
 
 
 class TestSoftmax:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(score_stacks())
     def test_match_reduced_formulas_bit_for_bit(self, s):
         with np.errstate(all="ignore"):
@@ -373,14 +375,15 @@ def grad_stacks(draw):
     return [entries(s) for s in shapes], [entries((b, *s)) for s in shapes]
 
 
-def span_of(totals):
-    """Parameters holding ``totals`` as gradients, and their span under one
-    optimizer."""
-    params = [Param(f"p{j}", np.zeros(t.shape)) for j, t in enumerate(totals)]
-    span = grad_span(params)
-    for p, t in zip(params, totals):
-        p.grad[...] = t
-    return params, span
+def span_of(totals, before=(), after=()):
+    """Parameters whose gradients hold ``before``, ``totals`` and ``after``,
+    under one optimizer, and the span of the ones holding ``totals``."""
+    grads = [*before, *totals, *after]
+    params = [Param(f"p{j}", np.zeros(g.shape)) for j, g in enumerate(grads)]
+    opt = numkit.SGD(params, lr=1.0)
+    for p, g in zip(params, grads):
+        p.grad[...] = g
+    return params, opt.grad_span(params[len(before) : len(before) + len(totals)])
 
 
 class TestAddInOrder:
@@ -409,60 +412,45 @@ class TestAddInOrder:
         assert p.grad.tobytes() == want.tobytes()
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-    @given(grad_stacks(), st.sampled_from([1.0, 0.125, -3.0, 1e-300]))
-    def test_lists_match_per_pair_loops(self, pairs, scale):
+    @given(
+        grad_stacks(),
+        st.sampled_from([1.0, 0.125, -3.0, 1e-300]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    def test_lists_match_per_pair_loops(self, pairs, scale, before, after):
+        # The span is a run of parameters of mixed shapes inside a longer
+        # optimizer, whose other gradients must not move.
         totals, stacks = pairs
+        rng = np.random.default_rng(len(totals) + 10 * before + 100 * after)
+        before = [rng.standard_normal((2, 3)) for _ in range(before)]
+        after = [rng.standard_normal(3) for _ in range(after)]
         want = [t.copy() for t in totals]
-        before = [g.copy() for g in stacks]
-        params, span = span_of(totals)
+        scattered = [t.copy() for t in totals]
+        stacks_before = [g.copy() for g in stacks]
+        params, span = span_of(totals, before, after)
         # inf - inf and overflow are part of the property, not warnings.
         with np.errstate(all="ignore"):
             for w, stack in zip(want, stacks):
                 for g in stack:
                     w += scale * g
+            add_in_order_scatter(scattered, stacks, scale)
             numkit.add_in_order(span, stacks, scale=scale)
-        for p, w in zip(params, want):
+        grads = [p.grad for p in params]
+        inside = grads[len(before) : len(before) + len(totals)]
+        for t, w in zip(inside, want):
             # IEEE 754 leaves open which NaN a sum of two NaNs returns, and
             # NumPy's one-element add loop returns the other operand's than
             # its vector loop, so NaN sums must agree only in being NaN.
-            t = p.grad
             nan = np.isnan(w)
             assert np.array_equal(np.isnan(t), nan)
             assert np.array_equal(t.view(np.uint64)[~nan], w.view(np.uint64)[~nan])
-        for g, g0 in zip(stacks, before):
+        # Against the concatenate-then-scatter add it replaced, every byte
+        # agrees, NaNs included, and the gradients outside the span hold.
+        for t, w in zip(grads, before + scattered + after):
+            assert t.tobytes() == w.tobytes()
+        for g, g0 in zip(stacks, stacks_before):
             assert np.array_equal(g.view(np.uint64), g0.view(np.uint64))
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        grad_stacks(),
-        st.integers(0, 2),
-        st.integers(0, 2),
-        st.sampled_from([1.0, 0.125, -3.0, 1e-300]),
-    )
-    def test_span_matches_scatter_oracle(self, pairs, before, after, scale):
-        # The span is a run of parameters of mixed shapes inside a longer
-        # optimizer; the oracle adds into a concatenated copy of the
-        # totals and scatters it back. Every byte agrees, NaNs included.
-        totals, stacks = pairs
-        rng = np.random.default_rng(len(totals) + 10 * before + 100 * after)
-        outside = [rng.standard_normal((2, 3)) for _ in range(before + after)]
-        params = [
-            Param(f"p{j}", np.zeros(t.shape))
-            for j, t in enumerate(outside[:before] + totals + outside[before:])
-        ]
-        opt = numkit.SGD(params, lr=1.0)
-        inside = params[before : before + len(totals)]
-        for p, t in zip(params, outside[:before] + totals + outside[before:]):
-            p.grad[...] = t
-        span = opt.grad_span(inside)
-        want = [t.copy() for t in totals]
-        with np.errstate(all="ignore"):
-            add_in_order_scatter(want, stacks, scale)
-            numkit.add_in_order(span, stacks, scale)
-        for p, w in zip(inside, want):
-            assert p.grad.tobytes() == w.tobytes(), p.name
-        for p, t in zip(params[:before] + params[before + len(totals):], outside):
-            assert p.grad.tobytes() == t.tobytes(), p.name
 
     def test_stacks_must_share_b_and_match_totals(self):
         params, span = span_of([np.zeros(4), np.zeros((2, 3))])
