@@ -2,9 +2,10 @@
 
 Every performance change must leave the program's output bytes alone, and
 a change that moves them on purpose must say so. This test runs the shrunk
-workloads of ``test_bench_hooks.py`` through ``perfbench/pipeline.py`` at
-seeds 0 and 7 and compares the SHA-256 digests of their checkpoints,
-detections, priors and evaluation report with pinned values.
+workloads that ``test_bench_hooks.py`` traces (``SHRUNK_WORKLOADS``)
+through ``perfbench/pipeline.py`` at seeds 0 and 7 and compares the
+SHA-256 digests of their checkpoints, detections, priors and evaluation
+report with pinned values.
 
 Matmul bits can depend on the BLAS kernel the CPU selects, so the pinned
 values are keyed by the NumPy version and the OpenBLAS core that
