@@ -12,7 +12,6 @@ from wsodkit import numkit
 from wsodkit.errors import CheckpointError, OptimizerError, ShapeError
 from wsodkit.numkit import Param
 
-from conftest import grad_span
 from reference import (
     GradCheckError,
     add_in_order_scatter,
